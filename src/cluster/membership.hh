@@ -9,7 +9,7 @@
  *   Up       — routable; in the ring.
  *   Draining — answering admitted/session traffic but refusing new
  *              PREDICT/OPEN (the worker acknowledged DRAIN, or its
- *              v4 PING reply carries the drain bit). Out of the ring
+ *              PING reply carries the drain bit). Out of the ring
  *              for new work; pinned sessions keep flowing to it.
  *   Down     — `fail_threshold` consecutive transport failures. Out
  *              of the ring; a later successful PING restores Up.

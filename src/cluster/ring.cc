@@ -2,26 +2,14 @@
 
 #include <algorithm>
 
-namespace sns::cluster {
+#include "util/fnv.hh"
 
-uint64_t
-fnv1a64(const void *data, size_t size)
-{
-    constexpr uint64_t kOffset = 1469598103934665603ull;
-    constexpr uint64_t kPrime = 1099511628211ull;
-    const auto *bytes = static_cast<const uint8_t *>(data);
-    uint64_t hash = kOffset;
-    for (size_t i = 0; i < size; ++i) {
-        hash ^= bytes[i];
-        hash *= kPrime;
-    }
-    return hash;
-}
+namespace sns::cluster {
 
 uint64_t
 hashKey(const std::string &key)
 {
-    return fnv1a64(key.data(), key.size());
+    return fnv1a(key.data(), key.size(), kFnvShortBasis);
 }
 
 HashRing::HashRing(const std::vector<Member> &members, int vnodes)

@@ -31,10 +31,8 @@
 
 namespace sns::cluster {
 
-/** FNV-1a over a byte range — the ring's point and key hash. */
-uint64_t fnv1a64(const void *data, size_t size);
-
-/** FNV-1a of a string key (design source, session key, ...). */
+/** FNV-1a of a string key (design source, session key, ...) — the
+ * ring's point and key hash. */
 uint64_t hashKey(const std::string &key);
 
 /** An immutable consistent-hash ring over worker indices. */

@@ -1,6 +1,5 @@
 #include "cluster/router.hh"
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -12,6 +11,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "serve/codec.hh"
 #include "util/logging.hh"
 
 namespace sns::cluster {
@@ -21,33 +21,13 @@ using serve::Verb;
 using serve::WireReader;
 using serve::WireWriter;
 
+using serve::statusReply;
+
 namespace {
 
-std::vector<uint8_t>
-statusReply(Status status, const std::string &message)
-{
-    WireWriter writer;
-    writer.u8(static_cast<uint8_t>(status));
-    writer.str(message);
-    return writer.bytes();
-}
-
-/** Re-encode a prediction block bit-exactly (f64 round-trips through
+/** Re-encode a worker's reply bit-exactly (f64 round-trips through
  * the client decode unchanged — this is what keeps cluster replies
  * byte-identical to a single worker's). */
-void
-writePrediction(WireWriter &writer,
-                const core::SnsPrediction &prediction)
-{
-    writer.f64(prediction.timing_ps);
-    writer.f64(prediction.area_um2);
-    writer.f64(prediction.power_mw);
-    writer.u64(prediction.paths_sampled);
-    writer.u32(static_cast<uint32_t>(prediction.critical_path.size()));
-    for (const graphir::NodeId node : prediction.critical_path)
-        writer.u32(node);
-}
-
 std::vector<uint8_t>
 encodePredictReply(const serve::PredictReply &reply)
 {
@@ -55,7 +35,7 @@ encodePredictReply(const serve::PredictReply &reply)
         return statusReply(reply.status, reply.message);
     WireWriter writer;
     writer.u8(static_cast<uint8_t>(Status::Ok));
-    writePrediction(writer, reply.prediction);
+    serve::writePrediction(writer, reply.prediction);
     return writer.bytes();
 }
 
@@ -69,25 +49,9 @@ encodeSessionReply(const serve::SessionReply &reply,
     writer.u8(static_cast<uint8_t>(Status::Ok));
     if (include_session_id)
         writer.u64(session_id);
-    writePrediction(writer, reply.prediction);
-    writer.u8(reply.diff.noop ? 1 : 0);
-    writer.u64(reply.diff.modules_changed);
-    writer.u64(reply.diff.modules_added);
-    writer.u64(reply.diff.modules_removed);
-    writer.u64(reply.diff.modules_total);
-    writer.u64(reply.diff.nodes_affected);
-    writer.u64(reply.diff.endpoints_affected);
-    writer.u64(reply.diff.paths_total);
-    writer.u64(reply.diff.paths_reused);
-    writer.u64(reply.diff.paths_recomputed);
+    serve::writePrediction(writer, reply.prediction);
+    serve::writeDiff(writer, reply.diff);
     return writer.bytes();
-}
-
-bool
-validPrecisionByte(uint8_t byte)
-{
-    return byte == static_cast<uint8_t>(core::Precision::Fp64) ||
-           byte == static_cast<uint8_t>(core::Precision::Int8);
 }
 
 } // namespace
@@ -390,35 +354,17 @@ Router::handleRequest(const std::vector<uint8_t> &request,
             WireWriter writer;
             writer.u8(static_cast<uint8_t>(Status::Ok));
             writer.str("");
-            if (state.version >= 4)
-                writer.u8(0); // the router itself never drains
+            writer.u8(0); // the router itself never drains
             return writer.bytes();
         }
-        case Verb::Hello: {
-            const uint32_t client_version = reader.u32();
-            reader.expectEnd();
-            state.version =
-                std::min(client_version, serve::kProtocolVersion);
-            WireWriter writer;
-            writer.u8(static_cast<uint8_t>(Status::Ok));
-            writer.u32(serve::kProtocolVersion);
-            return writer.bytes();
-        }
+        case Verb::Hello:
+            return serve::answerHello(reader);
         case Verb::Open:
+            return handleOpen(reader, state);
         case Verb::Update:
-        case Verb::Close: {
-            if (state.version < 2) {
-                return statusReply(
-                    Status::Unsupported,
-                    "session verbs need protocol version >= 2 "
-                    "(negotiate with HELLO first)");
-            }
-            if (verb == Verb::Open)
-                return handleOpen(reader, state);
-            if (verb == Verb::Update)
-                return handleUpdate(reader, state);
+            return handleUpdate(reader, state);
+        case Verb::Close:
             return handleClose(reader, state);
-        }
         case Verb::Drain:
         case Verb::Resume:
             reader.expectEnd();
@@ -428,12 +374,6 @@ Router::handleRequest(const std::vector<uint8_t> &request,
                 "workers (their addresses are in WORKERS)");
         case Verb::Workers:
             reader.expectEnd();
-            if (state.version < 4) {
-                return statusReply(
-                    Status::Unsupported,
-                    "WORKERS needs protocol version >= 4 "
-                    "(negotiate with HELLO first)");
-            }
             return handleWorkers();
         }
         return statusReply(Status::Error, "unknown verb");
@@ -448,22 +388,11 @@ std::vector<uint8_t>
 Router::handlePredict(WireReader &reader, HandlerState &state)
 {
     const uint32_t deadline_ms = reader.u32();
-    uint8_t precision_byte =
-        static_cast<uint8_t>(core::Precision::Fp64);
-    if (state.version >= 3)
-        precision_byte = reader.u8();
+    const core::Precision precision = serve::readPrecision(reader);
     const auto format =
         static_cast<serve::DesignFormat>(reader.u8());
     const std::string text = reader.str();
     reader.expectEnd();
-    if (!validPrecisionByte(precision_byte)) {
-        return statusReply(Status::Error,
-                           "unknown precision byte " +
-                               std::to_string(precision_byte) +
-                               " (0 fp64, 1 int8)");
-    }
-    const auto precision =
-        static_cast<core::Precision>(precision_byte);
     const uint64_t key = hashKey(text);
 
     // One attempt per worker plus one: a DRAINING reply or transport
@@ -514,22 +443,11 @@ Router::handlePredict(WireReader &reader, HandlerState &state)
 std::vector<uint8_t>
 Router::handleOpen(WireReader &reader, HandlerState &state)
 {
-    uint8_t precision_byte =
-        static_cast<uint8_t>(core::Precision::Fp64);
-    if (state.version >= 3)
-        precision_byte = reader.u8();
+    const core::Precision precision = serve::readPrecision(reader);
     const auto format =
         static_cast<serve::DesignFormat>(reader.u8());
     const std::string text = reader.str();
     reader.expectEnd();
-    if (!validPrecisionByte(precision_byte)) {
-        return statusReply(Status::Error,
-                           "unknown precision byte " +
-                               std::to_string(precision_byte) +
-                               " (0 fp64, 1 int8)");
-    }
-    const auto precision =
-        static_cast<core::Precision>(precision_byte);
     const uint64_t key = hashKey(text);
 
     const size_t attempts = options_.workers.size() + 1;
@@ -587,20 +505,11 @@ std::vector<uint8_t>
 Router::handleUpdate(WireReader &reader, HandlerState &state)
 {
     const uint64_t cluster_id = reader.u64();
-    uint8_t precision_byte =
-        static_cast<uint8_t>(core::Precision::Fp64);
-    if (state.version >= 3)
-        precision_byte = reader.u8();
+    const core::Precision precision = serve::readPrecision(reader);
     const auto format =
         static_cast<serve::DesignFormat>(reader.u8());
     const std::string text = reader.str();
     reader.expectEnd();
-    if (!validPrecisionByte(precision_byte)) {
-        return statusReply(Status::Error,
-                           "unknown precision byte " +
-                               std::to_string(precision_byte) +
-                               " (0 fp64, 1 int8)");
-    }
 
     SessionRoute route;
     {
@@ -629,8 +538,7 @@ Router::handleUpdate(WireReader &reader, HandlerState &state)
     }
     try {
         const serve::SessionReply reply = client->updateSession(
-            route.worker_session_id, text, format,
-            static_cast<core::Precision>(precision_byte));
+            route.worker_session_id, text, format, precision);
         return encodeSessionReply(reply, false, 0);
     } catch (const serve::ProtocolError &e) {
         transport_errors_.inc();

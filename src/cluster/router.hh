@@ -19,17 +19,14 @@
  *     once that worker is draining — admitted edit loops finish where
  *     they started.
  *
- * Requests are *parsed at the client's negotiated version and
- * re-issued at the worker's* (each worker connection negotiates its
- * own HELLO), so a downlevel worker behind an uplevel client — or
- * vice versa — degrades exactly like a direct connection would:
- * fp64 re-encodes without the precision byte, int8 against a pre-v3
- * worker answers UNSUPPORTED, session verbs against a v1 worker
- * answer UNSUPPORTED. The reply blocks are version-invariant and
- * round-trip bit-exactly, so cluster replies are byte-identical to a
- * single sns-serve process.
+ * Requests are parsed in the one wire layout (protocol.hh) and
+ * re-issued through a serve::Client per worker; each worker
+ * connection opens with a strict HELLO, so a worker from a build with
+ * another protocol version counts as unreachable instead of
+ * misparsing frames. The reply blocks round-trip bit-exactly, so
+ * cluster replies are byte-identical to a single sns-serve process.
  *
- * Liveness: a health loop PINGs every worker each period; the v4
+ * Liveness: a health loop PINGs every worker each period; the
  * reply carries the worker's drain bit. A draining or dead worker
  * leaves the ring — only its slice re-hashes — and the router also
  * reacts in-band: a DRAINING reply to proxied work marks the worker
@@ -135,13 +132,11 @@ class Router
         uint64_t worker_session_id = 0;
     };
 
-    /** Per-connection state: the client's negotiated version plus
-     * this handler's private worker connections (the Client is
-     * synchronous; one per handler avoids cross-request locking) and
-     * its cached ring. */
+    /** Per-connection state: this handler's private worker
+     * connections (the Client is synchronous; one per handler avoids
+     * cross-request locking) and its cached ring. */
     struct HandlerState
     {
-        uint32_t version = 1;
         std::vector<std::unique_ptr<serve::Client>> workers;
         HashRing ring;
         uint64_t ring_epoch = 0;
@@ -169,7 +164,7 @@ class Router
     const HashRing &ringFor(HandlerState &state);
 
     /** This handler's connection to worker `index`, connecting (and
-     * negotiating HELLO) on first use. Returns nullptr — after
+     * checking HELLO) on first use. Returns nullptr — after
      * markFailure — when the worker is unreachable. */
     serve::Client *workerConn(HandlerState &state, size_t index);
 

@@ -7,6 +7,7 @@
 #include "dist/exchange.hh"
 #include "nn/serialize.hh"
 #include "par/thread_pool.hh"
+#include "util/fnv.hh"
 #include "util/logging.hh"
 
 namespace sns::core {
@@ -393,21 +394,13 @@ uint64_t
 Circuitformer::fingerprintWith(const std::array<double, 3> &mean,
                                const std::array<double, 3> &std) const
 {
-    uint64_t hash = 0xcbf29ce484222325ull;
-    constexpr uint64_t kPrime = 0x100000001b3ull;
-    const auto mix = [&hash](const void *data, size_t bytes) {
-        const auto *p = static_cast<const unsigned char *>(data);
-        for (size_t i = 0; i < bytes; ++i) {
-            hash ^= p[i];
-            hash *= kPrime;
-        }
-    };
+    uint64_t hash = kFnvOffsetBasis;
     for (const auto &param : parameters()) {
         const tensor::Tensor &value = param.value();
-        mix(value.data(), value.numel() * sizeof(float));
+        hash = fnv1a(value.data(), value.numel() * sizeof(float), hash);
     }
-    mix(mean.data(), sizeof(mean));
-    mix(std.data(), sizeof(std));
+    hash = fnv1a(mean.data(), sizeof(mean), hash);
+    hash = fnv1a(std.data(), sizeof(std), hash);
     return hash == 0 ? 1 : hash; // 0 means "unbound" to the cache
 }
 

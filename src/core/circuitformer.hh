@@ -35,7 +35,7 @@ namespace sns::core {
  * Fp64 is the default double-accumulation pipeline; Int8 routes the
  * plan's Gemm ops through the u7 x s8 integer kernels using the
  * per-output-channel scales carried by a quantized plan. The enum is
- * serialized as one byte in the serve protocol (v3) and in session
+ * serialized as one byte in the serve protocol and in session
  * records, so the underlying values are part of the wire contract.
  */
 enum class Precision : uint8_t

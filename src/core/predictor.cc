@@ -12,6 +12,7 @@
 #include "plan/calibrate.hh"
 #include "plan/snsp.hh"
 #include "tensor/autograd.hh"
+#include "util/fnv.hh"
 #include "util/logging.hh"
 #include "util/string_utils.hh"
 
@@ -374,7 +375,7 @@ SnsPredictor::quantize(
     // Int8 cache identity: weights + scales, so caches never mix
     // tiers or calibrations (see predictionFingerprint()).
     const auto payload = plan::serializePlanPayload(quantized);
-    const uint64_t hash = plan::fnv1a(payload.data(), payload.size());
+    const uint64_t hash = fnv1a(payload.data(), payload.size());
     quant_fingerprint_ = hash == 0 ? 1 : hash;
 }
 
@@ -582,8 +583,7 @@ SnsPredictor::load(const std::string &directory)
             predictor.circuitformer_->bindQuantPlan(plan::compilePlan(
                 file_plan, predictor.circuitformer_->parameters()));
             const auto payload = plan::serializePlanPayload(file_plan);
-            const uint64_t hash =
-                plan::fnv1a(payload.data(), payload.size());
+            const uint64_t hash = fnv1a(payload.data(), payload.size());
             predictor.quant_fingerprint_ = hash == 0 ? 1 : hash;
         }
     }

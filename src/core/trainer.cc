@@ -13,6 +13,7 @@
 #include "nn/serialize.hh"
 #include "obs/metrics.hh"
 #include "par/thread_pool.hh"
+#include "util/fnv.hh"
 #include "util/logging.hh"
 #include "util/timer.hh"
 #include "verify/diagnostics.hh"
@@ -25,26 +26,15 @@ namespace {
 constexpr const char *kProducer = "sns-trainer-v1";
 
 uint64_t
-fnvBytes(uint64_t hash, const void *data, size_t size)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < size; ++i) {
-        hash ^= p[i];
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
-uint64_t
 fnvU64(uint64_t hash, uint64_t value)
 {
-    return fnvBytes(hash, &value, sizeof(value));
+    return fnv1a(&value, sizeof(value), hash);
 }
 
 uint64_t
 fnvF64(uint64_t hash, double value)
 {
-    return fnvBytes(hash, &value, sizeof(value));
+    return fnv1a(&value, sizeof(value), hash);
 }
 
 /**
@@ -55,7 +45,7 @@ fnvF64(uint64_t hash, double value)
 uint64_t
 configFingerprint(const TrainerConfig &config)
 {
-    uint64_t h = 0xcbf29ce484222325ull;
+    uint64_t h = kFnvOffsetBasis;
     h = fnvU64(h, config.seed);
     h = fnvU64(h, static_cast<uint64_t>(config.circuitformer_epochs));
     h = fnvU64(h, static_cast<uint64_t>(config.circuitformer_batch));
@@ -110,8 +100,8 @@ hashRecords(uint64_t h, const std::vector<PathRecord> &records)
     h = fnvU64(h, records.size());
     for (const auto &record : records) {
         h = fnvU64(h, record.tokens.size());
-        h = fnvBytes(h, record.tokens.data(),
-                     record.tokens.size() * sizeof(record.tokens[0]));
+        h = fnv1a(record.tokens.data(),
+                  record.tokens.size() * sizeof(record.tokens[0]), h);
         h = fnvF64(h, record.timing_ps);
         h = fnvF64(h, record.area_um2);
         h = fnvF64(h, record.power_mw);
@@ -124,7 +114,7 @@ uint64_t
 splitFingerprint(const std::vector<PathRecord> &train_paths,
                  const std::vector<PathRecord> &val_paths)
 {
-    uint64_t h = 0xcbf29ce484222325ull;
+    uint64_t h = kFnvOffsetBasis;
     h = hashRecords(h, train_paths);
     h = hashRecords(h, val_paths);
     return h;

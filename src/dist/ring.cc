@@ -12,8 +12,6 @@
 #include <unistd.h>
 
 #include <array>
-#include <chrono>
-#include <thread>
 
 namespace sns::dist {
 
@@ -124,39 +122,31 @@ listenAt(const Endpoint &ep, int rank)
     return fd;
 }
 
+/** Connect to rank `rank`'s endpoint under kRingConnectRetry; returns
+ * the fd, or -1 with errno set. */
 int
-connectOnce(const Endpoint &ep, int rank)
+connectTo(const Endpoint &ep, int rank)
 {
-    int fd = -1;
     if (ep.is_unix) {
         const std::string path = ep.path + "." + std::to_string(rank);
-        fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd < 0)
-            return -1;
         sockaddr_un addr{};
         addr.sun_family = AF_UNIX;
         std::strncpy(addr.sun_path, path.c_str(),
                      sizeof(addr.sun_path) - 1);
-        if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
-            ::close(fd);
-            return -1;
-        }
-    } else {
-        fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd < 0)
-            return -1;
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<uint16_t>(ep.port + rank));
-        if (::inet_pton(AF_INET, ep.host.c_str(), &addr.sin_addr) != 1 ||
-            ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
-            ::close(fd);
-            return -1;
-        }
+        return serve::connectWithRetry(
+            AF_UNIX, reinterpret_cast<const sockaddr *>(&addr),
+            sizeof(addr), kRingConnectRetry);
     }
-    return fd;
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<uint16_t>(ep.port + rank));
+    if (::inet_pton(AF_INET, ep.host.c_str(), &addr.sin_addr) != 1) {
+        errno = EINVAL;
+        return -1;
+    }
+    return serve::connectWithRetry(
+        AF_INET, reinterpret_cast<const sockaddr *>(&addr), sizeof(addr),
+        kRingConnectRetry);
 }
 
 } // namespace
@@ -264,21 +254,15 @@ connectRing(const std::string &rendezvous, int rank, int world)
     const Endpoint ep = parseEndpoint(rendezvous);
     const int listen_fd = listenAt(ep, rank);
 
-    // Connect to the successor with a deterministic bounded backoff
-    // (the serve client's retry discipline): 600 attempts x 100 ms.
     const int next = (rank + 1) % world;
-    int next_fd = -1;
-    for (int attempt = 0; attempt < 600; ++attempt) {
-        next_fd = connectOnce(ep, next);
-        if (next_fd >= 0)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
+    const int next_fd = connectTo(ep, next);
     if (next_fd < 0) {
+        const std::string error = std::strerror(errno);
         ::close(listen_fd);
         throw DistError("rank " + std::to_string(rank) +
                         " cannot reach rank " + std::to_string(next) +
-                        " at " + rankEndpoint(rendezvous, next));
+                        " at " + rankEndpoint(rendezvous, next) + ": " +
+                        error);
     }
 
     const int prev_fd = ::accept(listen_fd, nullptr, nullptr);

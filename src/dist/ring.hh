@@ -33,6 +33,8 @@
 #include <string>
 #include <vector>
 
+#include "serve/protocol.hh"
+
 namespace sns::dist {
 
 /** Transport or protocol failure on the training ring (peer gone,
@@ -92,11 +94,20 @@ class RingChannel
 std::string rankEndpoint(const std::string &rendezvous, int rank);
 
 /**
+ * How connectRing() retries its successor: 50 ms doubling to a 1 s
+ * cap, ~65 s of sleep in all — dataset construction happens before
+ * the ring forms, so peers may arrive a minute apart.
+ */
+inline constexpr serve::ConnectRetryOptions kRingConnectRetry{
+    /*max_attempts=*/70, /*initial_backoff_us=*/50'000,
+    /*multiplier=*/2, /*max_backoff_us=*/1'000'000};
+
+/**
  * Join the ring as `rank` of `world`: listen at this rank's endpoint,
- * connect to the successor's endpoint (deterministic bounded backoff,
- * ~60 s budget — dataset construction happens before the ring forms,
- * so peers may arrive seconds apart), then accept the predecessor.
- * Throws DistError if the ring cannot form.
+ * connect to the successor's endpoint under kRingConnectRetry, then
+ * accept the predecessor. Throws DistError if the ring cannot form —
+ * at once on a non-transient connect error, else when the retry
+ * budget runs out.
  */
 std::shared_ptr<RingChannel> connectRing(const std::string &rendezvous,
                                          int rank, int world);

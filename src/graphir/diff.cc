@@ -4,26 +4,21 @@
 #include <cstring>
 #include <unordered_map>
 
+#include "util/fnv.hh"
+
 namespace sns::graphir {
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
 /** Streaming FNV-1a accumulator. */
 struct Fnv
 {
-    uint64_t state = kFnvOffset;
+    uint64_t state = kFnvShortBasis;
 
     void
     bytes(const void *data, size_t size)
     {
-        const auto *p = static_cast<const unsigned char *>(data);
-        for (size_t i = 0; i < size; ++i) {
-            state ^= p[i];
-            state *= kFnvPrime;
-        }
+        state = fnv1a(data, size, state);
     }
 
     void u64(uint64_t v) { bytes(&v, sizeof(v)); }

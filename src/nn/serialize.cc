@@ -8,6 +8,8 @@
 #include <sstream>
 #include <string>
 
+#include "util/fnv.hh"
+
 namespace sns::nn {
 
 using tensor::Tensor;
@@ -16,19 +18,6 @@ using tensor::Variable;
 namespace {
 
 constexpr char kMagic[4] = {'S', 'N', 'S', 'W'};
-
-/** FNV-1a over a byte range (the checkpoint payload hash). */
-uint64_t
-fnv1a(const void *data, size_t size)
-{
-    uint64_t hash = 0xcbf29ce484222325ull;
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < size; ++i) {
-        hash ^= p[i];
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
 
 void
 writeTensorRaw(std::ostream &out, const Tensor &value)

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/fnv.hh"
+
 namespace sns::perf {
 
 namespace {
@@ -20,22 +22,13 @@ entryBytes(const std::vector<graphir::TokenId> &tokens)
 uint64_t
 hashTokens(std::span<const graphir::TokenId> tokens)
 {
-    // FNV-1a, 64-bit, over the raw token bytes. Content addressing:
-    // the same sequence hashes the same in any process, which is what
-    // lets one cache be shared across predictor instances (the serve
-    // daemon shares it across workers and hot-reloads; see the header
-    // sharing contract and bindModel()).
-    uint64_t hash = 0xcbf29ce484222325ull;
-    constexpr uint64_t kPrime = 0x100000001b3ull;
-    for (const graphir::TokenId token : tokens) {
-        uint32_t word = static_cast<uint32_t>(token);
-        for (int byte = 0; byte < 4; ++byte) {
-            hash ^= word & 0xffu;
-            hash *= kPrime;
-            word >>= 8;
-        }
-    }
-    return hash;
+    // FNV-1a, 64-bit, over the raw token bytes (little-endian, like
+    // the serve wire format). Content addressing: the same sequence
+    // hashes the same in any process, which is what lets one cache be
+    // shared across predictor instances (the serve daemon shares it
+    // across workers and hot-reloads; see the header sharing contract
+    // and bindModel()).
+    return fnv1a(tokens.data(), tokens.size_bytes());
 }
 
 PathPredictionCache::PathPredictionCache(PathCacheOptions options)

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "util/fnv.hh"
+
 namespace sns::plan {
 
 namespace {
@@ -107,18 +109,6 @@ struct Cursor
 };
 
 } // namespace
-
-uint64_t
-fnv1a(const void *data, size_t bytes)
-{
-    uint64_t hash = 0xcbf29ce484222325ull;
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < bytes; ++i) {
-        hash ^= p[i];
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
 
 std::vector<unsigned char>
 serializePlanPayload(const Plan &plan)

@@ -54,9 +54,6 @@ inline constexpr uint32_t kSnspVersion = 2;
 inline constexpr uint32_t kSnspMinVersion = 1;
 inline constexpr size_t kSnspHeaderBytes = 24;
 
-/** FNV-1a over a byte range (the hash in the .snsp header). */
-uint64_t fnv1a(const void *data, size_t bytes);
-
 /** Serialize a plan's payload (everything after the 24-byte header). */
 std::vector<unsigned char> serializePlanPayload(const Plan &plan);
 

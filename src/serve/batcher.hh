@@ -71,7 +71,7 @@ struct Outcome
 struct Ticket
 {
     graphir::Graph graph;
-    /** Numeric tier this request runs at (protocol v3). The executor
+    /** Numeric tier this request runs at (the precision byte). The executor
      * groups same-tier tickets into one predictBatch call — a batch
      * never mixes precisions, mirroring how it never mixes models. */
     core::Precision precision = core::Precision::Fp64;

@@ -1,128 +1,52 @@
 #include "serve/client.hh"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "serve/codec.hh"
+
 namespace sns::serve {
-
-std::vector<int>
-backoffScheduleUs(const ConnectRetryOptions &options)
-{
-    std::vector<int> sleeps;
-    long delay = std::max(options.initial_backoff_us, 0);
-    for (int i = 1; i < options.max_attempts; ++i) {
-        sleeps.push_back(static_cast<int>(
-            std::min<long>(delay, options.max_backoff_us)));
-        delay *= std::max(options.multiplier, 1);
-    }
-    return sleeps;
-}
-
-namespace {
-
-/** Transient connect failure worth retrying? ECONNREFUSED: the peer
- * is (re)starting and has not listened yet; ENOENT: its unix socket
- * is not bound yet; EINTR: a signal cut the connect short. */
-bool
-transientConnectErrno(int err)
-{
-    return err == ECONNREFUSED || err == ENOENT || err == EINTR;
-}
-
-/** Run one-shot `attempt` under the retry schedule. */
-template <typename Attempt>
-auto
-withConnectRetry(const ConnectRetryOptions &retry, Attempt attempt)
-    -> decltype(attempt())
-{
-    const std::vector<int> sleeps = backoffScheduleUs(retry);
-    for (size_t i = 0;; ++i) {
-        errno = 0;
-        try {
-            return attempt();
-        } catch (const ProtocolError &) {
-            if (i >= sleeps.size() || !transientConnectErrno(errno))
-                throw;
-        }
-        ::usleep(static_cast<useconds_t>(sleeps[i]));
-    }
-}
-
-} // namespace
 
 Client
 Client::connectUnix(const std::string &path,
                     const ConnectRetryOptions &retry)
 {
-    return withConnectRetry(retry,
-                            [&path] { return connectUnix(path); });
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    if (path.size() >= sizeof(addr.sun_path))
+        throw ProtocolError("unix socket path too long: " + path);
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    const int fd = connectWithRetry(
+        AF_UNIX, reinterpret_cast<const sockaddr *>(&addr), sizeof(addr),
+        retry);
+    if (fd < 0)
+        throw ProtocolError("connect(" + path +
+                            "): " + std::strerror(errno));
+    return Client(fd);
 }
 
 Client
 Client::connectTcp(const std::string &host, int port,
                    const ConnectRetryOptions &retry)
 {
-    return withConnectRetry(
-        retry, [&host, port] { return connectTcp(host, port); });
-}
-
-Client
-Client::connectUnix(const std::string &path)
-{
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (path.size() >= sizeof(addr.sun_path))
-        throw ProtocolError("unix socket path too long: " + path);
-    std::strncpy(addr.sun_path, path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0)
-        throw ProtocolError(std::string("socket: ") +
-                            std::strerror(errno));
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        // Preserve the connect errno across cleanup so the retry
-        // wrapper can classify the failure as transient.
-        const int saved = errno;
-        const std::string message =
-            "connect(" + path + "): " + std::strerror(saved);
-        ::close(fd);
-        errno = saved;
-        throw ProtocolError(message);
-    }
-    return Client(fd);
-}
-
-Client
-Client::connectTcp(const std::string &host, int port)
-{
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(static_cast<uint16_t>(port));
     if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1)
         throw ProtocolError("bad address: " + host);
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = connectWithRetry(
+        AF_INET, reinterpret_cast<const sockaddr *>(&addr), sizeof(addr),
+        retry);
     if (fd < 0)
-        throw ProtocolError(std::string("socket: ") +
-                            std::strerror(errno));
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        const int saved = errno;
-        const std::string message = "connect(" + host + ":" +
-                                    std::to_string(port) +
-                                    "): " + std::strerror(saved);
-        ::close(fd);
-        errno = saved;
-        throw ProtocolError(message);
-    }
+        throw ProtocolError("connect(" + host + ":" +
+                            std::to_string(port) +
+                            "): " + std::strerror(errno));
     return Client(fd);
 }
 
@@ -134,7 +58,7 @@ Client::~Client()
 
 Client::Client(Client &&other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
-      max_frame_bytes_(other.max_frame_bytes_), version_(other.version_)
+      max_frame_bytes_(other.max_frame_bytes_)
 {
 }
 
@@ -146,7 +70,6 @@ Client::operator=(Client &&other) noexcept
             ::close(fd_);
         fd_ = std::exchange(other.fd_, -1);
         max_frame_bytes_ = other.max_frame_bytes_;
-        version_ = other.version_;
     }
     return *this;
 }
@@ -161,27 +84,25 @@ Client::roundTrip(const std::vector<uint8_t> &payload)
     return std::move(*reply);
 }
 
+std::string
+Client::statusRoundTrip(const WireWriter &request)
+{
+    const auto payload = roundTrip(request.bytes());
+    WireReader reader(payload);
+    const auto status = static_cast<Status>(reader.u8());
+    const std::string message = reader.str();
+    reader.expectEnd();
+    return status == Status::Ok ? "" : message;
+}
+
 PredictReply
 Client::predict(const std::string &design_source, DesignFormat format,
                 uint32_t deadline_ms, core::Precision precision)
 {
-    // Never degrade a quantized request silently: a peer that cannot
-    // speak the precision byte (protocol < 3) would run fp64 and
-    // return numbers the caller did not ask for.
-    if (precision != core::Precision::Fp64 && version_ < 3) {
-        PredictReply reply;
-        reply.status = Status::Unsupported;
-        reply.message =
-            "peer speaks protocol version " + std::to_string(version_) +
-            " (no precision byte); call hello() against a v3 server "
-            "or request fp64";
-        return reply;
-    }
     WireWriter writer;
     writer.u8(static_cast<uint8_t>(Verb::Predict));
     writer.u32(deadline_ms);
-    if (version_ >= 3)
-        writer.u8(static_cast<uint8_t>(precision));
+    writer.u8(static_cast<uint8_t>(precision));
     writer.u8(static_cast<uint8_t>(format));
     writer.str(design_source);
 
@@ -189,19 +110,10 @@ Client::predict(const std::string &design_source, DesignFormat format,
     WireReader reader(payload);
     PredictReply reply;
     reply.status = static_cast<Status>(reader.u8());
-    if (reply.status != Status::Ok) {
+    if (reply.status != Status::Ok)
         reply.message = reader.str();
-        reader.expectEnd();
-        return reply;
-    }
-    reply.prediction.timing_ps = reader.f64();
-    reply.prediction.area_um2 = reader.f64();
-    reply.prediction.power_mw = reader.f64();
-    reply.prediction.paths_sampled = reader.u64();
-    const uint32_t nodes = reader.u32();
-    reply.prediction.critical_path.reserve(nodes);
-    for (uint32_t i = 0; i < nodes; ++i)
-        reply.prediction.critical_path.push_back(reader.u32());
+    else
+        reply.prediction = readPrediction(reader);
     reader.expectEnd();
     return reply;
 }
@@ -227,93 +139,48 @@ Client::reload(const std::string &directory)
     WireWriter writer;
     writer.u8(static_cast<uint8_t>(Verb::Reload));
     writer.str(directory);
-    const auto payload = roundTrip(writer.bytes());
-    WireReader reader(payload);
-    const auto status = static_cast<Status>(reader.u8());
-    const std::string message = reader.str();
-    reader.expectEnd();
-    return status == Status::Ok ? "" : message;
+    return statusRoundTrip(writer);
 }
 
 void
 Client::ping()
 {
-    WireWriter writer;
-    writer.u8(static_cast<uint8_t>(Verb::Ping));
-    const auto payload = roundTrip(writer.bytes());
-    WireReader reader(payload);
-    if (static_cast<Status>(reader.u8()) != Status::Ok)
-        throw ProtocolError("PING failed");
+    health();
 }
 
-uint32_t
+void
 Client::hello()
-{
-    return hello(kProtocolVersion);
-}
-
-uint32_t
-Client::hello(uint32_t max_version)
 {
     WireWriter writer;
     writer.u8(static_cast<uint8_t>(Verb::Hello));
-    writer.u32(max_version);
+    writer.u32(kProtocolVersion);
     const auto payload = roundTrip(writer.bytes());
     WireReader reader(payload);
-    const auto status = static_cast<Status>(reader.u8());
-    if (status != Status::Ok) {
-        // A version-1 server does not know HELLO and answers ERROR
-        // "unknown verb" — that *is* the negotiation result: the peer
-        // speaks version 1 and this connection degrades to the
-        // stateless verbs.
-        version_ = 1;
-        return version_;
-    }
+    if (static_cast<Status>(reader.u8()) != Status::Ok)
+        throw ProtocolError("HELLO refused: " + reader.str());
     const uint32_t server_version = reader.u32();
     reader.expectEnd();
-    version_ = std::min(max_version, server_version);
-    return version_;
+    if (server_version != kProtocolVersion)
+        throw ProtocolError(
+            "protocol version mismatch: peer speaks " +
+            std::to_string(server_version) + ", this client speaks " +
+            std::to_string(kProtocolVersion));
 }
-
-namespace {
-
-std::string
-clusterVerbUnsupportedLocally(uint32_t version)
-{
-    return "peer speaks protocol version " + std::to_string(version) +
-           " (no cluster verbs); negotiate version >= 4 with hello()";
-}
-
-} // namespace
 
 std::string
 Client::drain()
 {
-    if (version_ < 4)
-        return clusterVerbUnsupportedLocally(version_);
     WireWriter writer;
     writer.u8(static_cast<uint8_t>(Verb::Drain));
-    const auto payload = roundTrip(writer.bytes());
-    WireReader reader(payload);
-    const auto status = static_cast<Status>(reader.u8());
-    const std::string message = reader.str();
-    reader.expectEnd();
-    return status == Status::Ok ? "" : message;
+    return statusRoundTrip(writer);
 }
 
 std::string
 Client::resume()
 {
-    if (version_ < 4)
-        return clusterVerbUnsupportedLocally(version_);
     WireWriter writer;
     writer.u8(static_cast<uint8_t>(Verb::Resume));
-    const auto payload = roundTrip(writer.bytes());
-    WireReader reader(payload);
-    const auto status = static_cast<Status>(reader.u8());
-    const std::string message = reader.str();
-    reader.expectEnd();
-    return status == Status::Ok ? "" : message;
+    return statusRoundTrip(writer);
 }
 
 bool
@@ -326,24 +193,19 @@ Client::health()
     if (static_cast<Status>(reader.u8()) != Status::Ok)
         throw ProtocolError("PING failed");
     reader.str(); // (empty) message
-    if (version_ >= 4 && reader.remaining() > 0)
-        return reader.u8() != 0;
-    return false;
+    const bool draining = reader.u8() != 0;
+    reader.expectEnd();
+    return draining;
 }
 
 WorkersReply
 Client::workers()
 {
-    WorkersReply reply;
-    if (version_ < 4) {
-        reply.status = Status::Unsupported;
-        reply.message = clusterVerbUnsupportedLocally(version_);
-        return reply;
-    }
     WireWriter writer;
     writer.u8(static_cast<uint8_t>(Verb::Workers));
     const auto payload = roundTrip(writer.bytes());
     WireReader reader(payload);
+    WorkersReply reply;
     reply.status = static_cast<Status>(reader.u8());
     if (reply.status != Status::Ok) {
         reply.message = reader.str();
@@ -363,87 +225,34 @@ Client::workers()
 }
 
 SessionReply
-Client::readSessionReply(const std::vector<uint8_t> &payload,
-                         bool expect_session_id)
+Client::sessionRoundTrip(const WireWriter &request, bool expect_session_id)
 {
+    const auto payload = roundTrip(request.bytes());
     WireReader reader(payload);
     SessionReply reply;
     reply.status = static_cast<Status>(reader.u8());
     if (reply.status != Status::Ok) {
         reply.message = reader.str();
-        reader.expectEnd();
-        return reply;
+    } else {
+        if (expect_session_id)
+            reply.session_id = reader.u64();
+        reply.prediction = readPrediction(reader);
+        reply.diff = readDiff(reader);
     }
-    if (expect_session_id)
-        reply.session_id = reader.u64();
-    reply.prediction.timing_ps = reader.f64();
-    reply.prediction.area_um2 = reader.f64();
-    reply.prediction.power_mw = reader.f64();
-    reply.prediction.paths_sampled = reader.u64();
-    const uint32_t nodes = reader.u32();
-    reply.prediction.critical_path.reserve(nodes);
-    for (uint32_t i = 0; i < nodes; ++i)
-        reply.prediction.critical_path.push_back(reader.u32());
-    reply.diff.noop = reader.u8() != 0;
-    reply.diff.modules_changed = reader.u64();
-    reply.diff.modules_added = reader.u64();
-    reply.diff.modules_removed = reader.u64();
-    reply.diff.modules_total = reader.u64();
-    reply.diff.nodes_affected = reader.u64();
-    reply.diff.endpoints_affected = reader.u64();
-    reply.diff.paths_total = reader.u64();
-    reply.diff.paths_reused = reader.u64();
-    reply.diff.paths_recomputed = reader.u64();
     reader.expectEnd();
     return reply;
 }
-
-namespace {
-
-SessionReply
-unsupportedLocally()
-{
-    SessionReply reply;
-    reply.status = Status::Unsupported;
-    reply.message = "peer speaks protocol version 1 (no sessions); "
-                    "call hello() first or use predict()";
-    return reply;
-}
-
-} // namespace
-
-namespace {
-
-SessionReply
-precisionUnsupportedLocally(uint32_t version)
-{
-    SessionReply reply;
-    reply.status = Status::Unsupported;
-    reply.message =
-        "peer speaks protocol version " + std::to_string(version) +
-        " (no precision byte); call hello() against a v3 server or "
-        "request fp64";
-    return reply;
-}
-
-} // namespace
 
 SessionReply
 Client::openSession(const std::string &design_source,
                     DesignFormat format, core::Precision precision)
 {
-    if (version_ < 2)
-        return unsupportedLocally();
-    if (precision != core::Precision::Fp64 && version_ < 3)
-        return precisionUnsupportedLocally(version_);
     WireWriter writer;
     writer.u8(static_cast<uint8_t>(Verb::Open));
-    if (version_ >= 3)
-        writer.u8(static_cast<uint8_t>(precision));
+    writer.u8(static_cast<uint8_t>(precision));
     writer.u8(static_cast<uint8_t>(format));
     writer.str(design_source);
-    return readSessionReply(roundTrip(writer.bytes()),
-                            /*expect_session_id=*/true);
+    return sessionRoundTrip(writer, /*expect_session_id=*/true);
 }
 
 SessionReply
@@ -451,19 +260,14 @@ Client::updateSession(uint64_t session_id,
                       const std::string &design_source,
                       DesignFormat format, core::Precision precision)
 {
-    if (version_ < 2)
-        return unsupportedLocally();
-    if (precision != core::Precision::Fp64 && version_ < 3)
-        return precisionUnsupportedLocally(version_);
     WireWriter writer;
     writer.u8(static_cast<uint8_t>(Verb::Update));
     writer.u64(session_id);
-    if (version_ >= 3)
-        writer.u8(static_cast<uint8_t>(precision));
+    writer.u8(static_cast<uint8_t>(precision));
     writer.u8(static_cast<uint8_t>(format));
     writer.str(design_source);
-    SessionReply reply = readSessionReply(roundTrip(writer.bytes()),
-                                          /*expect_session_id=*/false);
+    SessionReply reply =
+        sessionRoundTrip(writer, /*expect_session_id=*/false);
     reply.session_id = session_id;
     return reply;
 }
@@ -471,17 +275,10 @@ Client::updateSession(uint64_t session_id,
 std::string
 Client::closeSession(uint64_t session_id)
 {
-    if (version_ < 2)
-        return unsupportedLocally().message;
     WireWriter writer;
     writer.u8(static_cast<uint8_t>(Verb::Close));
     writer.u64(session_id);
-    const auto payload = roundTrip(writer.bytes());
-    WireReader reader(payload);
-    const auto status = static_cast<Status>(reader.u8());
-    const std::string message = reader.str();
-    reader.expectEnd();
-    return status == Status::Ok ? "" : message;
+    return statusRoundTrip(writer);
 }
 
 } // namespace sns::serve

@@ -53,30 +53,7 @@ struct SessionReply
     std::string message;
 };
 
-/**
- * Bounded connect retry with a deterministic (jitterless) exponential
- * backoff. Transient connect failures — ECONNREFUSED (peer restarting),
- * ENOENT (unix socket not bound yet), EINTR — are retried up to
- * max_attempts with backoffScheduleUs() sleeps between attempts; every
- * other errno, and exhaustion, throws ProtocolError as before. The
- * schedule carries no jitter on purpose: reconnect timing stays
- * reproducible, matching the repo-wide determinism discipline.
- */
-struct ConnectRetryOptions
-{
-    int max_attempts = 1; ///< 1 = single try, no retry
-    int initial_backoff_us = 10'000;
-    int multiplier = 2;
-    int max_backoff_us = 1'000'000; ///< per-sleep cap
-};
-
-/**
- * The sleeps (µs) between connect attempts: max_attempts - 1 entries,
- * entry i = min(initial_backoff_us · multiplier^i, max_backoff_us).
- */
-std::vector<int> backoffScheduleUs(const ConnectRetryOptions &options);
-
-/** One v4 WORKERS table row (docs/cluster.md). */
+/** One WORKERS table row (docs/cluster.md). */
 struct WorkerEndpoint
 {
     /** "unix:<path>" or "tcp:<host>:<port>". */
@@ -97,17 +74,14 @@ struct WorkersReply
 class Client
 {
   public:
-    /** Connect to a Unix-domain socket; throws ProtocolError. */
-    static Client connectUnix(const std::string &path);
-
-    /** Connect over TCP; throws ProtocolError. */
-    static Client connectTcp(const std::string &host, int port);
-
-    /** Connect with bounded retry on transient failures. */
+    /** Connect to a Unix-domain socket, retrying transient failures
+     * under `retry` (default: one try); throws ProtocolError. */
     static Client connectUnix(const std::string &path,
-                              const ConnectRetryOptions &retry);
+                              const ConnectRetryOptions &retry = {});
+
+    /** Connect over TCP; same contract as connectUnix(). */
     static Client connectTcp(const std::string &host, int port,
-                             const ConnectRetryOptions &retry);
+                             const ConnectRetryOptions &retry = {});
 
     ~Client();
 
@@ -117,11 +91,9 @@ class Client
     Client &operator=(const Client &) = delete;
 
     /**
-     * Predict one design from source text. deadline_ms > 0 asks the
-     * server to expire the request if no batch picks it up in time.
-     * A non-fp64 precision needs a hello() that negotiated version
-     * >= 3; against an older peer the call returns Unsupported
-     * locally — it never silently degrades int8 to fp64 numbers.
+     * Predict one design from source text at `precision`. deadline_ms
+     * > 0 asks the server to expire the request if no batch picks it
+     * up in time.
      */
     PredictReply
     predict(const std::string &design_source, DesignFormat format,
@@ -140,50 +112,36 @@ class Client
     void ping();
 
     /**
-     * Negotiate the protocol version for this connection and return
-     * it. A version-1 server answers HELLO with ERROR, which degrades
-     * the connection to version 1 cleanly — the session methods below
-     * then return UNSUPPORTED without touching the wire. Call once
-     * after connecting; the session verbs require it.
+     * Check that the peer speaks exactly kProtocolVersion; throws
+     * ProtocolError when it refuses (ERROR) or answers another
+     * number. Optional — every verb works without it — but one call
+     * right after connecting turns a build mismatch into a clear
+     * error instead of a misparsed frame.
      */
-    uint32_t hello();
+    void hello();
 
     /**
-     * Negotiate with a version ceiling: the connection speaks
-     * min(max_version, server version). The router proxies client
-     * traffic at the *client's* negotiated version, so its worker
-     * connections must be able to mirror a downlevel client exactly.
-     */
-    uint32_t hello(uint32_t max_version);
-
-    /** Negotiated protocol version (1 until hello() succeeds). */
-    uint32_t negotiatedVersion() const { return version_; }
-
-    /**
-     * Soft-drain the peer (v4): it answers admitted work but refuses
-     * new PREDICT/OPEN with DRAINING until resume(). Returns "" on
-     * success, else the error; needs a hello() that negotiated
-     * version >= 4 (refused locally otherwise).
+     * Soft-drain the peer: it answers admitted work but refuses new
+     * PREDICT/OPEN with DRAINING until resume(). Returns "" on
+     * success, else the error.
      */
     std::string drain();
 
     /** Clear a previous drain(). Same contract as drain(). */
     std::string resume();
 
-    /** v4 liveness probe: PING plus the reply's drain-state byte.
+    /** Liveness probe: PING plus the reply's drain-state byte.
      * Returns true when the peer is draining; throws ProtocolError
-     * when it is unreachable. On connections below version 4 this is
-     * a plain ping and returns false. */
+     * when it is unreachable. */
     bool health();
 
-    /** The peer's membership table (v4 WORKERS; routers only — a
-     * worker answers Unsupported). */
+    /** The peer's membership table (WORKERS; routers only — a worker
+     * answers Unsupported). */
     WorkersReply workers();
 
     /**
      * Open an edit-loop session on the server (docs/editloop.md):
-     * full prediction now, incremental updates afterwards. Requires a
-     * hello() that negotiated version >= 2.
+     * full prediction now, incremental updates afterwards.
      */
     SessionReply
     openSession(const std::string &design_source, DesignFormat format,
@@ -206,14 +164,17 @@ class Client
 
     std::vector<uint8_t> roundTrip(const std::vector<uint8_t> &payload);
 
-    /** Decode the shared OK tail of OPEN/UPDATE replies. */
-    SessionReply readSessionReply(const std::vector<uint8_t> &payload,
+    /** Send a request whose reply is status + message; returns "" on
+     * OK, else the message. */
+    std::string statusRoundTrip(const WireWriter &request);
+
+    /** Send an OPEN/UPDATE request and decode its reply. */
+    SessionReply sessionRoundTrip(const WireWriter &request,
                                   bool expect_session_id);
 
     int fd_ = -1;
     /** Replies larger than this are treated as corrupt. */
     size_t max_frame_bytes_ = 64u << 20;
-    uint32_t version_ = 1;
 };
 
 } // namespace sns::serve

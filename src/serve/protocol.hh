@@ -11,23 +11,30 @@
  *
  * Requests open with a verb byte, responses with a status byte:
  *
- *   PREDICT  u32 deadline_ms (0 = none), [v3: u8 precision,]
+ *   PREDICT  u32 deadline_ms (0 = none), u8 precision,
  *            u8 format (0 snl, 1 verilog), str design source
  *        ->  OK: <prediction>
  *   STATS    (empty) -> OK: str metrics text (obs render + cache)
  *   RELOAD   str checkpoint directory -> OK: (empty)
- *   PING     (empty) -> OK: (empty)
+ *   PING     (empty) -> OK: (empty), u8 draining
  *   HELLO    u32 client protocol version
- *        ->  OK: u32 server protocol version (the connection speaks
- *            min(client, server) from then on)
- *   OPEN     [v3: u8 precision,] u8 format, str design source
+ *        ->  OK: u32 kProtocolVersion, or ERROR naming both versions
+ *   OPEN     u8 precision, u8 format, str design source
  *        ->  OK: u64 session_id, <prediction>, <diff>
- *   UPDATE   u64 session_id, [v3: u8 precision,] u8 format,
+ *   UPDATE   u64 session_id, u8 precision, u8 format,
  *            str design source
  *        ->  OK: <prediction>, <diff>
  *   CLOSE    u64 session_id -> OK: (empty)
+ *   DRAIN    (empty) -> OK: (empty). Soft drain: the worker keeps
+ *            answering admitted and session traffic but refuses new
+ *            PREDICT/OPEN with DRAINING until RESUME.
+ *   RESUME   (empty) -> OK: (empty). Clears a previous DRAIN.
+ *   WORKERS  (empty) -> OK: u32 n, n×(str address, u8 state) — the
+ *            router's membership table; addresses are "unix:<path>"
+ *            or "tcp:<host>:<port>", state is 0 up, 1 draining,
+ *            2 down. Workers themselves answer UNSUPPORTED.
  *
- * with the shared blocks
+ * with the shared blocks (serve/codec.hh encodes and decodes them)
  *
  *   <prediction> = f64 timing_ps, f64 area_um2, f64 power_mw,
  *                  u64 paths_sampled, u32 n, n×u32 critical-path ids
@@ -41,37 +48,13 @@
  * message. Clients may pipeline requests on one connection; the server
  * answers in order.
  *
- * Version negotiation: the session verbs (OPEN/UPDATE/CLOSE) are a
- * version-2 feature and gated behind HELLO — a connection that has not
- * negotiated version >= 2 gets UNSUPPORTED, never a protocol break. A
- * version-1 server answers HELLO itself with ERROR "unknown verb",
- * which a version-2 client treats as "the peer speaks version 1" and
- * degrades to the stateless verbs (docs/serving.md §Compatibility).
- *
- * Version 3 threads the numeric tier (docs/quantization.md): PREDICT,
- * OPEN, and UPDATE gain one precision byte (0 fp64, 1 int8, the
- * core::Precision values) at the positions marked above — only on
- * connections that negotiated version >= 3; older payload layouts are
- * byte-for-byte unchanged. A v3 client asked for int8 against a v2 or
- * v1 server reports Unsupported locally instead of silently degrading
- * to fp64 numbers.
- *
- * Version 4 adds the cluster-control verbs (docs/cluster.md), all
- * gated behind a negotiated version >= 4:
- *
- *   DRAIN    (empty) -> OK: (empty). Soft drain: the worker keeps
- *            answering admitted and session traffic but refuses new
- *            PREDICT/OPEN with DRAINING until RESUME.
- *   RESUME   (empty) -> OK: (empty). Clears a previous DRAIN.
- *   WORKERS  (empty) -> OK: u32 n, n×(str address, u8 state) — the
- *            router's membership table; addresses are "unix:<path>"
- *            or "tcp:<host>:<port>", state is 0 up, 1 draining,
- *            2 down. Workers themselves answer UNSUPPORTED.
- *
- * On a version >= 4 connection the PING reply also carries one u8
- * drain-state byte (1 when admission is paused) after the status, so
- * a router's health loop observes drains without extra round trips;
- * older clients only read the status byte and are unaffected.
+ * There is one layout, and every verb is served on every connection.
+ * The precision byte is 0 fp64 or 1 int8 (the core::Precision values,
+ * docs/quantization.md); the PING drain byte is 1 while admission is
+ * paused, so a router's health loop observes drains without extra
+ * round trips. HELLO is an optional strict version check: a peer from
+ * a build with a different kProtocolVersion gets ERROR naming both
+ * numbers, and Client::hello() throws, before any frame is misparsed.
  */
 
 #ifndef SNS_SERVE_PROTOCOL_HH
@@ -83,14 +66,14 @@
 #include <string>
 #include <vector>
 
+#include <sys/socket.h>
+
 namespace sns::serve {
 
 /**
- * The highest protocol version this build speaks. Version 1 is the
- * stateless verbs (PREDICT/STATS/RELOAD/PING); version 2 adds HELLO
- * negotiation and the edit-loop session verbs; version 3 adds the
- * precision byte to PREDICT/OPEN/UPDATE; version 4 adds the cluster
- * verbs (DRAIN/RESUME/WORKERS) and the PING drain-state byte.
+ * The protocol version this build speaks, exactly. It is 4 because
+ * the layout above is what earlier builds called version 4, so a peer
+ * from such a build that says HELLO 4 sees byte-identical frames.
  */
 inline constexpr uint32_t kProtocolVersion = 4;
 
@@ -121,9 +104,8 @@ enum class Status : uint8_t {
     Error = 3,
     /** The server is draining (SIGTERM); no new work is admitted. */
     Draining = 4,
-    /** The verb exists in a newer protocol version than this
-     * connection negotiated (or the peer supports). Not an error —
-     * the client should fall back to the stateless verbs. */
+    /** The verb is not this peer's role: WORKERS sent to a worker,
+     * DRAIN/RESUME sent to the router. */
     Unsupported = 5,
 };
 
@@ -204,6 +186,38 @@ void sendFrame(int fd, const std::vector<uint8_t> &payload);
  * become an allocation).
  */
 std::optional<std::vector<uint8_t>> recvFrame(int fd, size_t max_bytes);
+
+/**
+ * Bounded connect retry with a deterministic (jitterless) exponential
+ * backoff, shared by the serve client and the training ring
+ * (dist::connectRing). Transient connect failures — ECONNREFUSED (peer
+ * restarting), ENOENT (unix socket not bound yet), EINTR — are retried
+ * up to max_attempts with backoffScheduleUs() sleeps between attempts;
+ * every other errno fails at once. The schedule carries no jitter on
+ * purpose: reconnect timing stays reproducible, matching the
+ * repo-wide determinism discipline.
+ */
+struct ConnectRetryOptions
+{
+    int max_attempts = 1; ///< 1 = single try, no retry
+    int initial_backoff_us = 10'000;
+    int multiplier = 2;
+    int max_backoff_us = 1'000'000; ///< per-sleep cap
+};
+
+/**
+ * The sleeps (µs) between connect attempts: max_attempts - 1 entries,
+ * entry i = min(initial_backoff_us · multiplier^i, max_backoff_us).
+ */
+std::vector<int> backoffScheduleUs(const ConnectRetryOptions &options);
+
+/**
+ * Open a stream socket of `family` and connect it to `addr` under
+ * `retry`. Returns the connected fd, or -1 with errno from the last
+ * attempt.
+ */
+int connectWithRetry(int family, const sockaddr *addr, socklen_t len,
+                     const ConnectRetryOptions &retry);
 
 } // namespace sns::serve
 

@@ -1,6 +1,5 @@
 #include "serve/server.hh"
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -15,60 +14,13 @@
 
 #include "netlist/snl_parser.hh"
 #include "netlist/verilog_parser.hh"
+#include "serve/codec.hh"
 #include "util/logging.hh"
 #include "verify/diagnostics.hh"
 
 namespace sns::serve {
 
 namespace {
-
-/** One non-Ok reply: status byte + message. */
-std::vector<uint8_t>
-statusReply(Status status, const std::string &message)
-{
-    WireWriter writer;
-    writer.u8(static_cast<uint8_t>(status));
-    writer.str(message);
-    return writer.bytes();
-}
-
-/** The <prediction> reply block (shared by PREDICT and the session
- * verbs — byte-identical layouts keep the client decoder single). */
-void
-writePrediction(WireWriter &writer, const core::SnsPrediction &prediction)
-{
-    writer.f64(prediction.timing_ps);
-    writer.f64(prediction.area_um2);
-    writer.f64(prediction.power_mw);
-    writer.u64(prediction.paths_sampled);
-    writer.u32(static_cast<uint32_t>(prediction.critical_path.size()));
-    for (const graphir::NodeId node : prediction.critical_path)
-        writer.u32(node);
-}
-
-/** The <diff> reply block. */
-void
-writeDiff(WireWriter &writer, const core::DiffStats &diff)
-{
-    writer.u8(diff.noop ? 1 : 0);
-    writer.u64(diff.modules_changed);
-    writer.u64(diff.modules_added);
-    writer.u64(diff.modules_removed);
-    writer.u64(diff.modules_total);
-    writer.u64(diff.nodes_affected);
-    writer.u64(diff.endpoints_affected);
-    writer.u64(diff.paths_total);
-    writer.u64(diff.paths_reused);
-    writer.u64(diff.paths_recomputed);
-}
-
-/** Valid wire precision byte? (core::Precision values.) */
-bool
-validPrecisionByte(uint8_t byte)
-{
-    return byte == static_cast<uint8_t>(core::Precision::Fp64) ||
-           byte == static_cast<uint8_t>(core::Precision::Int8);
-}
 
 /** Parse a session verb's design payload (format byte + source). */
 bool
@@ -289,13 +241,12 @@ Server::listenLoop()
 void
 Server::handleConnection(int fd)
 {
-    ConnectionState conn;
     try {
         for (;;) {
             auto request = recvFrame(fd, options_.max_frame_bytes);
             if (!request)
                 break; // clean EOF
-            sendFrame(fd, handleRequest(*request, conn));
+            sendFrame(fd, handleRequest(*request));
         }
     } catch (const ProtocolError &) {
         // Corrupt framing or a vanished peer; drop the connection.
@@ -309,15 +260,14 @@ Server::handleConnection(int fd)
 }
 
 std::vector<uint8_t>
-Server::handleRequest(const std::vector<uint8_t> &request,
-                      ConnectionState &conn)
+Server::handleRequest(const std::vector<uint8_t> &request)
 {
     WireReader reader(request);
     try {
         const auto verb = static_cast<Verb>(reader.u8());
         switch (verb) {
         case Verb::Predict:
-            return handlePredict(reader, conn);
+            return handlePredict(reader);
         case Verb::Stats: {
             reader.expectEnd();
             WireWriter writer;
@@ -338,55 +288,25 @@ Server::handleRequest(const std::vector<uint8_t> &request,
             WireWriter writer;
             writer.u8(static_cast<uint8_t>(Status::Ok));
             writer.str("");
-            // v4 PING carries the drain state, so a router's health
-            // loop sees DRAIN without an extra round trip. Older
-            // clients only read the status byte and ignore the rest.
-            if (conn.version >= 4)
-                writer.u8(admission_paused_.load() ? 1 : 0);
+            // The drain state rides on every PING reply, so a
+            // router's health loop sees DRAIN without an extra round
+            // trip.
+            writer.u8(admission_paused_.load() ? 1 : 0);
             return writer.bytes();
         }
-        case Verb::Hello: {
-            const uint32_t client_version = reader.u32();
-            reader.expectEnd();
-            conn.version = std::min(client_version, kProtocolVersion);
-            WireWriter writer;
-            writer.u8(static_cast<uint8_t>(Status::Ok));
-            writer.u32(kProtocolVersion);
-            return writer.bytes();
-        }
+        case Verb::Hello:
+            return answerHello(reader);
         case Verb::Open:
+            return handleOpen(reader);
         case Verb::Update:
-        case Verb::Close: {
-            // Feature gate: session verbs exist from version 2 on, and
-            // only after the connection negotiated them via HELLO —
-            // un-negotiated peers get a clean UNSUPPORTED, never a
-            // protocol break.
-            if (conn.version < 2) {
-                return statusReply(
-                    Status::Unsupported,
-                    "session verbs need protocol version >= 2 "
-                    "(negotiate with HELLO first)");
-            }
-            if (verb == Verb::Open)
-                return handleOpen(reader, conn);
-            if (verb == Verb::Update)
-                return handleUpdate(reader, conn);
+            return handleUpdate(reader);
+        case Verb::Close:
             return handleClose(reader);
-        }
         case Verb::Drain:
-        case Verb::Resume: {
-            // Cluster-control verbs exist from version 4 on; the same
-            // negotiate-first discipline as the session verbs.
+        case Verb::Resume:
             reader.expectEnd();
-            if (conn.version < 4) {
-                return statusReply(
-                    Status::Unsupported,
-                    "cluster verbs need protocol version >= 4 "
-                    "(negotiate with HELLO first)");
-            }
             pauseAdmission(verb == Verb::Drain);
             return statusReply(Status::Ok, "");
-        }
         case Verb::Workers:
             // Only the router holds a membership table; a worker
             // answers UNSUPPORTED so a mis-pointed CLI degrades
@@ -407,31 +327,20 @@ Server::handleRequest(const std::vector<uint8_t> &request,
 }
 
 std::vector<uint8_t>
-Server::handlePredict(WireReader &reader, const ConnectionState &conn)
+Server::handlePredict(WireReader &reader)
 {
     const uint32_t deadline_ms = reader.u32();
-    // The precision byte exists from protocol v3; older connections'
-    // payloads are unchanged and always run fp64.
-    uint8_t precision_byte =
-        static_cast<uint8_t>(core::Precision::Fp64);
-    if (conn.version >= 3)
-        precision_byte = reader.u8();
+    const core::Precision precision = readPrecision(reader);
     const auto format = static_cast<DesignFormat>(reader.u8());
     const std::string text = reader.str();
     reader.expectEnd();
-    if (!validPrecisionByte(precision_byte)) {
-        return statusReply(Status::Error,
-                           "unknown precision byte " +
-                               std::to_string(precision_byte) +
-                               " (0 fp64, 1 int8)");
-    }
-    // Soft drain (v4 DRAIN): refuse new work before it is admitted —
+    // Soft drain (DRAIN): refuse new work before it is admitted —
     // everything already in the queue still gets its real answer.
     if (admission_paused_.load())
         return statusReply(Status::Draining, "worker is draining");
 
     auto ticket = std::make_unique<Ticket>();
-    ticket->precision = static_cast<core::Precision>(precision_byte);
+    ticket->precision = precision;
     try {
         ticket->graph = format == DesignFormat::Verilog
                             ? netlist::parseVerilog(text)
@@ -467,14 +376,7 @@ Server::handlePredict(WireReader &reader, const ConnectionState &conn)
 
     WireWriter writer;
     writer.u8(static_cast<uint8_t>(Status::Ok));
-    writer.f64(outcome.prediction.timing_ps);
-    writer.f64(outcome.prediction.area_um2);
-    writer.f64(outcome.prediction.power_mw);
-    writer.u64(outcome.prediction.paths_sampled);
-    writer.u32(
-        static_cast<uint32_t>(outcome.prediction.critical_path.size()));
-    for (const graphir::NodeId node : outcome.prediction.critical_path)
-        writer.u32(node);
+    writePrediction(writer, outcome.prediction);
     return writer.bytes();
 }
 
@@ -559,22 +461,13 @@ Server::runSession(const std::shared_ptr<SessionEntry> &entry,
 }
 
 std::vector<uint8_t>
-Server::handleOpen(WireReader &reader, const ConnectionState &conn)
+Server::handleOpen(WireReader &reader)
 {
-    uint8_t precision_byte =
-        static_cast<uint8_t>(core::Precision::Fp64);
-    if (conn.version >= 3)
-        precision_byte = reader.u8();
+    const core::Precision precision = readPrecision(reader);
     graphir::Graph graph;
     std::string error;
     if (!parseDesign(reader, graph, error))
         return statusReply(Status::Error, error);
-    if (!validPrecisionByte(precision_byte)) {
-        return statusReply(Status::Error,
-                           "unknown precision byte " +
-                               std::to_string(precision_byte) +
-                               " (0 fp64, 1 int8)");
-    }
     // Soft drain: no new sessions; open sessions keep updating so
     // admitted edit loops finish wherever they started.
     if (admission_paused_.load())
@@ -598,29 +491,19 @@ Server::handleOpen(WireReader &reader, const ConnectionState &conn)
         sessions_.emplace(id, entry);
     }
     session_opens_.inc();
-    return runSession(entry, graph,
-                      static_cast<core::Precision>(precision_byte), id,
+    return runSession(entry, graph, precision, id,
                       /*include_session_id=*/true);
 }
 
 std::vector<uint8_t>
-Server::handleUpdate(WireReader &reader, const ConnectionState &conn)
+Server::handleUpdate(WireReader &reader)
 {
     const uint64_t id = reader.u64();
-    uint8_t precision_byte =
-        static_cast<uint8_t>(core::Precision::Fp64);
-    if (conn.version >= 3)
-        precision_byte = reader.u8();
+    const core::Precision precision = readPrecision(reader);
     graphir::Graph graph;
     std::string error;
     if (!parseDesign(reader, graph, error))
         return statusReply(Status::Error, error);
-    if (!validPrecisionByte(precision_byte)) {
-        return statusReply(Status::Error,
-                           "unknown precision byte " +
-                               std::to_string(precision_byte) +
-                               " (0 fp64, 1 int8)");
-    }
 
     std::shared_ptr<SessionEntry> entry;
     {
@@ -635,8 +518,7 @@ Server::handleUpdate(WireReader &reader, const ConnectionState &conn)
                                " (never opened, closed, or TTL-evicted)");
     }
     session_updates_.inc();
-    return runSession(entry, graph,
-                      static_cast<core::Precision>(precision_byte), id,
+    return runSession(entry, graph, precision, id,
                       /*include_session_id=*/false);
 }
 

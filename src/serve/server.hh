@@ -20,7 +20,7 @@
  * this at runtime. A checkpoint that fails to load is an ERROR reply,
  * never a dead daemon.
  *
- * Edit-loop sessions (protocol v2, docs/editloop.md): OPEN parses a
+ * Edit-loop sessions (docs/editloop.md): OPEN parses a
  * design and opens a core::SnsDesignSession; UPDATE diffs an edited
  * revision against it and re-predicts only affected paths. Sessions
  * are stateful and per-design, so they bypass the MicroBatcher and run
@@ -147,7 +147,7 @@ class Server
     size_t sessionsOpen() const;
 
     /**
-     * Soft drain (the v4 DRAIN/RESUME verbs, docs/cluster.md): while
+     * Soft drain (the DRAIN/RESUME verbs, docs/cluster.md): while
      * paused, new PREDICT/OPEN requests are refused with DRAINING but
      * everything already admitted — queued tickets, open sessions,
      * STATS/PING/RELOAD — keeps being answered. Unlike stop(), this is
@@ -170,24 +170,12 @@ class Server
         std::atomic<int64_t> last_used_ns{0};
     };
 
-    /** Per-connection protocol state (each handler thread owns its
-     * connection's instance; no locking). */
-    struct ConnectionState
-    {
-        /** Verbs beyond version 1 unlock only after HELLO. */
-        uint32_t version = 1;
-    };
-
     void listenLoop();
     void handleConnection(int fd);
-    std::vector<uint8_t> handleRequest(const std::vector<uint8_t> &req,
-                                       ConnectionState &conn);
-    std::vector<uint8_t> handlePredict(WireReader &reader,
-                                       const ConnectionState &conn);
-    std::vector<uint8_t> handleOpen(WireReader &reader,
-                                    const ConnectionState &conn);
-    std::vector<uint8_t> handleUpdate(WireReader &reader,
-                                      const ConnectionState &conn);
+    std::vector<uint8_t> handleRequest(const std::vector<uint8_t> &req);
+    std::vector<uint8_t> handlePredict(WireReader &reader);
+    std::vector<uint8_t> handleOpen(WireReader &reader);
+    std::vector<uint8_t> handleUpdate(WireReader &reader);
     std::vector<uint8_t> handleClose(WireReader &reader);
     /** The OPEN/UPDATE shared tail: predict `graph` through `entry`'s
      * session under its mutex at the requested tier and serialize the

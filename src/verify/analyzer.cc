@@ -10,6 +10,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "util/fnv.hh"
+
 namespace sns::verify {
 
 using graphir::Graph;
@@ -496,12 +498,7 @@ checkSplit(const std::vector<std::string> &train_names,
     // FNV-1a over the name: collisions are astronomically unlikely at
     // dataset scale and the hash keeps huge splits allocation-light.
     const auto hash = [](const std::string &name) {
-        uint64_t h = 1469598103934665603ULL;
-        for (const char c : name) {
-            h ^= static_cast<unsigned char>(c);
-            h *= 1099511628211ULL;
-        }
-        return h;
+        return fnv1a(name.data(), name.size());
     };
     std::unordered_map<uint64_t, const std::string *> train_set;
     train_set.reserve(train_names.size());
@@ -812,12 +809,7 @@ checkCheckpointFile(const std::string &path)
                        "trailing bytes after the declared payload");
     }
 
-    uint64_t hash = 0xcbf29ce484222325ull;
-    for (unsigned char byte : payload) {
-        hash ^= byte;
-        hash *= 0x100000001b3ull;
-    }
-    if (hash != expected_hash) {
+    if (fnv1a(payload.data(), payload.size()) != expected_hash) {
         report.error(rules::kCheckpointHash,
                      atByte(path, 16, "payload hash"),
                      "payload hash mismatch (file is corrupt)",

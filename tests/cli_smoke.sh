@@ -224,6 +224,14 @@ grep -q "^session.opens_total 1$" "$WORK/session.err"
 grep -q "^session.closes_total 1$" "$WORK/session.err"
 grep -q "^serve.sessions_open 0$" "$WORK/session.err"
 
+# remote-predict --precision=int8 crosses the wire with the precision
+# byte; the daemon's model lost plan_int8.snsp above, so the server
+# must answer a clean error (exit 2) naming the missing scales.
+STATUS=0; "$CLI" remote-predict --socket="$SOCK" --precision=int8 \
+    "$WORK/fir.snl" > /dev/null 2> "$WORK/remote_int8.err" || STATUS=$?
+[ "$STATUS" -eq 2 ] || { echo "remote int8 without scales must exit 2, got $STATUS" >&2; exit 1; }
+grep -q "no int8 scales" "$WORK/remote_int8.err"
+
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || { echo "sns-serve did not drain cleanly" >&2; \
     cat "$WORK/serve.log" >&2; exit 1; }

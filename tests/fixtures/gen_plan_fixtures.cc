@@ -33,6 +33,7 @@
 
 #include "plan/ir.hh"
 #include "plan/snsp.hh"
+#include "util/fnv.hh"
 
 namespace {
 
@@ -94,8 +95,7 @@ main(int argc, char **argv)
         bytes.insert(bytes.end(), {'S', 'N', 'S', 'P'});
         const uint32_t version = plan::kSnspVersion;
         const uint64_t length = payload.size();
-        const uint64_t hash =
-            plan::fnv1a(payload.data(), payload.size());
+        const uint64_t hash = fnv1a(payload.data(), payload.size());
         const auto *v = reinterpret_cast<const unsigned char *>(&version);
         bytes.insert(bytes.end(), v, v + sizeof(version));
         const auto *l = reinterpret_cast<const unsigned char *>(&length);

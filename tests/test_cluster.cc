@@ -4,7 +4,7 @@
  * and membership states, the connect-retry backoff schedule, the
  * obs stats merge helpers, the router end to end (bitwise agreement
  * with a single worker, session virtualization, zero-loss drain,
- * merged STATS, protocol translation), and the canary-verified
+ * merged STATS, the HELLO version check), and the canary-verified
  * rolling promote. Run under TSan by tools/run_lint.sh.
  */
 
@@ -16,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <numeric>
 #include <set>
 #include <thread>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "cluster/router.hh"
 #include "core/trainer.hh"
 #include "designs/designs.hh"
+#include "dist/ring.hh"
 #include "netlist/snl_parser.hh"
 #include "obs/metrics.hh"
 #include "par/thread_pool.hh"
@@ -183,7 +185,7 @@ TEST(MembershipTest, FailureThresholdAndRecoveryDriveTheRing)
 }
 
 // ---------------------------------------------------------------------
-// Connect retry backoff (serve::Client satellite)
+// Connect retry backoff (serve::Client and dist::connectRing)
 
 TEST(BackoffTest, ScheduleIsDeterministicExponentialAndCapped)
 {
@@ -205,6 +207,13 @@ TEST(BackoffTest, ScheduleIsDeterministicExponentialAndCapped)
     serve::ConnectRetryOptions single;
     single.max_attempts = 1;
     EXPECT_TRUE(serve::backoffScheduleUs(single).empty());
+
+    // The training ring rides the same schedule and keeps at least a
+    // minute of patience: peers finish dataset synthesis seconds to
+    // a minute apart before the ring forms.
+    const auto ring = serve::backoffScheduleUs(dist::kRingConnectRetry);
+    EXPECT_GE(std::accumulate(ring.begin(), ring.end(), int64_t{0}),
+              int64_t{60'000'000});
 }
 
 TEST(BackoffTest, ConnectRetriesUntilTheSocketAppears)
@@ -250,6 +259,16 @@ TEST(BackoffTest, ConnectRetriesUntilTheSocketAppears)
     EXPECT_THROW(serve::Client::connectUnix(
                      "/nonexistent/sns_cluster_never.sock", brief),
                  serve::ProtocolError);
+
+    // A non-transient errno (ENOTDIR) fails at once instead of
+    // sleeping out the schedule.
+    serve::ConnectRetryOptions patient;
+    patient.max_attempts = 50;
+    patient.initial_backoff_us = 100'000;
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_THROW(serve::Client::connectUnix("/dev/null/sns.sock", patient),
+                 serve::ProtocolError);
+    EXPECT_LT(std::chrono::steady_clock::now() - start, 1s);
 }
 
 // ---------------------------------------------------------------------
@@ -538,7 +557,7 @@ TEST(ClusterE2E, SessionsVirtualizeIdsAndPinToTheirWorker)
         cluster.predictor->predict(netlist::parseSnl(kFirSnl));
 
     auto client = serve::Client::connectUnix(cluster.router_path);
-    ASSERT_EQ(client.hello(), serve::kProtocolVersion);
+    client.hello();
 
     // Two sessions; whichever workers they land on, the router hands
     // out distinct cluster-wide ids (workers both start numbering at
@@ -586,7 +605,7 @@ TEST(ClusterE2E, DrainRehomesNewWorkAndKeepsPinnedSessions)
 {
     TestCluster cluster("drain", 2);
     auto client = serve::Client::connectUnix(cluster.router_path);
-    ASSERT_EQ(client.hello(), serve::kProtocolVersion);
+    client.hello();
 
     // Open a session that pins to kFirSnl's owner, then drain that
     // worker out from under it.
@@ -706,11 +725,6 @@ TEST(ClusterE2E, ConcurrentTrafficSurvivesMidStreamDrainLossFree)
         threads.emplace_back([&cluster, &failures, &done, c] {
             auto client =
                 serve::Client::connectUnix(cluster.router_path);
-            if (client.hello() < 2) {
-                failures.fetch_add(1);
-                done.fetch_add(1);
-                return;
-            }
             const std::string design = duoSnl(8 + 2 * c);
             const auto opened =
                 client.openSession(design, serve::DesignFormat::Snl);
@@ -791,11 +805,11 @@ TEST(ClusterE2E, StatsMergeAcrossWorkers)
 }
 
 // ---------------------------------------------------------------------
-// Protocol negotiation edges
+// The HELLO version check and per-role verbs
 
 /** A scriptable fake peer on a unix socket: each accepted connection
  * is served frame-by-frame through `handler` (verb, payload reader)
- * -> reply payload. Lets tests stand up downlevel or lying servers
+ * -> reply payload. Lets tests stand up mismatched or lying servers
  * the real Server cannot be configured into. */
 class FakeServer
 {
@@ -867,91 +881,100 @@ fakeStatus(Status status, const std::string &message)
     return writer.bytes();
 }
 
-TEST(NegotiationTest, V1ServerDegradesV4ClientCleanly)
+/** A raw unix-socket connection for hand-rolled frames. */
+int
+rawConnect(const std::string &path)
 {
-    // A version-1 server predates HELLO entirely: it answers ERROR
-    // "unknown verb", and the client must degrade to the stateless
-    // verbs without ever putting v2+ frames on the wire.
-    FakeServer v1(tempSocketPath("fake_v1"),
-                  [](Verb verb, serve::WireReader &) {
-                      if (verb == Verb::Ping)
-                          return fakeStatus(Status::Ok, "");
-                      return fakeStatus(Status::Error, "unknown verb");
-                  });
-
-    auto client = serve::Client::connectUnix(v1.path());
-    EXPECT_EQ(client.hello(), 1u);
-    EXPECT_EQ(client.negotiatedVersion(), 1u);
-
-    // v2 verbs refuse locally.
-    const auto opened =
-        client.openSession(kFirSnl, serve::DesignFormat::Snl);
-    EXPECT_EQ(opened.status, Status::Unsupported);
-    // v4 verbs refuse locally, naming the required version.
-    EXPECT_NE(client.drain().find("version >= 4"), std::string::npos);
-    EXPECT_NE(client.resume().find("version >= 4"), std::string::npos);
-    EXPECT_EQ(client.workers().status, Status::Unsupported);
-    // PING still flows, and health() must not read a drain byte a v1
-    // peer never sent.
-    EXPECT_FALSE(client.health());
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    if (fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                             sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
 }
 
-TEST(NegotiationTest, V2ServerCapsTheNegotiationAndGatesV3V4)
+TEST(VersionCheckTest, MismatchedHelloIsRefusedAndConnectionSurvives)
 {
-    FakeServer v2(tempSocketPath("fake_v2"),
-                  [](Verb verb, serve::WireReader &) {
-                      if (verb == Verb::Hello) {
-                          serve::WireWriter writer;
-                          writer.u8(static_cast<uint8_t>(Status::Ok));
-                          writer.u32(2);
-                          return writer.bytes();
-                      }
-                      if (verb == Verb::Ping)
-                          return fakeStatus(Status::Ok, "");
-                      return fakeStatus(Status::Error, "unknown verb");
-                  });
+    // A HELLO carrying another version, or trailing bytes after the
+    // u32, gets ERROR naming both numbers — from a worker and from the
+    // router alike — and the connection keeps serving.
+    TestCluster cluster("mismatch", 1);
+    for (const std::string &path :
+         {cluster.worker_paths[0], cluster.router_path}) {
+        const int fd = rawConnect(path);
+        ASSERT_GE(fd, 0) << path;
 
-    auto client = serve::Client::connectUnix(v2.path());
-    EXPECT_EQ(client.hello(), 2u);
+        serve::WireWriter old_version;
+        old_version.u8(static_cast<uint8_t>(Verb::Hello));
+        old_version.u32(3);
+        serve::WireWriter trailing;
+        trailing.u8(static_cast<uint8_t>(Verb::Hello));
+        trailing.u32(serve::kProtocolVersion);
+        trailing.u8(0);
+        for (const auto *hello : {&old_version, &trailing}) {
+            serve::sendFrame(fd, hello->bytes());
+            const auto raw = serve::recvFrame(fd, 1 << 20);
+            ASSERT_TRUE(raw.has_value()) << path;
+            serve::WireReader reader(*raw);
+            EXPECT_EQ(static_cast<Status>(reader.u8()), Status::Error);
+            const std::string message = reader.str();
+            const std::string sent = hello == &old_version ? "3" : "4";
+            EXPECT_NE(message.find("client sent " + sent),
+                      std::string::npos)
+                << message;
+            EXPECT_NE(message.find("exactly version " +
+                                   std::to_string(serve::kProtocolVersion)),
+                      std::string::npos)
+                << message;
+        }
 
-    // v3: the precision byte is refused locally — never silently
-    // degraded to fp64 numbers the caller did not ask for.
-    const auto int8 =
-        client.predict(kFirSnl, serve::DesignFormat::Snl, 0,
-                       core::Precision::Int8);
-    EXPECT_EQ(int8.status, Status::Unsupported);
-    EXPECT_NE(int8.message.find("precision"), std::string::npos);
-    // v4: cluster verbs refused locally, and the v2 PING reply (no
-    // drain byte) reads as not-draining instead of underrunning.
-    EXPECT_NE(client.drain().find("version >= 4"), std::string::npos);
-    EXPECT_FALSE(client.health());
+        serve::WireWriter ping;
+        ping.u8(static_cast<uint8_t>(Verb::Ping));
+        serve::sendFrame(fd, ping.bytes());
+        const auto pong = serve::recvFrame(fd, 1 << 20);
+        ASSERT_TRUE(pong.has_value()) << path;
+        serve::WireReader reader(*pong);
+        EXPECT_EQ(static_cast<Status>(reader.u8()), Status::Ok);
+        ::close(fd);
+    }
 }
 
-TEST(NegotiationTest, ClientCeilingCapsBelowTheServer)
+TEST(VersionCheckTest, ClientRejectsADifferentServerVersion)
 {
-    // hello(max_version) is how the router mirrors a downlevel client
-    // onto an uplevel worker: the connection must speak the min.
-    TestCluster cluster("ceiling", 1);
-    auto client = serve::Client::connectUnix(cluster.worker_paths[0]);
-    EXPECT_EQ(client.hello(2), 2u);
-    EXPECT_EQ(client.negotiatedVersion(), 2u);
-    // Session verbs (v2) work at the capped version...
-    const auto opened =
-        client.openSession(kFirSnl, serve::DesignFormat::Snl);
-    ASSERT_EQ(opened.status, Status::Ok) << opened.message;
-    EXPECT_EQ(client.closeSession(opened.session_id), "");
-    // ...and v4 verbs stay locally refused even though the server
-    // could speak them.
-    EXPECT_NE(client.drain().find("version >= 4"), std::string::npos);
+    // A peer that answers HELLO with another number (or refuses it
+    // outright, as builds without HELLO do) makes hello() throw.
+    FakeServer newer(tempSocketPath("fake_newer"),
+                     [](Verb verb, serve::WireReader &) {
+                         if (verb != Verb::Hello)
+                             return fakeStatus(Status::Error,
+                                               "unknown verb");
+                         serve::WireWriter writer;
+                         writer.u8(static_cast<uint8_t>(Status::Ok));
+                         writer.u32(5);
+                         return writer.bytes();
+                     });
+    auto client = serve::Client::connectUnix(newer.path());
+    EXPECT_THROW(client.hello(), serve::ProtocolError);
+
+    FakeServer older(tempSocketPath("fake_older"),
+                     [](Verb, serve::WireReader &) {
+                         return fakeStatus(Status::Error, "unknown verb");
+                     });
+    auto refused = serve::Client::connectUnix(older.path());
+    EXPECT_THROW(refused.hello(), serve::ProtocolError);
 }
 
 TEST(NegotiationTest, WorkerAnswersClusterVerbsUnsupportedMidSession)
 {
-    // DRAIN/RESUME before HELLO, and WORKERS ever, are UNSUPPORTED on
-    // a single worker — and the connection survives, mid-session.
+    // WORKERS is a router verb: a single worker answers UNSUPPORTED,
+    // and the connection survives, mid-session.
     TestCluster cluster("midsession", 1);
     auto client = serve::Client::connectUnix(cluster.worker_paths[0]);
-    ASSERT_EQ(client.hello(), serve::kProtocolVersion);
+    client.hello();
     const auto opened =
         client.openSession(kFirSnl, serve::DesignFormat::Snl);
     ASSERT_EQ(opened.status, Status::Ok) << opened.message;
@@ -965,75 +988,33 @@ TEST(NegotiationTest, WorkerAnswersClusterVerbsUnsupportedMidSession)
         opened.session_id, kFirSnl, serve::DesignFormat::Snl);
     EXPECT_EQ(updated.status, Status::Ok) << updated.message;
     EXPECT_EQ(client.closeSession(opened.session_id), "");
-
-    // A hand-rolled DRAIN on a fresh (version-1) connection gets a
-    // clean UNSUPPORTED naming the negotiation, not a dropped socket.
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, cluster.worker_paths[0].c_str(),
-                 sizeof(addr.sun_path) - 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                        sizeof(addr)),
-              0);
-    serve::WireWriter drain;
-    drain.u8(static_cast<uint8_t>(Verb::Drain));
-    serve::sendFrame(fd, drain.bytes());
-    const auto raw = serve::recvFrame(fd, 1 << 20);
-    ASSERT_TRUE(raw.has_value());
-    serve::WireReader reader(*raw);
-    EXPECT_EQ(static_cast<Status>(reader.u8()), Status::Unsupported);
-    EXPECT_NE(reader.str().find("HELLO"), std::string::npos);
-    ::close(fd);
 }
 
-TEST(NegotiationTest, RouterTranslatesDownlevelClients)
+TEST(ClusterE2E, RouterCarriesPrecisionAndAnswersWorkers)
 {
-    TestCluster cluster("translate", 2);
-    const auto local =
-        cluster.predictor->predict(netlist::parseSnl(kFirSnl));
+    TestCluster cluster("precision", 2);
+    auto client = serve::Client::connectUnix(cluster.router_path);
+    client.hello();
 
-    // A version-1 client (no HELLO at all) predicts through the
-    // router bitwise — the router parses at v1 and re-issues at the
-    // worker's v4 without inventing a precision byte.
-    auto v1 = serve::Client::connectUnix(cluster.router_path);
-    const auto plain = v1.predict(kFirSnl, serve::DesignFormat::Snl);
-    ASSERT_EQ(plain.status, Status::Ok) << plain.message;
-    expectSamePrediction(plain.prediction, local);
-
-    // A v2-capped client runs sessions through the router.
-    auto v2 = serve::Client::connectUnix(cluster.router_path);
-    EXPECT_EQ(v2.hello(2), 2u);
-    const auto opened =
-        v2.openSession(duoSnl(8), serve::DesignFormat::Snl);
-    ASSERT_EQ(opened.status, Status::Ok) << opened.message;
-    const auto updated = v2.updateSession(
-        opened.session_id, duoSnl(12), serve::DesignFormat::Snl);
-    EXPECT_EQ(updated.status, Status::Ok) << updated.message;
-    EXPECT_EQ(v2.closeSession(opened.session_id), "");
-
-    // A v4 client's precision byte crosses both hops: the unquantized
-    // workers answer the application error a direct connection would.
-    auto v4 = serve::Client::connectUnix(cluster.router_path);
-    EXPECT_EQ(v4.hello(), serve::kProtocolVersion);
-    const auto int8 = v4.predict(kFirSnl, serve::DesignFormat::Snl, 0,
-                                 core::Precision::Int8);
+    // The precision byte crosses both hops: the unquantized workers
+    // answer the application error a direct connection would.
+    const auto int8 = client.predict(kFirSnl, serve::DesignFormat::Snl,
+                                     0, core::Precision::Int8);
     EXPECT_EQ(int8.status, Status::Error);
     EXPECT_NE(int8.message.find("no int8 scales"), std::string::npos)
         << int8.message;
 
-    // v4 control verbs answer at the router: WORKERS lists the
+    // Control verbs answer at the router: WORKERS lists the
     // membership; DRAIN names the per-worker procedure instead of
     // draining the whole cluster by accident.
-    const auto table = v4.workers();
+    const auto table = client.workers();
     ASSERT_EQ(table.status, Status::Ok) << table.message;
     ASSERT_EQ(table.workers.size(), 2u);
     EXPECT_EQ(table.workers[0].address,
               "unix:" + cluster.worker_paths[0]);
     EXPECT_EQ(table.workers[0].state, 0u);
     EXPECT_EQ(table.workers[1].state, 0u);
-    EXPECT_NE(v4.drain(), "");
+    EXPECT_NE(client.drain(), "");
 }
 
 // ---------------------------------------------------------------------

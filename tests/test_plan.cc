@@ -23,6 +23,7 @@
 #include "plan/snsp.hh"
 #include "tensor/gemm.hh"
 #include "tensor/qgemm.hh"
+#include "util/fnv.hh"
 #include "verify/plan_check.hh"
 
 namespace sns::core {
@@ -430,7 +431,7 @@ TEST(PlanQuantTest, QuantizedSnspRoundTripAndV1Compat)
     bytes.insert(bytes.end(), {'S', 'N', 'S', 'P'});
     const uint32_t version = 1;
     const uint64_t length = payload.size();
-    const uint64_t hash = plan::fnv1a(payload.data(), payload.size());
+    const uint64_t hash = fnv1a(payload.data(), payload.size());
     const auto *v = reinterpret_cast<const unsigned char *>(&version);
     bytes.insert(bytes.end(), v, v + sizeof(version));
     const auto *l = reinterpret_cast<const unsigned char *>(&length);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the utility layer: RNG, statistics/metrics, strings,
- * and table rendering.
+ * table rendering, and the FNV-1a hash.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <set>
 #include <sstream>
 
+#include "util/fnv.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
 #include "util/string_utils.hh"
@@ -18,6 +19,16 @@
 
 namespace sns {
 namespace {
+
+TEST(Fnv, PublishedVectorsAndStreaming)
+{
+    // The published 64-bit FNV-1a test vectors; every checkpoint, plan
+    // and cache digest in the repo rests on these constants.
+    EXPECT_EQ(fnv1a("", 0), 0xcbf29ce484222325ull);
+    EXPECT_EQ(fnv1a("a", 1), 0xaf63dc4c8601ec8cull);
+    // Streaming: hashing "a" then "b" equals hashing "ab" in one call.
+    EXPECT_EQ(fnv1a("b", 1, fnv1a("a", 1)), fnv1a("ab", 2));
+}
 
 TEST(Rng, DeterministicForEqualSeeds)
 {

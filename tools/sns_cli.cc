@@ -223,7 +223,7 @@ usage()
         << "--precision=int8 runs the quantized inference tier "
            "(docs/quantization.md): the model directory must carry "
            "plan_int8.snsp (write it with `sns-cli quantize`), and "
-           "remote-predict needs a server speaking protocol version 3 "
+           "remote-predict needs the served model to carry it too "
            "— the request fails cleanly rather than silently "
            "degrading to fp64.\n"
         << "quantize calibrates the saved model's execution plan on "
@@ -629,43 +629,27 @@ cmdRemotePredict(const CliArgs &args)
                      "--stats / --stats-json)\n";
         return 1;
     }
+    core::Precision precision = core::Precision::Fp64;
+    if (!parsePrecision(args.get("precision", "fp64"), precision))
+        return 1;
     auto client =
         have_socket
             ? serve::Client::connectUnix(args.get("socket", ""))
             : serve::Client::connectTcp(
                   args.get("host", "127.0.0.1"),
                   std::stoi(args.get("port", "0")));
+    // A server from a build with another protocol version fails here,
+    // by name, before any request could be misparsed.
+    client.hello();
 
     const uint32_t deadline_ms =
         static_cast<uint32_t>(std::stoul(args.get("deadline-ms", "0")));
-    core::Precision precision = core::Precision::Fp64;
-    if (!parsePrecision(args.get("precision", "fp64"), precision))
-        return 1;
-    if (precision != core::Precision::Fp64) {
-        // The precision byte exists only in protocol v3; negotiate
-        // before the first request so the client library never has to
-        // silently degrade an int8 ask to fp64 numbers.
-        const uint32_t version = client.hello();
-        if (version < 3) {
-            std::cerr << "remote-predict --precision=int8: server "
-                         "speaks protocol version " << version
-                      << " (no precision byte); upgrade the server or "
-                         "drop --precision\n";
-            return 2;
-        }
-    }
     WallTimer timer;
     size_t predicted = 0;
 
     if (args.has("session")) {
         // Edit-loop mode: one server-side session across all designs —
         // the first OPENs, later ones are incremental UPDATEs.
-        if (client.hello() < 2) {
-            std::cerr << "remote-predict --session: server speaks "
-                         "protocol version 1 (no sessions); upgrade "
-                         "the server or drop --session\n";
-            return 2;
-        }
         uint64_t session_id = 0;
         for (const auto &path : args.positional) {
             const auto reply =
@@ -733,7 +717,7 @@ cmdRemotePredict(const CliArgs &args)
  * Roll a candidate model across a cluster's workers with a bitwise
  * canary gate (docs/cluster.md). The worker list comes from
  * --workers=SPEC[,SPEC...] or is discovered from a running sns-router
- * (--cluster-socket / --cluster-host + --cluster-port) via the v4
+ * (--cluster-socket / --cluster-host + --cluster-port) via the
  * WORKERS verb. Exit 0 on a full rollout, 2 on an abort (the report
  * says which worker and why; un-walked workers keep the old model).
  */
@@ -785,14 +769,7 @@ cmdPromote(const CliArgs &args)
                 : serve::Client::connectTcp(
                       args.get("cluster-host", "127.0.0.1"),
                       std::stoi(args.get("cluster-port", "0")));
-        if (router.hello() < 4) {
-            std::cerr << "promote: the cluster endpoint speaks "
-                         "protocol version "
-                      << router.negotiatedVersion()
-                      << " (no WORKERS verb); pass --workers "
-                         "explicitly\n";
-            return 2;
-        }
+        router.hello();
         const serve::WorkersReply reply = router.workers();
         if (reply.status != serve::Status::Ok) {
             std::cerr << "promote: WORKERS failed: "

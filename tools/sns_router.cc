@@ -13,7 +13,7 @@
  * them. Worker specs are "unix:<path>", "tcp:<host>:<port>", or a
  * bare socket path. STATS merges all workers' snapshots; RELOAD
  * broadcasts (use `sns-cli promote` for the canary-verified rolling
- * rollout); the v4 WORKERS verb lists the membership table. SIGTERM
+ * rollout); the WORKERS verb lists the membership table. SIGTERM
  * stops cleanly — workers are independent processes and keep
  * running.
  */

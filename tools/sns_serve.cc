@@ -9,7 +9,7 @@
  *
  * Loads a checkpoint trained by `sns-cli train`, listens on a
  * Unix-domain socket or TCP, and serves PREDICT / STATS / RELOAD /
- * PING — plus the protocol-v2 edit-loop session verbs OPEN / UPDATE /
+ * PING — plus the edit-loop session verbs OPEN / UPDATE /
  * CLOSE (docs/editloop.md) — until SIGTERM or SIGINT, which triggers
  * a graceful drain:
  * every admitted request is answered, new work is refused with
