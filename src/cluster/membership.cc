@@ -1,52 +1,6 @@
 #include "cluster/membership.hh"
 
-#include <stdexcept>
-
 namespace sns::cluster {
-
-WorkerAddress
-WorkerAddress::parse(const std::string &spec)
-{
-    WorkerAddress address;
-    if (spec.rfind("unix:", 0) == 0) {
-        address.unix_path = spec.substr(5);
-        if (address.unix_path.empty())
-            throw std::invalid_argument("empty unix path in worker spec: " +
-                                        spec);
-        return address;
-    }
-    if (spec.rfind("tcp:", 0) == 0) {
-        const std::string rest = spec.substr(4);
-        const size_t colon = rest.rfind(':');
-        if (colon == std::string::npos || colon == 0 ||
-            colon + 1 == rest.size())
-            throw std::invalid_argument(
-                "worker spec needs tcp:<host>:<port>: " + spec);
-        address.tcp_host = rest.substr(0, colon);
-        try {
-            address.tcp_port = std::stoi(rest.substr(colon + 1));
-        } catch (const std::exception &) {
-            address.tcp_port = 0;
-        }
-        if (address.tcp_port <= 0 || address.tcp_port > 65535)
-            throw std::invalid_argument("bad port in worker spec: " +
-                                        spec);
-        return address;
-    }
-    if (spec.empty())
-        throw std::invalid_argument("empty worker spec");
-    // Bare paths mirror sns-serve --socket.
-    address.unix_path = spec;
-    return address;
-}
-
-std::string
-WorkerAddress::display() const
-{
-    if (!unix_path.empty())
-        return "unix:" + unix_path;
-    return "tcp:" + tcp_host + ":" + std::to_string(tcp_port);
-}
 
 const char *
 workerStateName(WorkerState state)

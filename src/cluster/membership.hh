@@ -30,27 +30,13 @@
 #include <vector>
 
 #include "cluster/ring.hh"
+#include "serve/endpoint.hh"
 
 namespace sns::cluster {
 
-/** Where one worker listens. Exactly one transport is set. */
-struct WorkerAddress
-{
-    std::string unix_path;          ///< non-empty: unix transport
-    std::string tcp_host = "127.0.0.1";
-    int tcp_port = 0;
-
-    /**
-     * Parse "unix:<path>", "tcp:<host>:<port>", or a bare path
-     * (treated as unix — matches sns-serve --socket). Throws
-     * std::invalid_argument on a malformed spec.
-     */
-    static WorkerAddress parse(const std::string &spec);
-
-    /** Canonical display form, "unix:<path>" / "tcp:<host>:<port>" —
-     * also the worker's stable ring id. */
-    std::string display() const;
-};
+/** Where one worker listens: "unix:<path>", "tcp:<host>:<port>" or
+ * a bare path; display() is also the worker's stable ring id. */
+using WorkerAddress = serve::Endpoint;
 
 /** Liveness state (the WORKERS verb's wire encoding). */
 enum class WorkerState : uint8_t { Up = 0, Draining = 1, Down = 2 };

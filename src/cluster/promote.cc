@@ -66,12 +66,7 @@ rollingPromote(const PromoteOptions &options)
         const std::string name = address.display();
         try {
             serve::Client client =
-                !address.unix_path.empty()
-                    ? serve::Client::connectUnix(address.unix_path,
-                                                 options.connect_retry)
-                    : serve::Client::connectTcp(address.tcp_host,
-                                                address.tcp_port,
-                                                options.connect_retry);
+                serve::Client::connect(address, options.connect_retry);
             client.hello();
             const std::string reload_error =
                 client.reload(options.checkpoint_dir);

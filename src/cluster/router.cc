@@ -1,15 +1,6 @@
 #include "cluster/router.hh"
 
-#include <cerrno>
 #include <chrono>
-#include <cstring>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
 
 #include "serve/codec.hh"
 #include "util/logging.hh"
@@ -60,8 +51,6 @@ Router::Router(RouterOptions options)
     : options_(std::move(options)),
       membership_(options_.workers, options_.vnodes,
                   options_.fail_threshold),
-      connections_total_(
-          options_.registry->counter("router.connections_total")),
       requests_total_(
           options_.registry->counter("router.requests_total")),
       retries_total_(
@@ -69,7 +58,20 @@ Router::Router(RouterOptions options)
       transport_errors_(
           options_.registry->counter("router.worker_transport_errors")),
       protocol_errors_(
-          options_.registry->counter("router.protocol_errors"))
+          options_.registry->counter("router.protocol_errors")),
+      listener_(
+          serve::Endpoint{options_.unix_path, options_.tcp_host,
+                          options_.tcp_port},
+          [this]() -> serve::ConnectionListener::FrameHandler {
+              // Each connection owns its worker connections and ring.
+              auto state = std::make_shared<HandlerState>();
+              state->workers.resize(options_.workers.size());
+              return [this, state](const std::vector<uint8_t> &request) {
+                  return handleRequest(request, *state);
+              };
+          },
+          options_.registry->counter("router.connections_total"),
+          protocol_errors_)
 {
     SNS_ASSERT(!options_.workers.empty(),
                "Router needs at least one worker");
@@ -83,63 +85,8 @@ Router::start()
 {
     SNS_ASSERT(!running_.load(), "Router::start() called twice");
 
-    if (!options_.unix_path.empty()) {
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (options_.unix_path.size() >= sizeof(addr.sun_path))
-            throw std::runtime_error("unix socket path too long: " +
-                                     options_.unix_path);
-        std::strncpy(addr.sun_path, options_.unix_path.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (listen_fd_ < 0)
-            throw std::runtime_error(std::string("socket: ") +
-                                     std::strerror(errno));
-        ::unlink(options_.unix_path.c_str());
-        if (::bind(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof(addr)) != 0) {
-            const std::string err = std::strerror(errno);
-            closeListener();
-            throw std::runtime_error("bind(" + options_.unix_path +
-                                     "): " + err);
-        }
-    } else {
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<uint16_t>(options_.tcp_port));
-        if (::inet_pton(AF_INET, options_.tcp_host.c_str(),
-                        &addr.sin_addr) != 1)
-            throw std::runtime_error("bad listen address: " +
-                                     options_.tcp_host);
-        listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (listen_fd_ < 0)
-            throw std::runtime_error(std::string("socket: ") +
-                                     std::strerror(errno));
-        const int one = 1;
-        ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof(one));
-        if (::bind(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof(addr)) != 0) {
-            const std::string err = std::strerror(errno);
-            closeListener();
-            throw std::runtime_error(
-                "bind(" + options_.tcp_host + ":" +
-                std::to_string(options_.tcp_port) + "): " + err);
-        }
-        sockaddr_in bound{};
-        socklen_t len = sizeof(bound);
-        if (::getsockname(listen_fd_,
-                          reinterpret_cast<sockaddr *>(&bound),
-                          &len) == 0)
-            port_ = ntohs(bound.sin_port);
-    }
-
-    if (::listen(listen_fd_, 128) != 0) {
-        const std::string err = std::strerror(errno);
-        closeListener();
-        throw std::runtime_error("listen: " + err);
-    }
-
+    stopping_.store(false);
+    listener_.start();
     options_.registry->setGauge("router.sessions_open", [this] {
         return static_cast<double>(sessionsOpen());
     });
@@ -148,22 +95,9 @@ Router::start()
             membership_.countInState(WorkerState::Up));
     });
 
-    stopping_.store(false);
     running_.store(true);
-    listener_ = std::thread([this] { listenLoop(); });
     if (options_.health_period_ms > 0)
         health_ = std::thread([this] { healthLoop(); });
-}
-
-void
-Router::closeListener()
-{
-    if (listen_fd_ >= 0) {
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-    }
-    if (!options_.unix_path.empty())
-        ::unlink(options_.unix_path.c_str());
 }
 
 void
@@ -172,27 +106,7 @@ Router::stop()
     if (!running_.exchange(false))
         return;
     stopping_.store(true);
-
-    if (listener_.joinable())
-        listener_.join();
-    closeListener();
-
-    // Unblock handlers parked in recvFrame; same discipline as
-    // serve::Server::stop().
-    {
-        std::lock_guard<std::mutex> lock(conn_mutex_);
-        for (const int fd : open_fds_)
-            ::shutdown(fd, SHUT_RD);
-    }
-    for (auto &handler : handlers_) {
-        if (handler.joinable())
-            handler.join();
-    }
-    {
-        std::lock_guard<std::mutex> lock(conn_mutex_);
-        handlers_.clear();
-        open_fds_.clear();
-    }
+    listener_.stop();
 
     health_cv_.notify_all();
     if (health_.joinable())
@@ -204,29 +118,6 @@ Router::stop()
     {
         std::lock_guard<std::mutex> lock(session_mutex_);
         sessions_.clear();
-    }
-}
-
-void
-Router::listenLoop()
-{
-    while (!stopping_.load()) {
-        pollfd pfd{listen_fd_, POLLIN, 0};
-        const int ready = ::poll(&pfd, 1, 100);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        if (ready == 0)
-            continue;
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0)
-            continue;
-        connections_total_.inc();
-        std::lock_guard<std::mutex> lock(conn_mutex_);
-        open_fds_.insert(fd);
-        handlers_.emplace_back([this, fd] { handleConnection(fd); });
     }
 }
 
@@ -246,12 +137,7 @@ Router::healthLoop()
                     // retry schedule, and a blocking backoff would
                     // stall the other workers' probes.
                     auto client = std::make_unique<serve::Client>(
-                        !address.unix_path.empty()
-                            ? serve::Client::connectUnix(
-                                  address.unix_path)
-                            : serve::Client::connectTcp(
-                                  address.tcp_host,
-                                  address.tcp_port));
+                        serve::Client::connect(address));
                     client->hello();
                     health_conns_[i] = std::move(client);
                 }
@@ -267,29 +153,6 @@ Router::healthLoop()
             std::chrono::milliseconds(options_.health_period_ms),
             [this] { return stopping_.load(); });
     }
-}
-
-void
-Router::handleConnection(int fd)
-{
-    HandlerState state;
-    state.workers.resize(options_.workers.size());
-    try {
-        for (;;) {
-            auto request =
-                serve::recvFrame(fd, options_.max_frame_bytes);
-            if (!request)
-                break; // clean EOF
-            serve::sendFrame(fd, handleRequest(*request, state));
-        }
-    } catch (const serve::ProtocolError &) {
-        protocol_errors_.inc();
-    }
-    {
-        std::lock_guard<std::mutex> lock(conn_mutex_);
-        open_fds_.erase(fd);
-    }
-    ::close(fd);
 }
 
 const HashRing &
@@ -311,12 +174,7 @@ Router::workerConn(HandlerState &state, size_t index)
     const WorkerAddress address = membership_.address(index);
     try {
         auto client = std::make_unique<serve::Client>(
-            !address.unix_path.empty()
-                ? serve::Client::connectUnix(address.unix_path,
-                                             options_.connect_retry)
-                : serve::Client::connectTcp(address.tcp_host,
-                                            address.tcp_port,
-                                            options_.connect_retry));
+            serve::Client::connect(address, options_.connect_retry));
         client->hello();
         state.workers[index] = std::move(client);
         return state.workers[index].get();

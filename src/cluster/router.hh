@@ -49,12 +49,12 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cluster/membership.hh"
 #include "obs/metrics.hh"
 #include "serve/client.hh"
+#include "serve/listener.hh"
 #include "serve/protocol.hh"
 
 namespace sns::cluster {
@@ -70,9 +70,6 @@ struct RouterOptions
 
     /** The worker set, fixed at start. */
     std::vector<WorkerAddress> workers;
-
-    /** Largest accepted request frame. */
-    size_t max_frame_bytes = 16u << 20;
 
     /** Virtual points per worker on the hash ring. */
     int vnodes = 64;
@@ -114,7 +111,7 @@ class Router
     bool running() const { return running_.load(); }
 
     /** Resolved TCP port (after start(); 0 for Unix sockets). */
-    int port() const { return port_; }
+    int port() const { return listener_.port(); }
 
     const RouterOptions &options() const { return options_; }
 
@@ -142,9 +139,7 @@ class Router
         uint64_t ring_epoch = 0;
     };
 
-    void listenLoop();
     void healthLoop();
-    void handleConnection(int fd);
     std::vector<uint8_t> handleRequest(const std::vector<uint8_t> &req,
                                        HandlerState &state);
     std::vector<uint8_t> handlePredict(serve::WireReader &reader,
@@ -171,35 +166,29 @@ class Router
     /** Drop a handler's cached connection after a transport error. */
     void resetConn(HandlerState &state, size_t index);
 
-    void closeListener();
-
     RouterOptions options_;
     Membership membership_;
 
-    int listen_fd_ = -1;
-    int port_ = 0;
     std::atomic<bool> running_{false};
     std::atomic<bool> stopping_{false};
-    std::thread listener_;
     std::thread health_;
     std::mutex health_mutex_;
     std::condition_variable health_cv_;
     /** The health loop's own worker connections. */
     std::vector<std::unique_ptr<serve::Client>> health_conns_;
 
-    std::mutex conn_mutex_;
-    std::unordered_set<int> open_fds_;
-    std::vector<std::thread> handlers_;
-
     mutable std::mutex session_mutex_;
     std::unordered_map<uint64_t, SessionRoute> sessions_;
     std::atomic<uint64_t> next_session_id_{1};
 
-    obs::Counter &connections_total_;
     obs::Counter &requests_total_;
     obs::Counter &retries_total_;
     obs::Counter &transport_errors_;
     obs::Counter &protocol_errors_;
+
+    /** Last, so it is built after and torn down before everything
+     * its handlers touch. */
+    serve::ConnectionListener listener_;
 };
 
 } // namespace sns::cluster

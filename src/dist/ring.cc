@@ -3,15 +3,15 @@
 #include <cerrno>
 #include <cstring>
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <array>
+#include <stdexcept>
+
+#include "serve/protocol.hh"
 
 namespace sns::dist {
 
@@ -26,127 +26,27 @@ setNonBlocking(int fd)
                         std::string(std::strerror(errno)));
 }
 
-/** Endpoint template split into its transport parts. */
-struct Endpoint
+/** Rank `rank`'s endpoint under `rendezvous`: <path>.<rank> for unix,
+ * port + rank for tcp. */
+serve::Endpoint
+rankAddress(const std::string &rendezvous, int rank)
 {
-    bool is_unix = false;
-    std::string path; ///< unix socket path
-    std::string host; ///< tcp host
-    int port = 0;     ///< tcp base port
-};
-
-Endpoint
-parseEndpoint(const std::string &rendezvous)
-{
-    Endpoint ep;
-    if (rendezvous.rfind("unix:", 0) == 0) {
-        ep.is_unix = true;
-        ep.path = rendezvous.substr(5);
-        if (ep.path.empty())
-            throw DistError("empty unix rendezvous path: " + rendezvous);
-        return ep;
+    // Unlike a worker spec, a rendezvous names its transport.
+    if (rendezvous.rfind("unix:", 0) != 0 &&
+        rendezvous.rfind("tcp:", 0) != 0)
+        throw DistError("rendezvous must start with unix: or tcp:, got " +
+                        rendezvous);
+    serve::Endpoint endpoint;
+    try {
+        endpoint = serve::Endpoint::parse(rendezvous);
+    } catch (const std::invalid_argument &e) {
+        throw DistError(std::string("bad rendezvous: ") + e.what());
     }
-    if (rendezvous.rfind("tcp:", 0) == 0) {
-        const std::string rest = rendezvous.substr(4);
-        const size_t colon = rest.rfind(':');
-        if (colon == std::string::npos || colon == 0 ||
-            colon + 1 >= rest.size()) {
-            throw DistError("malformed tcp rendezvous (want "
-                            "tcp:<host>:<port>): " + rendezvous);
-        }
-        ep.host = rest.substr(0, colon);
-        try {
-            ep.port = std::stoi(rest.substr(colon + 1));
-        } catch (const std::exception &) {
-            ep.port = -1;
-        }
-        if (ep.port <= 0 || ep.port > 65535)
-            throw DistError("bad tcp rendezvous port: " + rendezvous);
-        return ep;
-    }
-    throw DistError("rendezvous must start with unix: or tcp:, got " +
-                    rendezvous);
-}
-
-int
-listenAt(const Endpoint &ep, int rank)
-{
-    int fd = -1;
-    if (ep.is_unix) {
-        const std::string path = ep.path + "." + std::to_string(rank);
-        fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd < 0)
-            throw DistError("socket(AF_UNIX): " +
-                            std::string(std::strerror(errno)));
-        ::unlink(path.c_str()); // stale endpoint from a killed run
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (path.size() >= sizeof(addr.sun_path)) {
-            ::close(fd);
-            throw DistError("unix rendezvous path too long: " + path);
-        }
-        std::strncpy(addr.sun_path, path.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        if (::bind(fd, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof(addr)) != 0) {
-            ::close(fd);
-            throw DistError("bind(" + path + "): " +
-                            std::string(std::strerror(errno)));
-        }
-    } else {
-        fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd < 0)
-            throw DistError("socket(AF_INET): " +
-                            std::string(std::strerror(errno)));
-        const int one = 1;
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<uint16_t>(ep.port + rank));
-        if (::inet_pton(AF_INET, ep.host.c_str(), &addr.sin_addr) != 1) {
-            ::close(fd);
-            throw DistError("bad tcp rendezvous host: " + ep.host);
-        }
-        if (::bind(fd, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof(addr)) != 0) {
-            ::close(fd);
-            throw DistError("bind(" + ep.host + ":" +
-                            std::to_string(ep.port + rank) + "): " +
-                            std::string(std::strerror(errno)));
-        }
-    }
-    if (::listen(fd, 4) != 0) {
-        ::close(fd);
-        throw DistError("listen: " + std::string(std::strerror(errno)));
-    }
-    return fd;
-}
-
-/** Connect to rank `rank`'s endpoint under kRingConnectRetry; returns
- * the fd, or -1 with errno set. */
-int
-connectTo(const Endpoint &ep, int rank)
-{
-    if (ep.is_unix) {
-        const std::string path = ep.path + "." + std::to_string(rank);
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, path.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        return serve::connectWithRetry(
-            AF_UNIX, reinterpret_cast<const sockaddr *>(&addr),
-            sizeof(addr), kRingConnectRetry);
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(ep.port + rank));
-    if (::inet_pton(AF_INET, ep.host.c_str(), &addr.sin_addr) != 1) {
-        errno = EINVAL;
-        return -1;
-    }
-    return serve::connectWithRetry(
-        AF_INET, reinterpret_cast<const sockaddr *>(&addr), sizeof(addr),
-        kRingConnectRetry);
+    if (!endpoint.unix_path.empty())
+        endpoint.unix_path += "." + std::to_string(rank);
+    else
+        endpoint.tcp_port += rank;
+    return endpoint;
 }
 
 } // namespace
@@ -242,38 +142,41 @@ RingChannel::exchange(const std::vector<uint8_t> &out, size_t max_bytes)
 std::string
 rankEndpoint(const std::string &rendezvous, int rank)
 {
-    const Endpoint ep = parseEndpoint(rendezvous);
-    if (ep.is_unix)
-        return "unix:" + ep.path + "." + std::to_string(rank);
-    return "tcp:" + ep.host + ":" + std::to_string(ep.port + rank);
+    return rankAddress(rendezvous, rank).display();
 }
 
 std::shared_ptr<RingChannel>
 connectRing(const std::string &rendezvous, int rank, int world)
 {
-    const Endpoint ep = parseEndpoint(rendezvous);
-    const int listen_fd = listenAt(ep, rank);
-
+    const serve::Endpoint self = rankAddress(rendezvous, rank);
     const int next = (rank + 1) % world;
-    const int next_fd = connectTo(ep, next);
-    if (next_fd < 0) {
-        const std::string error = std::strerror(errno);
-        ::close(listen_fd);
+    const serve::Endpoint successor = rankAddress(rendezvous, next);
+
+    int listen_fd = -1;
+    try {
+        listen_fd = serve::listenOn(self, /*backlog=*/4);
+    } catch (const std::runtime_error &e) {
+        throw DistError("rank " + std::to_string(rank) +
+                        " cannot listen: " + e.what());
+    }
+    int next_fd = -1;
+    try {
+        next_fd = serve::connectTo(successor, kRingConnectRetry);
+    } catch (const serve::ProtocolError &e) {
+        serve::closeListening(listen_fd, self);
         throw DistError("rank " + std::to_string(rank) +
                         " cannot reach rank " + std::to_string(next) +
-                        " at " + rankEndpoint(rendezvous, next) + ": " +
-                        error);
+                        ": " + e.what());
     }
 
     const int prev_fd = ::accept(listen_fd, nullptr, nullptr);
-    ::close(listen_fd);
-    if (ep.is_unix)
-        ::unlink((ep.path + "." + std::to_string(rank)).c_str());
+    const int accept_errno = errno;
+    serve::closeListening(listen_fd, self);
     if (prev_fd < 0) {
         ::close(next_fd);
         throw DistError("rank " + std::to_string(rank) +
                         " accept failed: " +
-                        std::string(std::strerror(errno)));
+                        std::string(std::strerror(accept_errno)));
     }
     return std::make_shared<RingChannel>(prev_fd, next_fd);
 }

@@ -19,7 +19,8 @@
  *
  * Rendezvous endpoints ("unix:<path>" or "tcp:<host>:<port>") are
  * per-world templates: rank r listens at <path>.<r> (or port+r) and
- * connects to rank r+1's endpoint with deterministic bounded backoff.
+ * connects to rank r+1's endpoint with deterministic bounded backoff,
+ * both through the serve socket layer (serve/endpoint.hh).
  * localRing() builds the same ring over socketpairs inside one process
  * for tests, benches, and the TSan leg.
  */
@@ -33,7 +34,7 @@
 #include <string>
 #include <vector>
 
-#include "serve/protocol.hh"
+#include "serve/endpoint.hh"
 
 namespace sns::dist {
 
@@ -106,8 +107,9 @@ inline constexpr serve::ConnectRetryOptions kRingConnectRetry{
  * Join the ring as `rank` of `world`: listen at this rank's endpoint,
  * connect to the successor's endpoint under kRingConnectRetry, then
  * accept the predecessor. Throws DistError if the ring cannot form —
- * at once on a non-transient connect error, else when the retry
- * budget runs out.
+ * at once on an unusable endpoint (a <path>.<rank> longer than a unix
+ * socket path may be) or a non-transient connect error, else when the
+ * retry budget runs out.
  */
 std::shared_ptr<RingChannel> connectRing(const std::string &rendezvous,
                                          int rank, int world);

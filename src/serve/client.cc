@@ -1,12 +1,7 @@
 #include "serve/client.hh"
 
-#include <cerrno>
-#include <cstring>
 #include <utility>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "serve/codec.hh"
@@ -14,40 +9,16 @@
 namespace sns::serve {
 
 Client
-Client::connectUnix(const std::string &path,
-                    const ConnectRetryOptions &retry)
+Client::connect(const Endpoint &endpoint, const ConnectRetryOptions &retry)
 {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (path.size() >= sizeof(addr.sun_path))
-        throw ProtocolError("unix socket path too long: " + path);
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    const int fd = connectWithRetry(
-        AF_UNIX, reinterpret_cast<const sockaddr *>(&addr), sizeof(addr),
-        retry);
-    if (fd < 0)
-        throw ProtocolError("connect(" + path +
-                            "): " + std::strerror(errno));
-    return Client(fd);
+    return Client(connectTo(endpoint, retry));
 }
 
 Client
-Client::connectTcp(const std::string &host, int port,
-                   const ConnectRetryOptions &retry)
+Client::connectUnix(const std::string &path,
+                    const ConnectRetryOptions &retry)
 {
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1)
-        throw ProtocolError("bad address: " + host);
-    const int fd = connectWithRetry(
-        AF_INET, reinterpret_cast<const sockaddr *>(&addr), sizeof(addr),
-        retry);
-    if (fd < 0)
-        throw ProtocolError("connect(" + host + ":" +
-                            std::to_string(port) +
-                            "): " + std::strerror(errno));
-    return Client(fd);
+    return connect(Endpoint{path}, retry);
 }
 
 Client::~Client()
@@ -57,8 +28,7 @@ Client::~Client()
 }
 
 Client::Client(Client &&other) noexcept
-    : fd_(std::exchange(other.fd_, -1)),
-      max_frame_bytes_(other.max_frame_bytes_)
+    : fd_(std::exchange(other.fd_, -1))
 {
 }
 
@@ -69,7 +39,6 @@ Client::operator=(Client &&other) noexcept
         if (fd_ >= 0)
             ::close(fd_);
         fd_ = std::exchange(other.fd_, -1);
-        max_frame_bytes_ = other.max_frame_bytes_;
     }
     return *this;
 }
@@ -78,7 +47,7 @@ std::vector<uint8_t>
 Client::roundTrip(const std::vector<uint8_t> &payload)
 {
     sendFrame(fd_, payload);
-    auto reply = recvFrame(fd_, max_frame_bytes_);
+    auto reply = recvFrame(fd_, kMaxReplyFrameBytes);
     if (!reply)
         throw ProtocolError("server closed the connection");
     return std::move(*reply);

@@ -21,6 +21,7 @@
 
 #include "core/design_session.hh"
 #include "core/predictor.hh"
+#include "serve/endpoint.hh"
 #include "serve/protocol.hh"
 
 namespace sns::serve {
@@ -74,14 +75,14 @@ struct WorkersReply
 class Client
 {
   public:
-    /** Connect to a Unix-domain socket, retrying transient failures
-     * under `retry` (default: one try); throws ProtocolError. */
+    /** Connect to `endpoint`, retrying transient failures under
+     * `retry` (default: one try); throws ProtocolError. */
+    static Client connect(const Endpoint &endpoint,
+                          const ConnectRetryOptions &retry = {});
+
+    /** connect() to a Unix-domain socket path. */
     static Client connectUnix(const std::string &path,
                               const ConnectRetryOptions &retry = {});
-
-    /** Connect over TCP; same contract as connectUnix(). */
-    static Client connectTcp(const std::string &host, int port,
-                             const ConnectRetryOptions &retry = {});
 
     ~Client();
 
@@ -173,8 +174,6 @@ class Client
                                   bool expect_session_id);
 
     int fd_ = -1;
-    /** Replies larger than this are treated as corrupt. */
-    size_t max_frame_bytes_ = 64u << 20;
 };
 
 } // namespace sns::serve

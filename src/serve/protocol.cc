@@ -1,10 +1,7 @@
 #include "serve/protocol.hh"
 
-#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <thread>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -198,42 +195,6 @@ recvFrame(int fd, size_t max_bytes)
     if (len > 0 && !readAll(fd, payload.data(), len))
         throw ProtocolError("truncated frame (EOF mid-frame)");
     return payload;
-}
-
-std::vector<int>
-backoffScheduleUs(const ConnectRetryOptions &options)
-{
-    std::vector<int> sleeps;
-    long delay = std::max(options.initial_backoff_us, 0);
-    for (int i = 1; i < options.max_attempts; ++i) {
-        sleeps.push_back(static_cast<int>(
-            std::min<long>(delay, options.max_backoff_us)));
-        delay = std::min<long>(delay * std::max(options.multiplier, 1),
-                               options.max_backoff_us);
-    }
-    return sleeps;
-}
-
-int
-connectWithRetry(int family, const sockaddr *addr, socklen_t len,
-                 const ConnectRetryOptions &retry)
-{
-    const std::vector<int> sleeps = backoffScheduleUs(retry);
-    for (size_t i = 0;; ++i) {
-        const int fd = ::socket(family, SOCK_STREAM, 0);
-        if (fd < 0)
-            return -1;
-        if (::connect(fd, addr, len) == 0)
-            return fd;
-        const int err = errno;
-        ::close(fd);
-        errno = err;
-        const bool transient =
-            err == ECONNREFUSED || err == ENOENT || err == EINTR;
-        if (!transient || i >= sleeps.size())
-            return -1;
-        std::this_thread::sleep_for(std::chrono::microseconds(sleeps[i]));
-    }
 }
 
 } // namespace sns::serve

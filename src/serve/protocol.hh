@@ -66,8 +66,6 @@
 #include <string>
 #include <vector>
 
-#include <sys/socket.h>
-
 namespace sns::serve {
 
 /**
@@ -76,6 +74,14 @@ namespace sns::serve {
  * from such a build that says HELLO 4 sees byte-identical frames.
  */
 inline constexpr uint32_t kProtocolVersion = 4;
+
+/** Largest request frame a server or router accepts: a corrupt or
+ * hostile length prefix must not become a giant allocation. */
+inline constexpr size_t kMaxRequestFrameBytes = size_t(16) << 20;
+
+/** Largest reply frame a client accepts; a longer one is treated as
+ * corrupt. */
+inline constexpr size_t kMaxReplyFrameBytes = size_t(64) << 20;
 
 /** Request kinds. */
 enum class Verb : uint8_t {
@@ -186,38 +192,6 @@ void sendFrame(int fd, const std::vector<uint8_t> &payload);
  * become an allocation).
  */
 std::optional<std::vector<uint8_t>> recvFrame(int fd, size_t max_bytes);
-
-/**
- * Bounded connect retry with a deterministic (jitterless) exponential
- * backoff, shared by the serve client and the training ring
- * (dist::connectRing). Transient connect failures — ECONNREFUSED (peer
- * restarting), ENOENT (unix socket not bound yet), EINTR — are retried
- * up to max_attempts with backoffScheduleUs() sleeps between attempts;
- * every other errno fails at once. The schedule carries no jitter on
- * purpose: reconnect timing stays reproducible, matching the
- * repo-wide determinism discipline.
- */
-struct ConnectRetryOptions
-{
-    int max_attempts = 1; ///< 1 = single try, no retry
-    int initial_backoff_us = 10'000;
-    int multiplier = 2;
-    int max_backoff_us = 1'000'000; ///< per-sleep cap
-};
-
-/**
- * The sleeps (µs) between connect attempts: max_attempts - 1 entries,
- * entry i = min(initial_backoff_us · multiplier^i, max_backoff_us).
- */
-std::vector<int> backoffScheduleUs(const ConnectRetryOptions &options);
-
-/**
- * Open a stream socket of `family` and connect it to `addr` under
- * `retry`. Returns the connected fd, or -1 with errno from the last
- * attempt.
- */
-int connectWithRetry(int family, const sockaddr *addr, socklen_t len,
-                     const ConnectRetryOptions &retry);
 
 } // namespace sns::serve
 

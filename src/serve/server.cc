@@ -1,16 +1,7 @@
 #include "serve/server.hh"
 
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <utility>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
 
 #include "netlist/snl_parser.hh"
 #include "netlist/verilog_parser.hh"
@@ -46,8 +37,6 @@ Server::Server(std::shared_ptr<const core::SnsPredictor> predictor,
     : options_(std::move(options)), predictor_(std::move(predictor)),
       cache_(perf::PathCacheOptions{options_.cache_capacity, 16}),
       int8_cache_(perf::PathCacheOptions{options_.cache_capacity, 16}),
-      connections_total_(
-          options_.registry->counter("serve.connections_total")),
       protocol_errors_(
           options_.registry->counter("serve.protocol_errors")),
       reloads_total_(options_.registry->counter("serve.reloads_total")),
@@ -61,7 +50,20 @@ Server::Server(std::shared_ptr<const core::SnsPredictor> predictor,
       session_paths_reused_(
           options_.registry->counter("session.paths_reused")),
       session_paths_recomputed_(
-          options_.registry->counter("session.paths_recomputed"))
+          options_.registry->counter("session.paths_recomputed")),
+      listener_(
+          Endpoint{options_.unix_path, options_.tcp_host,
+                   options_.tcp_port},
+          [this]() -> ConnectionListener::FrameHandler {
+              return [this](const std::vector<uint8_t> &request) {
+                  return handleRequest(request);
+              };
+          },
+          options_.registry->counter("serve.connections_total"),
+          protocol_errors_,
+          // Idle sessions are swept within ~100 ms of their deadline
+          // whether or not traffic arrives.
+          [this] { sweepSessions(); })
 {
     SNS_ASSERT(predictor_ != nullptr, "Server needs a predictor");
 }
@@ -73,64 +75,6 @@ Server::start()
 {
     SNS_ASSERT(!running_.load(), "Server::start() called twice");
 
-    if (!options_.unix_path.empty()) {
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (options_.unix_path.size() >= sizeof(addr.sun_path))
-            throw std::runtime_error("unix socket path too long: " +
-                                     options_.unix_path);
-        std::strncpy(addr.sun_path, options_.unix_path.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (listen_fd_ < 0)
-            throw std::runtime_error(std::string("socket: ") +
-                                     std::strerror(errno));
-        // A previous crashed instance leaves a stale inode behind.
-        ::unlink(options_.unix_path.c_str());
-        if (::bind(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof(addr)) != 0) {
-            const std::string err = std::strerror(errno);
-            closeListener();
-            throw std::runtime_error("bind(" + options_.unix_path +
-                                     "): " + err);
-        }
-    } else {
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<uint16_t>(options_.tcp_port));
-        if (::inet_pton(AF_INET, options_.tcp_host.c_str(),
-                        &addr.sin_addr) != 1)
-            throw std::runtime_error("bad listen address: " +
-                                     options_.tcp_host);
-        listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (listen_fd_ < 0)
-            throw std::runtime_error(std::string("socket: ") +
-                                     std::strerror(errno));
-        const int one = 1;
-        ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof(one));
-        if (::bind(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof(addr)) != 0) {
-            const std::string err = std::strerror(errno);
-            closeListener();
-            throw std::runtime_error(
-                "bind(" + options_.tcp_host + ":" +
-                std::to_string(options_.tcp_port) + "): " + err);
-        }
-        sockaddr_in bound{};
-        socklen_t len = sizeof(bound);
-        if (::getsockname(listen_fd_,
-                          reinterpret_cast<sockaddr *>(&bound),
-                          &len) == 0)
-            port_ = ntohs(bound.sin_port);
-    }
-
-    if (::listen(listen_fd_, 128) != 0) {
-        const std::string err = std::strerror(errno);
-        closeListener();
-        throw std::runtime_error("listen: " + err);
-    }
-
     batcher_ = std::make_unique<MicroBatcher>(
         options_.batch,
         [this](const std::vector<const graphir::Graph *> &graphs,
@@ -138,6 +82,7 @@ Server::start()
             return runBatch(graphs, precision);
         },
         options_.registry);
+    listener_.start();
     options_.registry->setGauge("serve.queue_depth", [this] {
         return static_cast<double>(batcher_->queueDepth());
     });
@@ -145,22 +90,9 @@ Server::start()
         return static_cast<double>(sessionsOpen());
     });
 
-    stopping_.store(false);
     running_.store(true);
-    listener_ = std::thread([this] { listenLoop(); });
     if (options_.stats_log_period_s > 0)
         logger_ = std::thread([this] { logLoop(); });
-}
-
-void
-Server::closeListener()
-{
-    if (listen_fd_ >= 0) {
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-    }
-    if (!options_.unix_path.empty())
-        ::unlink(options_.unix_path.c_str());
 }
 
 void
@@ -168,36 +100,10 @@ Server::stop()
 {
     if (!running_.exchange(false))
         return;
-    stopping_.store(true);
-
-    // 1. Stop accepting: the listener polls with a timeout and checks
-    //    stopping_, so it exits promptly; joining it first guarantees
-    //    every accepted connection is registered in open_fds_.
-    if (listener_.joinable())
-        listener_.join();
-    closeListener();
-
-    // 2. Drain: every admitted request gets its real answer; submits
-    //    from here on get DRAINING.
-    if (batcher_)
-        batcher_->drain();
-
-    // 3. Unblock handlers parked in recvFrame. SHUT_RD only — a
-    //    handler mid-reply still owns the write side.
-    {
-        std::lock_guard<std::mutex> lock(conn_mutex_);
-        for (const int fd : open_fds_)
-            ::shutdown(fd, SHUT_RD);
-    }
-    for (auto &handler : handlers_) {
-        if (handler.joinable())
-            handler.join();
-    }
-    {
-        std::lock_guard<std::mutex> lock(conn_mutex_);
-        handlers_.clear();
-        open_fds_.clear();
-    }
+    // Drain between "stop accepting" and "unblock the handlers": every
+    // admitted request gets its real answer; submits from here on get
+    // DRAINING.
+    listener_.stop([this] { batcher_->drain(); });
 
     options_.registry->removeGauge("serve.queue_depth");
     options_.registry->removeGauge("serve.sessions_open");
@@ -208,55 +114,6 @@ Server::stop()
     log_cv_.notify_all();
     if (logger_.joinable())
         logger_.join();
-}
-
-void
-Server::listenLoop()
-{
-    while (!stopping_.load()) {
-        pollfd pfd{listen_fd_, POLLIN, 0};
-        const int ready = ::poll(&pfd, 1, 100);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        // Piggyback session TTL eviction on the poll cadence: idle
-        // sessions are swept within ~100 ms of their deadline whether
-        // or not traffic arrives.
-        sweepSessions();
-        if (ready == 0)
-            continue;
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0)
-            continue;
-        connections_total_.inc();
-        std::lock_guard<std::mutex> lock(conn_mutex_);
-        open_fds_.insert(fd);
-        handlers_.emplace_back(
-            [this, fd] { handleConnection(fd); });
-    }
-}
-
-void
-Server::handleConnection(int fd)
-{
-    try {
-        for (;;) {
-            auto request = recvFrame(fd, options_.max_frame_bytes);
-            if (!request)
-                break; // clean EOF
-            sendFrame(fd, handleRequest(*request));
-        }
-    } catch (const ProtocolError &) {
-        // Corrupt framing or a vanished peer; drop the connection.
-        protocol_errors_.inc();
-    }
-    {
-        std::lock_guard<std::mutex> lock(conn_mutex_);
-        open_fds_.erase(fd);
-    }
-    ::close(fd);
 }
 
 std::vector<uint8_t>

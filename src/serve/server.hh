@@ -6,7 +6,8 @@
  * perf::PathPredictionCache, and one MicroBatcher. A listener thread
  * accepts Unix-domain or TCP connections; each connection gets a
  * handler thread that decodes frames, parses PREDICT design sources
- * into graphs, and submits tickets to the batcher. The batcher's
+ * into graphs, and submits tickets to the batcher (the accept loop
+ * and connection threads are serve::ConnectionListener's). The batcher's
  * executor coalesces concurrent tickets into single predictBatch
  * calls, so N clients cost one padded Circuitformer pass per batch
  * instead of N process spin-ups — the PR 2 batch API and PR 3 warm
@@ -28,7 +29,7 @@
  * live predictor. A session opened before a RELOAD is detected by its
  * model fingerprint and answered with a clean ERROR (re-open), never a
  * stale prediction. The table is bounded (max_sessions) and idle
- * sessions are TTL-evicted by the listener's poll loop.
+ * sessions are TTL-evicted on the listener's poll tick.
  *
  * Shutdown: stop() (the SIGTERM path in tools/sns_serve.cc) stops
  * accepting, lets the batcher drain — every admitted request gets a
@@ -47,7 +48,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/design_session.hh"
@@ -55,6 +55,7 @@
 #include "obs/metrics.hh"
 #include "perf/path_cache.hh"
 #include "serve/batcher.hh"
+#include "serve/listener.hh"
 #include "serve/protocol.hh"
 
 namespace sns::serve {
@@ -74,10 +75,6 @@ struct ServerOptions
     /** Micro-batching and admission control. */
     BatchOptions batch;
 
-    /** Largest accepted request frame (a corrupt length prefix must
-     * not become a giant allocation). */
-    size_t max_frame_bytes = 16u << 20;
-
     /** Shared path-prediction cache capacity (entries; 0 unbounded). */
     size_t cache_capacity = 1u << 20;
 
@@ -85,8 +82,8 @@ struct ServerOptions
     int stats_log_period_s = 0;
 
     /** Idle seconds before an edit-loop session is evicted (its pinned
-     * cache freed); 0 disables TTL eviction. Swept by the listener's
-     * poll loop, so eviction lags the deadline by at most ~100 ms. */
+     * cache freed); 0 disables TTL eviction. Swept on the listener's
+     * poll tick, so eviction lags the deadline by at most ~100 ms. */
     int session_ttl_s = 300;
 
     /** Maximum concurrently open sessions; OPEN beyond this is
@@ -125,7 +122,7 @@ class Server
     bool running() const { return running_.load(); }
 
     /** Resolved TCP port (after start(); 0 for Unix sockets). */
-    int port() const { return port_; }
+    int port() const { return listener_.port(); }
 
     const ServerOptions &options() const { return options_; }
 
@@ -170,8 +167,6 @@ class Server
         std::atomic<int64_t> last_used_ns{0};
     };
 
-    void listenLoop();
-    void handleConnection(int fd);
     std::vector<uint8_t> handleRequest(const std::vector<uint8_t> &req);
     std::vector<uint8_t> handlePredict(WireReader &reader);
     std::vector<uint8_t> handleOpen(WireReader &reader);
@@ -190,7 +185,6 @@ class Server
     runBatch(const std::vector<const graphir::Graph *> &graphs,
              core::Precision precision);
     void logLoop();
-    void closeListener();
 
     ServerOptions options_;
 
@@ -209,25 +203,16 @@ class Server
     perf::PathPredictionCache int8_cache_;
     std::unique_ptr<MicroBatcher> batcher_;
 
-    int listen_fd_ = -1;
-    int port_ = 0;
     std::atomic<bool> running_{false};
-    std::atomic<bool> stopping_{false};
     std::atomic<bool> admission_paused_{false};
-    std::thread listener_;
     std::thread logger_;
     std::mutex log_mutex_;
     std::condition_variable log_cv_;
-
-    std::mutex conn_mutex_;
-    std::unordered_set<int> open_fds_;
-    std::vector<std::thread> handlers_;
 
     mutable std::mutex session_mutex_;
     std::unordered_map<uint64_t, std::shared_ptr<SessionEntry>> sessions_;
     std::atomic<uint64_t> next_session_id_{1};
 
-    obs::Counter &connections_total_;
     obs::Counter &protocol_errors_;
     obs::Counter &reloads_total_;
     obs::Counter &session_opens_;
@@ -236,6 +221,10 @@ class Server
     obs::Counter &session_evicted_ttl_;
     obs::Counter &session_paths_reused_;
     obs::Counter &session_paths_recomputed_;
+
+    /** Last, so it is built after and torn down before everything
+     * its handlers touch. */
+    ConnectionListener listener_;
 };
 
 } // namespace sns::serve

@@ -5,7 +5,8 @@
 # broken design and check the exit codes; finally boot an sns-serve
 # daemon on a temp socket and check remote-predict matches the local
 # report, STATS counts the traffic, an OPEN/UPDATE/CLOSE session round
-# trip byte-matches the stateless pass, and SIGTERM drains to exit 0.
+# trip byte-matches the stateless pass, and SIGTERM drains to exit 0,
+# also when it arrives the moment the daemon reports "listening".
 # Then a 2-worker sns-router cluster: routed predictions byte-match
 # the single-process pass, --stats-json renders the merged cluster
 # report, a rolling promote walks both workers canary-verified, and a
@@ -237,6 +238,39 @@ wait "$SERVE_PID" || { echo "sns-serve did not drain cleanly" >&2; \
     cat "$WORK/serve.log" >&2; exit 1; }
 grep -q "drained" "$WORK/serve.log"
 SERVE_PID=""
+
+# A SIGTERM sent the moment a daemon reports "listening" must still
+# drain (sns-serve) or stop cleanly (sns-router): both block the stop
+# signals before their first thread, so the signal waits for them.
+wait_listening() {
+    i=0
+    while [ "$i" -lt 200 ]; do
+        grep -q "listening" "$1" && return 0
+        sleep 0.05
+        i=$((i + 1))
+    done
+    cat "$1" >&2
+    return 1
+}
+ESOCK="$WORK/early.sock"
+"$SERVE" --model="$WORK/model" --socket="$ESOCK" --log-period=0 \
+    2> "$WORK/early_serve.log" &
+SERVE_PID=$!
+wait_listening "$WORK/early_serve.log"
+kill -TERM "$SERVE_PID"
+wait "$SERVE_PID" || { echo "sns-serve died on an early SIGTERM" >&2; \
+    cat "$WORK/early_serve.log" >&2; exit 1; }
+grep -q "drained" "$WORK/early_serve.log"
+SERVE_PID=""
+"$ROUTER" --socket="$WORK/early_router.sock" --worker="unix:$ESOCK" \
+    2> "$WORK/early_router.log" &
+ROUTER_PID=$!
+wait_listening "$WORK/early_router.log"
+kill -TERM "$ROUTER_PID"
+wait "$ROUTER_PID" || { echo "sns-router died on an early SIGTERM" >&2; \
+    cat "$WORK/early_router.log" >&2; exit 1; }
+grep -q "stopped" "$WORK/early_router.log"
+ROUTER_PID=""
 
 # ---------------------------------------------------------------------
 # sns-router cluster: 2 workers behind one router (docs/cluster.md).

@@ -13,7 +13,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <numeric>
@@ -22,7 +21,6 @@
 #include <vector>
 
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "cluster/membership.hh"
@@ -36,6 +34,7 @@
 #include "obs/metrics.hh"
 #include "par/thread_pool.hh"
 #include "serve/client.hh"
+#include "serve/listener.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
 
@@ -229,19 +228,11 @@ TEST(BackoffTest, ConnectRetriesUntilTheSocketAppears)
     // over the gap.
     std::thread late([&path] {
         std::this_thread::sleep_for(100ms);
-        const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, path.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr *>(&addr),
-                         sizeof(addr)),
-                  0);
-        ASSERT_EQ(::listen(fd, 1), 0);
+        const serve::Endpoint endpoint{path};
+        const int fd = serve::listenOn(endpoint, 1);
         const int conn = ::accept(fd, nullptr, nullptr);
         ::close(conn);
-        ::close(fd);
-        ::unlink(path.c_str());
+        serve::closeListening(fd, endpoint);
     });
 
     serve::ConnectRetryOptions retry;
@@ -807,10 +798,11 @@ TEST(ClusterE2E, StatsMergeAcrossWorkers)
 // ---------------------------------------------------------------------
 // The HELLO version check and per-role verbs
 
-/** A scriptable fake peer on a unix socket: each accepted connection
- * is served frame-by-frame through `handler` (verb, payload reader)
- * -> reply payload. Lets tests stand up mismatched or lying servers
- * the real Server cannot be configured into. */
+/** A scriptable fake peer on a unix socket: each request frame is
+ * answered through `handler` (verb, payload reader) -> reply payload,
+ * behind the same serve::ConnectionListener the daemons use. Lets
+ * tests stand up mismatched or lying servers the real Server cannot be
+ * configured into. */
 class FakeServer
 {
   public:
@@ -818,57 +810,29 @@ class FakeServer
         Verb, serve::WireReader &)>;
 
     FakeServer(std::string path, Handler handler)
-        : path_(std::move(path)), handler_(std::move(handler))
+        : path_(std::move(path)),
+          listener_(
+              serve::Endpoint{path_},
+              [handler = std::move(handler)]()
+                  -> serve::ConnectionListener::FrameHandler {
+                  return [handler](const std::vector<uint8_t> &request) {
+                      serve::WireReader reader(request);
+                      const auto verb = static_cast<Verb>(reader.u8());
+                      return handler(verb, reader);
+                  };
+              },
+              registry_.counter("connections"),
+              registry_.counter("protocol_errors"))
     {
-        ::unlink(path_.c_str());
-        listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, path_.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        if (::bind(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof(addr)) != 0 ||
-            ::listen(listen_fd_, 8) != 0)
-            throw std::runtime_error("FakeServer bind/listen failed");
-        thread_ = std::thread([this] { acceptLoop(); });
-    }
-
-    ~FakeServer()
-    {
-        ::shutdown(listen_fd_, SHUT_RDWR);
-        ::close(listen_fd_);
-        thread_.join();
-        ::unlink(path_.c_str());
+        listener_.start();
     }
 
     const std::string &path() const { return path_; }
 
   private:
-    void acceptLoop()
-    {
-        for (;;) {
-            const int fd = ::accept(listen_fd_, nullptr, nullptr);
-            if (fd < 0)
-                return;
-            try {
-                for (;;) {
-                    auto request = serve::recvFrame(fd, 1 << 20);
-                    if (!request)
-                        break;
-                    serve::WireReader reader(*request);
-                    const auto verb = static_cast<Verb>(reader.u8());
-                    serve::sendFrame(fd, handler_(verb, reader));
-                }
-            } catch (...) {
-            }
-            ::close(fd);
-        }
-    }
-
     std::string path_;
-    Handler handler_;
-    int listen_fd_ = -1;
-    std::thread thread_;
+    obs::Registry registry_;
+    serve::ConnectionListener listener_;
 };
 
 /** status + str reply payload. */
@@ -881,22 +845,6 @@ fakeStatus(Status status, const std::string &message)
     return writer.bytes();
 }
 
-/** A raw unix-socket connection for hand-rolled frames. */
-int
-rawConnect(const std::string &path)
-{
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    if (fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                             sizeof(addr)) != 0) {
-        ::close(fd);
-        return -1;
-    }
-    return fd;
-}
-
 TEST(VersionCheckTest, MismatchedHelloIsRefusedAndConnectionSurvives)
 {
     // A HELLO carrying another version, or trailing bytes after the
@@ -905,8 +853,8 @@ TEST(VersionCheckTest, MismatchedHelloIsRefusedAndConnectionSurvives)
     TestCluster cluster("mismatch", 1);
     for (const std::string &path :
          {cluster.worker_paths[0], cluster.router_path}) {
-        const int fd = rawConnect(path);
-        ASSERT_GE(fd, 0) << path;
+        // A raw connection, for hand-rolled frames.
+        const int fd = serve::connectTo(serve::Endpoint{path}, {});
 
         serve::WireWriter old_version;
         old_version.u8(static_cast<uint8_t>(Verb::Hello));

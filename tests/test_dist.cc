@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -22,6 +23,7 @@
 #include "dist/shard.hh"
 #include "nn/serialize.hh"
 #include "obs/metrics.hh"
+#include "serve/client.hh"
 #include "util/rng.hh"
 #include "verify/analyzer.hh"
 
@@ -230,6 +232,49 @@ TEST(RingTest, RankEndpointTemplates)
     EXPECT_EQ(rankEndpoint("tcp:127.0.0.1:9000", 3),
               "tcp:127.0.0.1:9003");
     EXPECT_THROW(rankEndpoint("bogus", 0), DistError);
+}
+
+TEST(RingTest, OverlongUnixPathIsRefusedByName)
+{
+    // sun_path holds 107 bytes plus the NUL. Rank 9's "<base>.9" fits
+    // exactly; rank 10's "<base>.10" is one byte too long, and must be
+    // refused by name — never truncated to "<base>.1", which is
+    // another rank's socket.
+    const std::string base =
+        (std::filesystem::temp_directory_path() / "sns-ring-").string();
+    ASSERT_LT(base.size(), 100u);
+    const std::string stem = base + std::string(105 - base.size(), 'x');
+    ASSERT_EQ((stem + ".9").size(), 107u);
+    const std::string too_long = stem + ".10";
+
+    const auto expect_named = [&too_long](const std::function<void()> &call,
+                                          const char *who) {
+        try {
+            call();
+            ADD_FAILURE() << who << " accepted " << too_long;
+        } catch (const std::exception &e) {
+            EXPECT_NE(std::string(e.what()).find(too_long),
+                      std::string::npos)
+                << who << ": " << e.what();
+        }
+    };
+    expect_named(
+        [&] { serve::Client::connect(serve::Endpoint{too_long}); },
+        "Client::connect");
+    EXPECT_THROW(serve::Client::connect(serve::Endpoint{too_long}),
+                 serve::ProtocolError);
+    expect_named([&] { serve::listenOn(serve::Endpoint{too_long}, 1); },
+                 "listenOn");
+    // At once: an unusable endpoint is not a transient failure to
+    // sleep out the ~65 s kRingConnectRetry budget on.
+    const auto start = std::chrono::steady_clock::now();
+    expect_named([&] { connectRing("unix:" + stem, 9, 11); },
+                 "connectRing");
+    EXPECT_THROW(connectRing("unix:" + stem, 9, 11), DistError);
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(1));
+    // The failed rank leaves no socket behind.
+    EXPECT_FALSE(std::filesystem::exists(stem + ".9"));
 }
 
 TEST(RingTest, HandshakeRejectsMismatchedConfig)

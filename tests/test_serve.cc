@@ -3,7 +3,8 @@
  * Tests for sns::serve: wire protocol encode/decode and framing, the
  * micro-batching queue (coalescing, overload, deadlines, drain), and
  * the full server loop — end-to-end bitwise agreement with a local
- * predictBatch, STATS, hot reload, and graceful shutdown. Run under
+ * predictBatch, STATS, hot reload, and graceful shutdown — and the
+ * connection listener's thread reaping. Run under
  * TSan by tools/run_lint.sh.
  */
 
@@ -26,6 +27,8 @@
 #include "par/thread_pool.hh"
 #include "serve/batcher.hh"
 #include "serve/client.hh"
+#include "serve/codec.hh"
+#include "serve/listener.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
 
@@ -602,7 +605,7 @@ TEST(ServerTest, TcpTransportWorks)
     server.start();
     ASSERT_GT(server.port(), 0);
 
-    auto client = Client::connectTcp("127.0.0.1", server.port());
+    auto client = Client::connect(Endpoint{"", "127.0.0.1", server.port()});
     client.ping();
     EXPECT_EQ(client.predict(kFirSnl, DesignFormat::Snl).status,
               Status::Ok);
@@ -631,6 +634,42 @@ TEST(ServerTest, StopIsGracefulAndIdempotent)
     // The socket file is gone after shutdown.
     EXPECT_FALSE(std::filesystem::exists(options.unix_path));
     par::setThreads(1);
+}
+
+TEST(ListenerTest, FinishedConnectionThreadsAreReaped)
+{
+    // A daemon that has served many short connections must not keep
+    // one dead, unjoined handler thread per connection it ever had.
+    obs::Registry registry;
+    obs::Counter &connections = registry.counter("connections");
+    obs::Counter &errors = registry.counter("protocol_errors");
+    const std::string path = tempSocketPath("reap");
+    ConnectionListener listener(
+        Endpoint{path},
+        []() -> ConnectionListener::FrameHandler {
+            return [](const std::vector<uint8_t> &request) {
+                WireReader reader(request);
+                reader.u8(); // the HELLO verb
+                return answerHello(reader);
+            };
+        },
+        connections, errors);
+    listener.start();
+
+    for (int i = 0; i < 256; ++i) {
+        auto client = Client::connectUnix(path);
+        client.hello();
+    }
+    EXPECT_LE(listener.threadsHeld(), 8u);
+    // Within a few poll ticks every closed connection is joined.
+    for (int tick = 0; tick < 40 && listener.threadsHeld() > 0; ++tick)
+        std::this_thread::sleep_for(50ms);
+    EXPECT_EQ(listener.threadsHeld(), 0u);
+    EXPECT_EQ(connections.value(), 256u);
+    EXPECT_EQ(errors.value(), 0u);
+
+    listener.stop();
+    EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 // ---------------------------------------------------------------------

@@ -138,6 +138,18 @@ parsePrecision(const std::string &text, core::Precision &out)
     return false;
 }
 
+/** The daemon named by --<prefix>socket=PATH, or else by
+ * --<prefix>host=H (default 127.0.0.1) and --<prefix>port=N. */
+serve::Endpoint
+daemonEndpoint(const CliArgs &args, const std::string &prefix)
+{
+    serve::Endpoint endpoint;
+    endpoint.unix_path = args.get(prefix + "socket", "");
+    endpoint.tcp_host = args.get(prefix + "host", "127.0.0.1");
+    endpoint.tcp_port = std::stoi(args.get(prefix + "port", "0"));
+    return endpoint;
+}
+
 /** Wire format for a design file, mirroring loadDesign's dispatch. */
 serve::DesignFormat
 designFormat(const std::string &path)
@@ -517,12 +529,7 @@ cmdTrain(const CliArgs &args)
     // Hot-promote the fresh model into a running sns-serve daemon.
     if (args.has("promote-socket") || args.has("promote-port")) {
         auto client =
-            args.has("promote-socket")
-                ? serve::Client::connectUnix(
-                      args.get("promote-socket", ""))
-                : serve::Client::connectTcp(
-                      args.get("promote-host", "127.0.0.1"),
-                      std::stoi(args.get("promote-port", "0")));
+            serve::Client::connect(daemonEndpoint(args, "promote-"));
         const std::string error = client.reload(args.get("out", ""));
         if (!error.empty()) {
             std::cerr << "promotion failed: " << error << "\n";
@@ -632,12 +639,7 @@ cmdRemotePredict(const CliArgs &args)
     core::Precision precision = core::Precision::Fp64;
     if (!parsePrecision(args.get("precision", "fp64"), precision))
         return 1;
-    auto client =
-        have_socket
-            ? serve::Client::connectUnix(args.get("socket", ""))
-            : serve::Client::connectTcp(
-                  args.get("host", "127.0.0.1"),
-                  std::stoi(args.get("port", "0")));
+    auto client = serve::Client::connect(daemonEndpoint(args, ""));
     // A server from a build with another protocol version fails here,
     // by name, before any request could be misparsed.
     client.hello();
@@ -763,12 +765,7 @@ cmdPromote(const CliArgs &args)
     } else {
         // Ask the router who its workers are.
         auto router =
-            args.has("cluster-socket")
-                ? serve::Client::connectUnix(
-                      args.get("cluster-socket", ""))
-                : serve::Client::connectTcp(
-                      args.get("cluster-host", "127.0.0.1"),
-                      std::stoi(args.get("cluster-port", "0")));
+            serve::Client::connect(daemonEndpoint(args, "cluster-"));
         router.hello();
         const serve::WorkersReply reply = router.workers();
         if (reply.status != serve::Status::Ok) {

@@ -18,31 +18,16 @@
  * running.
  */
 
-#include <atomic>
-#include <csignal>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include <poll.h>
-#include <unistd.h>
-
 #include "cluster/router.hh"
+#include "daemon_signals.hh"
 
 namespace {
 
 using namespace sns;
-
-std::atomic<int> g_signal{0};
-int g_wake_pipe[2] = {-1, -1};
-
-extern "C" void
-onSignal(int sig)
-{
-    g_signal.store(sig);
-    const char byte = 1;
-    [[maybe_unused]] ssize_t n = ::write(g_wake_pipe[1], &byte, 1);
-}
 
 int
 usage()
@@ -110,6 +95,9 @@ main(int argc, char **argv)
     options.tcp_host = host;
     options.tcp_port = port < 0 ? 0 : port;
 
+    // Before the router starts a thread: a SIGTERM from here on waits
+    // for the clean stop.
+    const sigset_t stop_signals = blockStopSignals();
     try {
         cluster::Router router(std::move(options));
         router.start();
@@ -125,20 +113,8 @@ main(int argc, char **argv)
                       << router.options().workers.size()
                       << " workers)\n";
 
-        if (::pipe(g_wake_pipe) != 0)
-            return 1;
-        std::signal(SIGTERM, onSignal);
-        std::signal(SIGINT, onSignal);
-        std::signal(SIGPIPE, SIG_IGN);
-
-        for (;;) {
-            pollfd pfd{g_wake_pipe[0], POLLIN, 0};
-            ::poll(&pfd, 1, 1000);
-            if (g_signal.load() != 0)
-                break;
-        }
-        std::cerr << "sns-router: signal " << g_signal.load()
-                  << ", stopping...\n";
+        const int sig = waitForStopSignal(stop_signals);
+        std::cerr << "sns-router: signal " << sig << ", stopping...\n";
         router.stop();
         std::cerr << "sns-router: stopped, bye\n";
         return 0;

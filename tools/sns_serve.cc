@@ -16,35 +16,18 @@
  * DRAINING, then the process exits 0.
  */
 
-#include <atomic>
-#include <csignal>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <string>
 
-#include <poll.h>
-#include <unistd.h>
-
+#include "daemon_signals.hh"
 #include "par/thread_pool.hh"
 #include "serve/server.hh"
 
 namespace {
 
 using namespace sns;
-
-/** Signal flag + self-pipe so blocked poll() wakes immediately. */
-std::atomic<int> g_signal{0};
-int g_wake_pipe[2] = {-1, -1};
-
-extern "C" void
-onSignal(int sig)
-{
-    g_signal.store(sig);
-    const char byte = 1;
-    // Best effort; the poll timeout catches a full pipe anyway.
-    [[maybe_unused]] ssize_t n = ::write(g_wake_pipe[1], &byte, 1);
-}
 
 int
 usage()
@@ -89,6 +72,9 @@ main(int argc, char **argv)
         (!flags.count("socket") && !flags.count("port")))
         return usage();
 
+    // Before any thread exists (the pool below, the server's): a
+    // SIGTERM from here on waits for the drain.
+    const sigset_t stop_signals = blockStopSignals();
     if (flags.count("threads"))
         par::setThreads(std::stoi(get("threads", "0")));
 
@@ -120,22 +106,8 @@ main(int argc, char **argv)
             std::cerr << "sns-serve: listening on " << options.tcp_host
                       << ":" << server.port() << "\n";
 
-        if (::pipe(g_wake_pipe) != 0)
-            return 1;
-        std::signal(SIGTERM, onSignal);
-        std::signal(SIGINT, onSignal);
-        std::signal(SIGPIPE, SIG_IGN); // vanished clients are routine
-
-        // Park until a signal arrives; the self-pipe wakes us without
-        // a busy loop.
-        for (;;) {
-            pollfd pfd{g_wake_pipe[0], POLLIN, 0};
-            ::poll(&pfd, 1, 1000);
-            if (g_signal.load() != 0)
-                break;
-        }
-        std::cerr << "sns-serve: signal " << g_signal.load()
-                  << ", draining...\n";
+        const int sig = waitForStopSignal(stop_signals);
+        std::cerr << "sns-serve: signal " << sig << ", draining...\n";
         server.stop();
         std::cerr << "sns-serve: drained, bye\n";
         return 0;
