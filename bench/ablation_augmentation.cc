@@ -14,6 +14,7 @@
 
 #include "bench_common.hh"
 #include "core/circuitformer.hh"
+#include "dist/exchange.hh"
 #include "sampler/path_sampler.hh"
 #include "util/string_utils.hh"
 
@@ -79,12 +80,13 @@ main(int argc, char **argv)
         core::Circuitformer model(model_config);
         model.fitNormalization(path_data.records());
         nn::Adam opt(model.parameters(), base_config.circuitformer_lr);
+        dist::LocalExchange exchange(1);
         Rng train_rng(args.seed + 2);
         const int epochs =
             std::max(8, base_config.circuitformer_epochs / 2);
         for (int epoch = 0; epoch < epochs; ++epoch) {
             model.trainEpoch(path_data.records(), opt, train_rng,
-                             base_config.circuitformer_batch);
+                             base_config.circuitformer_batch, exchange);
         }
         const double loss = model.evaluateLoss(holdout);
         table.addRow({setting.name, std::to_string(path_data.size()),

@@ -14,6 +14,7 @@
 #include "baselines/linear_regression.hh"
 #include "bench_common.hh"
 #include "core/circuitformer.hh"
+#include "dist/exchange.hh"
 #include "util/stats.hh"
 #include "util/string_utils.hh"
 
@@ -64,10 +65,11 @@ main(int argc, char **argv)
     core::Circuitformer model(config);
     model.fitNormalization(train);
     nn::Adam opt(model.parameters(), 1e-3);
+    dist::LocalExchange exchange(1);
     Rng train_rng(args.seed + 1);
     const int epochs = args.full ? 160 : 60;
     for (int epoch = 0; epoch < epochs; ++epoch)
-        model.trainEpoch(train, opt, train_rng, 64);
+        model.trainEpoch(train, opt, train_rng, 64, exchange);
 
     // --- Held-out comparison. ----------------------------------------------
     std::vector<std::vector<TokenId>> test_paths;

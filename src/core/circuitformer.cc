@@ -142,55 +142,10 @@ Circuitformer::forwardBatch(const std::vector<int> &ids, int batch,
 
 double
 Circuitformer::trainEpoch(const std::vector<PathRecord> &records,
-                          nn::Adam &optimizer, Rng &rng, int batch_size)
+                          nn::Adam &optimizer, Rng &rng, int batch_size,
+                          dist::GradientExchange &exchange)
 {
     SNS_ASSERT(normalized_, "fitNormalization() before trainEpoch()");
-    std::vector<size_t> order(records.size());
-    for (size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    rng.shuffle(order);
-
-    double total = 0.0;
-    int batches = 0;
-    for (size_t start = 0; start < order.size(); start += batch_size) {
-        const size_t end =
-            std::min(order.size(), start + static_cast<size_t>(batch_size));
-        std::vector<const std::vector<TokenId> *> batch_paths;
-        Tensor targets({static_cast<int>(end - start), 3});
-        for (size_t i = start; i < end; ++i) {
-            const auto &record = records[order[i]];
-            batch_paths.push_back(&record.tokens);
-            const auto y = normalizedTargets(record);
-            for (int t = 0; t < 3; ++t)
-                targets.at2(static_cast<int>(i - start), t) = y[t];
-        }
-
-        std::vector<int> ids;
-        std::vector<int> lengths;
-        int time = 0;
-        pack(batch_paths, ids, time, lengths);
-
-        optimizer.zeroGrad();
-        Variable loss = mseLoss(
-            forwardBatch(ids, static_cast<int>(batch_paths.size()), time,
-                         lengths),
-            targets);
-        loss.backward();
-        nn::clipGradNorm(parameters(), 5.0);
-        optimizer.step();
-        total += loss.value()[0];
-        ++batches;
-    }
-    return batches == 0 ? 0.0 : total / batches;
-}
-
-double
-Circuitformer::trainEpochSliced(const std::vector<PathRecord> &records,
-                                nn::Adam &optimizer, Rng &rng,
-                                int batch_size,
-                                dist::GradientExchange &exchange)
-{
-    SNS_ASSERT(normalized_, "fitNormalization() before trainEpochSliced()");
     const int slices = exchange.gradSlices();
     const int world = exchange.worldSize();
     const int rank = exchange.rank();

@@ -82,28 +82,22 @@ class Circuitformer : public nn::Module
     void fitNormalization(const std::vector<PathRecord> &records);
 
     /**
-     * One training epoch of Adam + MSE on normalized log targets.
-     * @return mean batch loss
-     */
-    double trainEpoch(const std::vector<PathRecord> &records,
-                      nn::Adam &optimizer, Rng &rng, int batch_size);
-
-    /**
-     * One slice-deterministic training epoch (docs/distributed.md):
-     * every batch is cut into exchange.gradSlices() contiguous sample
-     * slices, this rank backpropagates its owned slices, and the
-     * gradients combine along the canonical slice tree — locally and
-     * then through the exchange — so the updated weights (and the
-     * returned mean loss) are bitwise-identical at every admissible
-     * world size. The optimizer may be moment-sharded; after its step
-     * the exchange allgathers the owned weight ranges. All ranks must
-     * call this in lockstep with identical records/rng/batch_size.
+     * One training epoch of Adam + MSE on normalized log targets,
+     * slice-deterministic (docs/distributed.md): every batch is cut
+     * into exchange.gradSlices() contiguous sample slices, this rank
+     * backpropagates its owned slices, and the gradients combine along
+     * the canonical slice tree — locally and then through the
+     * exchange — so the updated weights (and the returned mean loss)
+     * are bitwise-identical at every admissible world size. Plain
+     * single-process training is a dist::LocalExchange(1). The
+     * optimizer may be moment-sharded; after its step the exchange
+     * allgathers the owned weight ranges. All ranks must call this in
+     * lockstep with identical records/rng/batch_size.
      * @return mean batch loss (identical on every rank)
      */
-    double trainEpochSliced(const std::vector<PathRecord> &records,
-                            nn::Adam &optimizer, Rng &rng,
-                            int batch_size,
-                            dist::GradientExchange &exchange);
+    double trainEpoch(const std::vector<PathRecord> &records,
+                      nn::Adam &optimizer, Rng &rng, int batch_size,
+                      dist::GradientExchange &exchange);
 
     /** Mean loss without updating weights (validation). */
     double evaluateLoss(const std::vector<PathRecord> &records,

@@ -60,9 +60,11 @@ struct PredictOptions
     int threads = 0;
 
     /** Paths per Circuitformer forward pass. Changing it regroups the
-     * padded batches, which legitimately changes results at the
-     * float level — it is a model-evaluation knob, not a parallelism
-     * knob, and the thread count never alters it. */
+     * padded batches but never changes a fp64 prediction: every row
+     * is computed bitwise independently of its batch mates
+     * (docs/perf.md), and sizes above the traced plan's 64 take the
+     * bitwise-identical module walk. Int8 needs a size within the
+     * quantized plan's batch_max. */
     int batch_size = 64;
 
     /** Record each design's predicted critical path (skip to save the

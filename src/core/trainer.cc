@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <sstream>
 
 #include "dist/shard.hh"
@@ -21,9 +20,6 @@
 namespace sns::core {
 
 namespace {
-
-/** Payload producer tag; a reader refuses anything else up front. */
-constexpr const char *kProducer = "sns-trainer-v1";
 
 uint64_t
 fnvU64(uint64_t hash, uint64_t value)
@@ -87,10 +83,7 @@ configFingerprint(const TrainerConfig &config)
     // so it is part of the trajectory identity. world_size, rank, and
     // the rendezvous are transport choices and deliberately are NOT:
     // that is what makes resuming at a different rank count legal.
-    // Hashed only when sliced training is on, so plain-run fingerprints
-    // keep their historical values.
-    if (config.dist.grad_slices > 0)
-        h = fnvU64(h, static_cast<uint64_t>(config.dist.grad_slices));
+    h = fnvU64(h, static_cast<uint64_t>(config.dist.grad_slices));
     return h;
 }
 
@@ -374,129 +367,101 @@ SnsTrainer::train(const HardwareDesignDataset &designs,
     // --- Distributed setup (docs/distributed.md). ---------------------
     // Every rank runs the whole flow above identically (same seed, same
     // dataset, same split); only the epoch loop splits work. The
-    // exchange is the sole cross-rank coupling.
+    // exchange is the sole cross-rank coupling; a single-process run
+    // is world 1 over a LocalExchange, where every collective is the
+    // identity.
     const dist::DistConfig &dc = config_.dist;
     const auto all_params = circuitformer->parameters();
+    verify::enforce(dist::validateDistConfig(dc, all_params.size()),
+                    "SnsTrainer::train");
+    std::vector<size_t> elems;
+    elems.reserve(all_params.size());
+    for (const auto &param : all_params)
+        elems.push_back(param.value().numel());
+    // Tensor-index ZeRO ownership cuts: this rank steps (and
+    // checkpoints) the Adam moments of [cuts[rank], cuts[rank + 1]).
+    const std::vector<size_t> param_cuts =
+        dist::partitionParams(elems, dc.world_size);
+    optimizer.shardMoments(param_cuts[dc.rank], param_cuts[dc.rank + 1]);
     std::unique_ptr<dist::GradientExchange> exchange;
-    std::vector<size_t> param_cuts; // tensor-index ZeRO ownership cuts
-    std::optional<obs::ScopedGauge> world_gauge;
-    std::optional<obs::ScopedGauge> rank_gauge;
-    if (dc.active()) {
-        verify::enforce(dist::validateDistConfig(dc, all_params.size()),
-                        "SnsTrainer::train");
-        std::vector<size_t> elems;
-        elems.reserve(all_params.size());
-        for (const auto &param : all_params)
-            elems.push_back(param.value().numel());
-        param_cuts = dist::partitionParams(elems, dc.world_size);
-        optimizer.shardMoments(param_cuts[dc.rank],
-                               param_cuts[dc.rank + 1]);
-        if (dc.world_size > 1) {
-            auto channel = dc.channel
-                               ? dc.channel
-                               : dist::connectRing(dc.rendezvous, dc.rank,
-                                                   dc.world_size);
-            auto ring = std::make_unique<dist::RingExchange>(
-                std::move(channel), dc.world_size, dc.rank,
-                dc.grad_slices, &registry);
-            ring->handshake(config_fp, split_fp,
-                            dist::flatSize(all_params));
-            exchange = std::move(ring);
-        } else {
-            exchange =
-                std::make_unique<dist::LocalExchange>(dc.grad_slices);
-        }
-        std::vector<size_t> prefix(elems.size() + 1, 0);
-        for (size_t i = 0; i < elems.size(); ++i)
-            prefix[i + 1] = prefix[i] + elems[i];
-        std::vector<size_t> elem_cuts(param_cuts.size());
-        for (size_t r = 0; r < param_cuts.size(); ++r)
-            elem_cuts[r] = prefix[param_cuts[r]];
-        exchange->setWeightPartition(std::move(elem_cuts));
-        world_gauge.emplace(registry, "dist.world_size", [this] {
-            return static_cast<double>(config_.dist.world_size);
-        });
-        rank_gauge.emplace(registry, "dist.rank", [this] {
-            return static_cast<double>(config_.dist.rank);
-        });
+    if (dc.world_size > 1) {
+        auto channel = dc.channel ? dc.channel
+                                  : dist::connectRing(dc.rendezvous,
+                                                      dc.rank,
+                                                      dc.world_size);
+        auto ring = std::make_unique<dist::RingExchange>(
+            std::move(channel), dc.world_size, dc.rank, dc.grad_slices,
+            &registry);
+        ring->handshake(config_fp, split_fp, dist::flatSize(all_params));
+        exchange = std::move(ring);
+    } else {
+        exchange = std::make_unique<dist::LocalExchange>(dc.grad_slices);
     }
+    std::vector<size_t> prefix(elems.size() + 1, 0);
+    for (size_t i = 0; i < elems.size(); ++i)
+        prefix[i + 1] = prefix[i] + elems[i];
+    std::vector<size_t> elem_cuts(param_cuts.size());
+    for (size_t r = 0; r < param_cuts.size(); ++r)
+        elem_cuts[r] = prefix[param_cuts[r]];
+    exchange->setWeightPartition(std::move(elem_cuts));
+    obs::ScopedGauge world_gauge(registry, "dist.world_size", [this] {
+        return static_cast<double>(config_.dist.world_size);
+    });
+    obs::ScopedGauge rank_gauge(registry, "dist.rank", [this] {
+        return static_cast<double>(config_.dist.rank);
+    });
 
-    /** Serialize full training state after `completed_epoch` and commit
-     * it atomically; returns the checkpoint path. */
+    /** Serialize this rank's shard of the full training state after
+     * `completed_epoch` and commit it atomically; returns its path. */
     const auto writeCheckpoint = [&](int completed_epoch) {
         WallTimer timer;
         std::ostringstream payload;
         nn::CheckpointWriter writer(payload);
-        std::string file_name;
-        if (dc.active()) {
-            // One shard per rank (docs/distributed.md §Checkpoints):
-            // meta + RNG streams + loss curve (identical everywhere,
-            // cheap), rank 0 additionally the full model, then this
-            // rank's ZeRO-owned Adam moments by global tensor index.
-            dist::ShardMeta meta;
-            meta.world = static_cast<uint32_t>(dc.world_size);
-            meta.rank = static_cast<uint32_t>(dc.rank);
-            meta.grad_slices = static_cast<uint32_t>(dc.grad_slices);
-            meta.param_count =
-                static_cast<uint32_t>(all_params.size());
-            meta.owned_begin =
-                static_cast<uint32_t>(param_cuts[dc.rank]);
-            meta.owned_end =
-                static_cast<uint32_t>(param_cuts[dc.rank + 1]);
-            meta.config_fp = config_fp;
-            meta.split_fp = split_fp;
-            meta.completed_epoch = completed_epoch;
-            meta.total_epochs = total_epochs;
-            dist::writeShardMeta(writer, meta);
-            writeRngState(writer, rng.state());
-            writeRngState(writer, epoch_rng.state());
-            writer.u32(static_cast<uint32_t>(loss_curve_.size()));
-            for (const LossPoint &point : loss_curve_) {
-                writer.i64(point.epoch);
-                writer.f64(point.train_loss);
-                writer.f64(point.validation_loss);
-            }
-            if (dc.rank == 0)
-                circuitformer->saveTo(payload, "checkpoint payload");
-            writer.i64(optimizer.stepCount());
-            writer.u32(meta.owned_end - meta.owned_begin);
-            for (size_t i = param_cuts[dc.rank];
-                 i < param_cuts[dc.rank + 1]; ++i) {
-                writer.u32(static_cast<uint32_t>(i));
-                writer.tensor(optimizer.firstMoment(i));
-                writer.tensor(optimizer.secondMoment(i));
-            }
-            file_name = dist::shardFileName(completed_epoch, dc.rank,
-                                            dc.world_size);
-        } else {
-            writer.str(kProducer);
-            writer.u64(config_fp);
-            writer.u64(split_fp);
-            writer.i64(completed_epoch);
-            writer.i64(total_epochs);
-            writeRngState(writer, rng.state());
-            writeRngState(writer, epoch_rng.state());
-            writer.u32(static_cast<uint32_t>(loss_curve_.size()));
-            for (const LossPoint &point : loss_curve_) {
-                writer.i64(point.epoch);
-                writer.f64(point.train_loss);
-                writer.f64(point.validation_loss);
-            }
+        // One shard per rank (docs/distributed.md §Checkpoints): meta +
+        // RNG streams + loss curve (identical everywhere, cheap), rank 0
+        // additionally the full model, then this rank's ZeRO-owned Adam
+        // moments by global tensor index.
+        dist::ShardMeta meta;
+        meta.world = static_cast<uint32_t>(dc.world_size);
+        meta.rank = static_cast<uint32_t>(dc.rank);
+        meta.grad_slices = static_cast<uint32_t>(dc.grad_slices);
+        meta.param_count = static_cast<uint32_t>(all_params.size());
+        meta.owned_begin = static_cast<uint32_t>(param_cuts[dc.rank]);
+        meta.owned_end = static_cast<uint32_t>(param_cuts[dc.rank + 1]);
+        meta.config_fp = config_fp;
+        meta.split_fp = split_fp;
+        meta.completed_epoch = completed_epoch;
+        meta.total_epochs = total_epochs;
+        dist::writeShardMeta(writer, meta);
+        writeRngState(writer, rng.state());
+        writeRngState(writer, epoch_rng.state());
+        writer.u32(static_cast<uint32_t>(loss_curve_.size()));
+        for (const LossPoint &point : loss_curve_) {
+            writer.i64(point.epoch);
+            writer.f64(point.train_loss);
+            writer.f64(point.validation_loss);
+        }
+        if (dc.rank == 0)
             circuitformer->saveTo(payload, "checkpoint payload");
-            nn::writeOptimizerState(writer, optimizer);
-            file_name = nn::checkpointFileName(completed_epoch);
+        writer.i64(optimizer.stepCount());
+        writer.u32(meta.owned_end - meta.owned_begin);
+        for (size_t i = meta.owned_begin; i < meta.owned_end; ++i) {
+            writer.u32(static_cast<uint32_t>(i));
+            writer.tensor(optimizer.firstMoment(i));
+            writer.tensor(optimizer.secondMoment(i));
         }
 
         std::filesystem::create_directories(config_.checkpoint_dir);
         const std::string path =
-            (std::filesystem::path(config_.checkpoint_dir) / file_name)
+            (std::filesystem::path(config_.checkpoint_dir) /
+             dist::shardFileName(completed_epoch, dc.rank, dc.world_size))
                 .string();
         nn::commitCheckpoint(path, payload.str());
-        // In a distributed run only rank 0 prunes: retention is
-        // epoch-grouped, so it only ever deletes *older* complete
-        // epochs, which no peer is still writing (the allreduce
-        // lockstep bounds rank skew to less than one epoch).
-        if (!dc.active() || dc.rank == 0) {
+        // Only rank 0 prunes: retention is epoch-grouped, so it only
+        // ever deletes *older* complete epochs, which no peer is still
+        // writing (the allreduce lockstep bounds rank skew to less than
+        // one epoch).
+        if (dc.rank == 0) {
             nn::pruneCheckpoints(config_.checkpoint_dir,
                                  config_.checkpoint_keep <= 0
                                      ? 0
@@ -510,7 +475,7 @@ SnsTrainer::train(const HardwareDesignDataset &designs,
     };
 
     int start_epoch = 0;
-    if (!config_.resume_from.empty() && dc.active()) {
+    if (!config_.resume_from.empty()) {
         // Merge a complete shard set. Every rank reads every shard;
         // each keeps the slice of the merged optimizer state its NEW
         // ownership cut assigns it — which is how a 4-rank run resumes
@@ -597,7 +562,12 @@ SnsTrainer::train(const HardwareDesignDataset &designs,
                     optimizer.setMoments(idx, m, v);
             }
         }
-        // Same float-snap refit as the plain resume path below.
+        // loadFrom() float-snaps the normalization statistics (the
+        // SNSW block stores them as float32). The uninterrupted run
+        // holds them at full double precision, and they feed every
+        // training target — so recompute them from the train split,
+        // which is fingerprint-identical to the original: bitwise the
+        // same doubles fitNormalization produced before the crash.
         circuitformer->fitNormalization(train_paths);
         start_epoch = static_cast<int>(first.completed_epoch) + 1;
         resumes_total.inc();
@@ -611,82 +581,15 @@ SnsTrainer::train(const HardwareDesignDataset &designs,
         inform(note);
         if (sink != nullptr)
             sink->onEvent(note);
-    } else if (!config_.resume_from.empty()) {
-        std::string source = config_.resume_from;
-        if (std::filesystem::is_directory(source)) {
-            source = nn::latestCheckpoint(source);
-            if (source.empty()) {
-                throw nn::SerializeError("no ckpt-*.ckpt files in " +
-                                         config_.resume_from);
-            }
-        }
-        const std::string payload = nn::readCheckpointPayload(source);
-        std::istringstream in(payload);
-        nn::CheckpointReader reader(in, source);
-        const std::string producer = reader.str();
-        if (producer != kProducer) {
-            throw nn::SerializeError("checkpoint " + source +
-                                     " was written by \"" + producer +
-                                     "\", expected \"" + kProducer +
-                                     "\"");
-        }
-        const uint64_t saved_config_fp = reader.u64();
-        if (saved_config_fp != config_fp) {
-            throw nn::SerializeError(
-                "checkpoint " + source +
-                " was written under a different training configuration "
-                "(config fingerprint mismatch); refusing to resume");
-        }
-        const uint64_t saved_split_fp = reader.u64();
-        if (saved_split_fp != split_fp) {
-            throw nn::SerializeError(
-                "checkpoint " + source +
-                " was trained on a different dataset split "
-                "(split fingerprint mismatch); refusing to resume");
-        }
-        const int64_t completed_epoch = reader.i64();
-        reader.i64(); // total_epochs at write time; config_fp covers it
-        rng.setState(readRngState(reader));
-        epoch_rng.setState(readRngState(reader));
-        const uint32_t curve_count = reader.u32();
-        loss_curve_.resize(curve_count);
-        for (auto &point : loss_curve_) {
-            point.epoch = static_cast<int>(reader.i64());
-            point.train_loss = reader.f64();
-            point.validation_loss = reader.f64();
-        }
-        circuitformer->loadFrom(in, source);
-        // loadFrom() float-snaps the normalization statistics (the
-        // SNSW block stores them as float32). The uninterrupted run
-        // holds them at full double precision, and they feed every
-        // training target — so recompute them from the train split,
-        // which is fingerprint-identical to the original: bitwise the
-        // same doubles fitNormalization produced before the crash.
-        circuitformer->fitNormalization(train_paths);
-        nn::readOptimizerState(reader, optimizer);
-        start_epoch = static_cast<int>(completed_epoch) + 1;
-        resumes_total.inc();
-        const std::string note =
-            "resumed from " + source + " at epoch " +
-            std::to_string(start_epoch + 1) + "/" +
-            std::to_string(total_epochs);
-        inform(note);
-        if (sink != nullptr)
-            sink->onEvent(note);
     }
 
     for (int epoch = start_epoch; epoch < total_epochs; ++epoch) {
         WallTimer epoch_timer;
         LossPoint point;
         point.epoch = epoch;
-        point.train_loss =
-            dc.active()
-                ? circuitformer->trainEpochSliced(
-                      train_paths, optimizer, epoch_rng,
-                      config_.circuitformer_batch, *exchange)
-                : circuitformer->trainEpoch(train_paths, optimizer,
-                                            epoch_rng,
-                                            config_.circuitformer_batch);
+        point.train_loss = circuitformer->trainEpoch(
+            train_paths, optimizer, epoch_rng, config_.circuitformer_batch,
+            *exchange);
         point.validation_loss = circuitformer->evaluateLoss(val_paths);
         // A NaN/Inf loss means training has diverged; later epochs
         // cannot recover, so flag it the moment it appears.
@@ -743,8 +646,7 @@ SnsTrainer::train(const HardwareDesignDataset &designs,
         // epoch, so the per-rank shards of the final checkpoint form
         // one complete resumable set. The vote runs every epoch — it
         // is part of the fixed collective sequence.
-        if (dc.active())
-            keep_going = !exchange->anyStop(!keep_going);
+        keep_going = !exchange->anyStop(!keep_going);
         if (!keep_going && !final_epoch) {
             if (checkpointing && progress.checkpoint_path.empty())
                 progress.checkpoint_path = writeCheckpoint(epoch);

@@ -12,7 +12,8 @@
  *     full-state checkpoint (weights, optimizer moments, RNG streams,
  *     epoch counters, loss history, dataset fingerprints) every
  *     checkpoint_every epochs, atomically, with rolling keep-last-N
- *     retention. A run killed at any epoch and restarted with
+ *     retention: one shard file per rank, a single-process run being
+ *     world 1. A run killed at any epoch and restarted with
  *     resume_from produces a bitwise-identical final model.
  *   - A pluggable TrainProgressSink observes every epoch (stderr
  *     table, JSONL log, or both via TeeProgressSink) and can request a
@@ -182,8 +183,9 @@ struct TrainerConfig
     /** @name Crash-safe checkpointing (docs/training.md)
      * @{
      */
-    /** Directory for ckpt-NNNNNN.ckpt files; "" disables. Created on
-     * demand. The final epoch is always checkpointed when enabled. */
+    /** Directory for ckpt-NNNNNN-rRRofWW.ckpt shards (one per rank
+     * per checkpointed epoch); "" disables. Created on demand. The
+     * final epoch is always checkpointed when enabled. */
     std::string checkpoint_dir;
 
     /** Commit a checkpoint every N completed epochs (<= 0: only the
@@ -195,22 +197,21 @@ struct TrainerConfig
     int checkpoint_keep = 3;
 
     /**
-     * Resume source: a .ckpt file, or a directory whose newest
-     * ckpt-*.ckpt is used. "" trains from scratch. The checkpoint's
-     * config and dataset-split fingerprints must match this config or
-     * train() throws nn::SerializeError.
+     * Resume source: a directory whose newest complete shard set is
+     * merged, or a single world-1 shard file. "" trains from scratch.
+     * The checkpoint's config and dataset-split fingerprints must
+     * match this config or train() throws nn::SerializeError.
      */
     std::string resume_from;
     /** @} */
 
     /**
-     * Distributed data-parallel training (docs/distributed.md).
-     * dist.active() (grad_slices > 0) selects the slice-deterministic
-     * training path; world_size > 1 additionally requires a rendezvous
-     * (or an injected ring channel) and produces per-rank shard
-     * checkpoints (ckpt-NNNNNN-rRRofWW.ckpt) that resume at any
-     * admissible rank count. The final model is bitwise-identical at
-     * every power-of-two world size that divides grad_slices.
+     * Data-parallel training (docs/distributed.md). The defaults (one
+     * rank, one gradient slice) are plain single-process training;
+     * world_size > 1 requires a rendezvous (or an injected ring
+     * channel). Shard checkpoints resume at any admissible rank count,
+     * and the final model is bitwise-identical at every power-of-two
+     * world size that divides grad_slices.
      */
     dist::DistConfig dist;
 

@@ -52,10 +52,10 @@ class Registry;
 namespace sns::dist {
 
 /**
- * Data-parallel training configuration (TrainerConfig::dist).
- * grad_slices == 0 selects the classic single-process training path;
- * any positive value activates sliced training, for which
- * validateDistConfig() enforces the V-DIST-* rules.
+ * Data-parallel training configuration (TrainerConfig::dist). Every
+ * run trains slice-deterministically; the defaults (one rank, one
+ * slice) are plain single-process training. validateDistConfig()
+ * enforces the V-DIST-* rules.
  */
 struct DistConfig
 {
@@ -66,13 +66,13 @@ struct DistConfig
     int rank = 0;
 
     /**
-     * Gradient slices per batch (S above): 0 = plain training, else a
-     * power of two divisible by world_size. The value is part of the
-     * checkpoint config fingerprint (it shapes the numerics);
-     * world_size and rank are deliberately NOT — that is what makes
-     * resuming at a different rank count legal.
+     * Gradient slices per batch (S above): a power of two divisible
+     * by world_size. The value is part of the checkpoint config
+     * fingerprint (it shapes the numerics); world_size and rank are
+     * deliberately NOT — that is what makes resuming at a different
+     * rank count legal.
      */
-    int grad_slices = 0;
+    int grad_slices = 1;
 
     /** Ring rendezvous template ("unix:<path>" or "tcp:<host>:<port>")
      * for world_size > 1; ignored when a channel is injected. */
@@ -80,9 +80,6 @@ struct DistConfig
 
     /** In-process ring injection (tests/bench); bypasses rendezvous. */
     std::shared_ptr<RingChannel> channel;
-
-    /** True when sliced (distributed-capable) training is selected. */
-    bool active() const { return grad_slices > 0; }
 };
 
 /** V-DIST-* checks: world size/rank/slice-count admissibility and the
@@ -142,10 +139,11 @@ void scatterGrads(std::vector<tensor::Variable> &params,
 
 /**
  * The collective operations sliced training needs, world-size
- * agnostic. trainEpochSliced() drives this interface; LocalExchange
- * (world 1) and RingExchange (world N over a RingChannel) implement
- * it. Every operation is a synchronization point: all ranks must call
- * the same sequence with consistent arguments.
+ * agnostic. Circuitformer::trainEpoch() drives this interface;
+ * LocalExchange (world 1) and RingExchange (world N over a
+ * RingChannel) implement it. Every operation is a synchronization
+ * point: all ranks must call the same sequence with consistent
+ * arguments.
  */
 class GradientExchange
 {

@@ -2,10 +2,11 @@
  * @file
  * Rank-sharded SNSC checkpoints (docs/distributed.md §Checkpoints).
  *
- * A distributed run commits one SNSC container per rank per
- * checkpointed epoch, named ckpt-EEEEEE-rRRofWW.ckpt (the shared
- * ckpt-EEEEEE prefix keeps nn::listCheckpoints' name ordering == epoch
- * ordering, and groups a set's files for the epoch-aware prune).
+ * Every training run commits one SNSC container per rank per
+ * checkpointed epoch (a single-process run is world 1), named
+ * ckpt-EEEEEE-rRRofWW.ckpt (the shared ckpt-EEEEEE prefix keeps
+ * nn::listCheckpoints' name ordering == epoch ordering, and groups a
+ * set's files for the epoch-aware prune).
  *
  * Every shard carries the same payload prefix — the ShardMeta below,
  * then the RNG streams and loss curve (identical across ranks, cheap)
@@ -40,9 +41,8 @@ class CheckpointReader;
 
 namespace sns::dist {
 
-/** Payload producer tag of a shard checkpoint (the plain trainer
- * writes "sns-trainer-v1"; a reader refuses the wrong producer, which
- * is what keeps plain and distributed resume paths apart). */
+/** Payload producer tag of a shard checkpoint; a reader refuses any
+ * other producer up front, naming it. */
 inline constexpr const char *kShardProducer = "sns-dist-trainer-v1";
 
 /** Version of the shard payload layout after the producer string. */
@@ -59,8 +59,8 @@ struct ShardName
     int world = 0;
 };
 
-/** Parse a checkpoint file name (path or basename); nullopt for plain
- * ckpt-NNNNNN.ckpt files and anything else. */
+/** Parse a checkpoint file name (path or basename); nullopt for
+ * anything that is not ckpt-NNNNNN-rRRofWW.ckpt. */
 std::optional<ShardName> parseShardName(const std::string &file);
 
 /** The consistency-checked shard payload prefix. */

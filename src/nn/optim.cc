@@ -22,13 +22,6 @@ Optimizer::zeroGrad()
         param.zeroGrad();
 }
 
-void
-Optimizer::setStateScalars(const std::vector<int64_t> &scalars)
-{
-    SNS_ASSERT(scalars.empty(),
-               "optimizer has no scalar state to restore");
-}
-
 Sgd::Sgd(std::vector<Variable> params, double lr, double momentum)
     : Optimizer(std::move(params)), lr_(lr), momentum_(momentum)
 {
@@ -49,26 +42,6 @@ Sgd::step()
         vel.addScaled(param.grad(), 1.0f);
         param.valueMutable().addScaled(vel, static_cast<float>(-lr_));
     }
-}
-
-std::vector<const Tensor *>
-Sgd::stateTensors() const
-{
-    std::vector<const Tensor *> state;
-    state.reserve(velocity_.size());
-    for (const auto &vel : velocity_)
-        state.push_back(&vel);
-    return state;
-}
-
-std::vector<Tensor *>
-Sgd::stateTensorsMutable()
-{
-    std::vector<Tensor *> state;
-    state.reserve(velocity_.size());
-    for (auto &vel : velocity_)
-        state.push_back(&vel);
-    return state;
 }
 
 Adam::Adam(std::vector<Variable> params, double lr, double beta1,
@@ -158,44 +131,6 @@ Adam::step()
                         (std::sqrt(v[j]) + static_cast<float>(eps_));
         }
     }
-}
-
-std::vector<const Tensor *>
-Adam::stateTensors() const
-{
-    std::vector<const Tensor *> state;
-    state.reserve(2 * (owned_end_ - owned_begin_));
-    for (size_t i = owned_begin_; i < owned_end_; ++i)
-        state.push_back(&m_[i]);
-    for (size_t i = owned_begin_; i < owned_end_; ++i)
-        state.push_back(&v_[i]);
-    return state;
-}
-
-std::vector<Tensor *>
-Adam::stateTensorsMutable()
-{
-    std::vector<Tensor *> state;
-    state.reserve(2 * (owned_end_ - owned_begin_));
-    for (size_t i = owned_begin_; i < owned_end_; ++i)
-        state.push_back(&m_[i]);
-    for (size_t i = owned_begin_; i < owned_end_; ++i)
-        state.push_back(&v_[i]);
-    return state;
-}
-
-std::vector<int64_t>
-Adam::stateScalars() const
-{
-    return {static_cast<int64_t>(step_count_)};
-}
-
-void
-Adam::setStateScalars(const std::vector<int64_t> &scalars)
-{
-    SNS_ASSERT(scalars.size() == 1,
-               "Adam state has exactly one scalar (the step counter)");
-    step_count_ = static_cast<long>(scalars[0]);
 }
 
 double

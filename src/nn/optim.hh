@@ -32,21 +32,6 @@ class Optimizer
     /** Number of parameters managed. */
     size_t size() const { return params_.size(); }
 
-    /** @name Checkpoint introspection
-     * The optimizer's internal state as a flat list of tensors (the
-     * per-parameter moments, in a fixed documented order) plus integer
-     * scalars (e.g. Adam's step counter). nn::serialize persists these
-     * in training checkpoints; restoring them makes a resumed run
-     * continue bitwise-identically to an uninterrupted one
-     * (docs/training.md).
-     * @{
-     */
-    virtual std::vector<const Tensor *> stateTensors() const { return {}; }
-    virtual std::vector<Tensor *> stateTensorsMutable() { return {}; }
-    virtual std::vector<int64_t> stateScalars() const { return {}; }
-    virtual void setStateScalars(const std::vector<int64_t> &scalars);
-    /** @} */
-
   protected:
     std::vector<Variable> params_;
 };
@@ -61,10 +46,6 @@ class Sgd : public Optimizer
 
     double learningRate() const { return lr_; }
     void setLearningRate(double lr) { lr_ = lr; }
-
-    /** State order: one velocity tensor per parameter. */
-    std::vector<const Tensor *> stateTensors() const override;
-    std::vector<Tensor *> stateTensorsMutable() override;
 
   private:
     double lr_;
@@ -84,14 +65,6 @@ class Adam : public Optimizer
     double learningRate() const { return lr_; }
     void setLearningRate(double lr) { lr_ = lr; }
 
-    /** State order: all first moments (m), then all second moments
-     * (v); scalars: the bias-correction step counter. When sharded,
-     * only the owned range is reported (in the same m-then-v order). */
-    std::vector<const Tensor *> stateTensors() const override;
-    std::vector<Tensor *> stateTensorsMutable() override;
-    std::vector<int64_t> stateScalars() const override;
-    void setStateScalars(const std::vector<int64_t> &scalars) override;
-
     /** @name ZeRO moment sharding (docs/distributed.md)
      * Restrict the Adam moments — and step()'s update — to the
      * parameter tensors [begin, end). Moments outside the owned range
@@ -101,10 +74,6 @@ class Adam : public Optimizer
      * @{
      */
     void shardMoments(size_t begin, size_t end);
-    bool sharded() const { return owned_end_ != params_.size() ||
-                                  owned_begin_ != 0; }
-    size_t ownedBegin() const { return owned_begin_; }
-    size_t ownedEnd() const { return owned_end_; }
     /** Moments of one owned parameter, by GLOBAL parameter index. */
     const Tensor &firstMoment(size_t i) const;
     const Tensor &secondMoment(size_t i) const;

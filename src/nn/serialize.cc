@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -110,14 +109,6 @@ loadParameters(const std::string &path, std::vector<Variable> &params)
 
 // --- Training checkpoints (SNSC). ----------------------------------
 
-std::string
-checkpointFileName(int epoch)
-{
-    char name[32];
-    std::snprintf(name, sizeof(name), "ckpt-%06d.ckpt", epoch);
-    return name;
-}
-
 void
 CheckpointWriter::bytes(const void *data, size_t size)
 {
@@ -160,12 +151,6 @@ void
 CheckpointWriter::tensor(const Tensor &value)
 {
     writeTensorRaw(out_, value);
-}
-
-void
-CheckpointWriter::variables(const std::vector<Variable> &params)
-{
-    saveParameters(out_, params, "checkpoint payload");
 }
 
 void
@@ -227,46 +212,6 @@ void
 CheckpointReader::tensor(Tensor &value)
 {
     readTensorRaw(in_, value, where_);
-}
-
-void
-CheckpointReader::variables(std::vector<Variable> &params)
-{
-    loadParameters(in_, params, where_);
-}
-
-void
-writeOptimizerState(CheckpointWriter &writer, const Optimizer &optimizer)
-{
-    const auto scalars = optimizer.stateScalars();
-    writer.u32(static_cast<uint32_t>(scalars.size()));
-    for (int64_t scalar : scalars)
-        writer.i64(scalar);
-    const auto tensors = optimizer.stateTensors();
-    writer.u32(static_cast<uint32_t>(tensors.size()));
-    for (const Tensor *state : tensors)
-        writer.tensor(*state);
-}
-
-void
-readOptimizerState(CheckpointReader &reader, Optimizer &optimizer)
-{
-    const uint32_t scalar_count = reader.u32();
-    std::vector<int64_t> scalars(scalar_count);
-    for (auto &scalar : scalars)
-        scalar = reader.i64();
-    optimizer.setStateScalars(scalars);
-
-    const auto tensors = optimizer.stateTensorsMutable();
-    const uint32_t tensor_count = reader.u32();
-    if (tensor_count != tensors.size()) {
-        throw SerializeError(
-            "optimizer state has " + std::to_string(tensor_count) +
-            " tensors, optimizer expects " +
-            std::to_string(tensors.size()) + " (" + reader.where() + ")");
-    }
-    for (Tensor *state : tensors)
-        reader.tensor(*state);
 }
 
 void
@@ -364,13 +309,6 @@ listCheckpoints(const std::string &dir)
     // Zero-padded epoch numbers make lexicographic == numeric order.
     std::sort(found.begin(), found.end());
     return found;
-}
-
-std::string
-latestCheckpoint(const std::string &dir)
-{
-    const auto found = listCheckpoints(dir);
-    return found.empty() ? std::string() : found.back();
 }
 
 void

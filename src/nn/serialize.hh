@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "nn/optim.hh"
 #include "tensor/autograd.hh"
 
 namespace sns::nn {
@@ -91,9 +90,6 @@ void loadParameters(std::istream &in,
 inline constexpr char kCheckpointMagic[4] = {'S', 'N', 'S', 'C'};
 inline constexpr uint32_t kCheckpointVersion = 1;
 
-/** Canonical checkpoint file name for an epoch: ckpt-000123.ckpt. */
-std::string checkpointFileName(int epoch);
-
 /**
  * Typed little-endian payload writer. The layout is positional: the
  * reader must issue the same sequence of typed reads the writer issued
@@ -113,9 +109,6 @@ class CheckpointWriter
 
     /** One raw tensor: uint32 ndim, int32 dims, float32 data. */
     void tensor(const tensor::Tensor &value);
-
-    /** An SNSW-framed block of parameter tensors. */
-    void variables(const std::vector<tensor::Variable> &params);
 
   private:
     std::ostream &out_;
@@ -141,25 +134,12 @@ class CheckpointReader
      * the shape must match exactly. */
     void tensor(tensor::Tensor &value);
 
-    /** Read an SNSW block into the given variables (exact count and
-     * shapes, as loadParameters). */
-    void variables(std::vector<tensor::Variable> &params);
-
-    const std::string &where() const { return where_; }
-
   private:
     void raw(void *data, size_t size);
 
     std::istream &in_;
     std::string where_;
 };
-
-/** Optimizer state block: scalar list + moment tensors
- * (Optimizer::stateTensors order). readOptimizerState restores into an
- * optimizer of identical construction; count/shape mismatches throw. */
-void writeOptimizerState(CheckpointWriter &writer,
-                         const Optimizer &optimizer);
-void readOptimizerState(CheckpointReader &reader, Optimizer &optimizer);
 
 /**
  * Atomically commit a checkpoint payload to `path`: header (magic,
@@ -180,9 +160,6 @@ std::string readCheckpointPayload(const std::string &path);
 /** All ckpt-*.ckpt files in `dir`, sorted ascending by epoch (i.e. by
  * name); empty if the directory is missing. */
 std::vector<std::string> listCheckpoints(const std::string &dir);
-
-/** Absolute path of the newest checkpoint in `dir`, or "" if none. */
-std::string latestCheckpoint(const std::string &dir);
 
 /** Delete all but the newest `keep` checkpoint EPOCHS in `dir` (the
  * rolling retention policy; keep == 0 keeps everything). Files sharing

@@ -617,8 +617,8 @@ constexpr const char *kShardProducerTag = "sns-dist-trainer-v1";
 
 /**
  * C-SHARD-* lint of a shard checkpoint's payload prefix. Quietly
- * returns when the payload does not announce the shard producer (plain
- * trainer checkpoints and other SNSC containers are not shards).
+ * returns when the payload does not announce the shard producer
+ * (other SNSC containers are not shards).
  */
 void
 checkShardPayload(Report &report, const std::string &payload,

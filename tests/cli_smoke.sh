@@ -1,8 +1,10 @@
 #!/bin/sh
 # End-to-end smoke test of sns-cli, sns_lint, and sns-serve: train a
-# fast model on the smoke dataset, then predict / synthesize / sample /
-# dot both an SNL and a Verilog design with it; lint a clean and a
-# broken design and check the exit codes; finally boot an sns-serve
+# fast model on the smoke dataset (and check that --ranks=1 and
+# --ranks=2 save the same model with lint-clean rank-shard
+# checkpoints), then predict / synthesize / sample / dot both an SNL
+# and a Verilog design with it; lint a clean and a broken design and
+# check the exit codes; finally boot an sns-serve
 # daemon on a temp socket and check remote-predict matches the local
 # report, STATS counts the traffic, an OPEN/UPDATE/CLOSE session round
 # trip byte-matches the stateless pass, and SIGTERM drains to exit 0,
@@ -50,6 +52,27 @@ EOF
 "$CLI" train --out="$WORK/model" --dataset=smoke --fast --seed=3
 test -f "$WORK/model/circuitformer.bin"
 test -f "$WORK/model/predictor.meta"
+
+# One training flow at every rank count: --ranks=1 and --ranks=2 save
+# the same model bit for bit, and every checkpoint either run writes
+# is a rank shard ckpt-NNNNNN-rRRofWW.ckpt that lints clean.
+for R in 1 2; do
+    "$CLI" train --out="$WORK/model_r$R" --dataset=smoke --fast --seed=3 \
+        --ranks=$R --checkpoint-dir="$WORK/ck_r$R"
+done
+cmp "$WORK/model_r1/circuitformer.bin" "$WORK/model_r2/circuitformer.bin"
+cmp "$WORK/model_r1/plan.snsp" "$WORK/model_r2/plan.snsp"
+SHARDS=0
+for F in "$WORK"/ck_r1/* "$WORK"/ck_r2/*; do
+    case "$(basename "$F")" in
+        ckpt-*-r*of*.ckpt) ;;
+        *) echo "not a rank shard: $F" >&2; exit 1 ;;
+    esac
+    "$LINT" "$F" > /dev/null
+    SHARDS=$((SHARDS + 1))
+done
+# Three kept epochs: one shard each at --ranks=1, two at --ranks=2.
+[ "$SHARDS" -eq 9 ] || { echo "expected 9 shards, found $SHARDS" >&2; exit 1; }
 
 "$CLI" predict --model="$WORK/model" "$WORK/fir.snl" "$WORK/mac.v" \
     | grep -q "critical path"

@@ -18,6 +18,7 @@
 
 #include "core/evaluation.hh"
 #include "core/trainer.hh"
+#include "dist/exchange.hh"
 #include "nn/serialize.hh"
 #include "obs/metrics.hh"
 #include "par/thread_pool.hh"
@@ -173,11 +174,12 @@ TEST(CircuitformerTest, TrainingReducesLoss)
     Circuitformer model(CircuitformerConfig::small());
     model.fitNormalization(records);
     nn::Adam opt(model.parameters(), 1e-3);
+    dist::LocalExchange exchange(1);
     Rng rng(7);
-    const double first = model.trainEpoch(records, opt, rng, 32);
+    const double first = model.trainEpoch(records, opt, rng, 32, exchange);
     double last = first;
     for (int epoch = 0; epoch < 30; ++epoch)
-        last = model.trainEpoch(records, opt, rng, 32);
+        last = model.trainEpoch(records, opt, rng, 32, exchange);
     EXPECT_LT(last, first * 0.5);
 }
 
@@ -205,9 +207,10 @@ TEST(CircuitformerTest, PredictsOrderingEffect)
     Circuitformer model(CircuitformerConfig::small());
     model.fitNormalization(records);
     nn::Adam opt(model.parameters(), 1e-3);
+    dist::LocalExchange exchange(1);
     Rng train_rng(13);
     for (int epoch = 0; epoch < 60; ++epoch)
-        model.trainEpoch(records, opt, train_rng, 32);
+        model.trainEpoch(records, opt, train_rng, 32, exchange);
 
     const std::vector<TokenId> mac = {tok("dff16"), tok("mul16"),
                                       tok("add16"), tok("dff16")};
@@ -366,6 +369,58 @@ TEST(TrainerTest, PredictionsCorrelateWithTruth)
     EXPECT_GT(sns::pearson(pred_log, true_log), 0.6);
 }
 
+TEST(TrainerTest, PlainTrainingFingerprintIsPinned)
+{
+    // Golden numerics of default training: TrainerConfig::fast() at
+    // seed 7 on the whole smoke set, one rank, one gradient slice.
+    // The weights' fingerprint and the hex-printed loss curve are
+    // independent of the thread count and the SIMD rung; any change to
+    // them is a change to what plain training computes. The values
+    // depend on the build in one way: when it targets an FMA-capable
+    // ISA (the default -march=native on such a host), GCC contracts the
+    // elementwise float code (Adam, layer norm, softmax) into fused
+    // multiply-adds, so those builds carry their own pin.
+#ifdef __FMA__
+    constexpr uint64_t kFingerprint = 0xdf52533ab9ed8722ull;
+    const char *const kCurve = "0x1.1d1990999999ap+0 0x1.1776acp-1\n"
+                               "0x1.0dc08c3333333p-1 0x1.6b3cd6p-2\n"
+                               "0x1.260947p-2 0x1.d4a7fap-3\n"
+                               "0x1.763eb1999999ap-3 0x1.45504ap-3\n"
+                               "0x1.aa89dp-4 0x1.c5f348p-4\n"
+                               "0x1.235823p-4 0x1.9e0a96p-4\n"
+                               "0x1.b0958cccccccdp-5 0x1.82c1d4p-4\n"
+                               "0x1.3e01073333333p-5 0x1.5b3644p-4\n";
+#else
+    constexpr uint64_t kFingerprint = 0xcf6971364d5f5811ull;
+    const char *const kCurve = "0x1.1d198fccccccdp+0 0x1.1776acp-1\n"
+                               "0x1.0dc08cp-1 0x1.6b3cdp-2\n"
+                               "0x1.260947p-2 0x1.d4a7fap-3\n"
+                               "0x1.763eb0ccccccdp-3 0x1.45504ap-3\n"
+                               "0x1.aa89cd3333333p-4 0x1.c5f34p-4\n"
+                               "0x1.2358226666666p-4 0x1.9e0a8ep-4\n"
+                               "0x1.b09590ccccccdp-5 0x1.82c1d2p-4\n"
+                               "0x1.3e010a999999ap-5 0x1.5b363cp-4\n";
+#endif
+    const auto &dataset = smokeDataset();
+    std::vector<size_t> all_idx(dataset.size());
+    for (size_t i = 0; i < all_idx.size(); ++i)
+        all_idx[i] = i;
+    TrainerConfig config = TrainerConfig::fast();
+    config.seed = 7;
+    SnsTrainer trainer(config);
+    const auto predictor = trainer.train(dataset, all_idx, oracle());
+
+    std::string curve;
+    for (const LossPoint &point : trainer.lossCurve()) {
+        char line[96];
+        std::snprintf(line, sizeof(line), "%a %a\n", point.train_loss,
+                      point.validation_loss);
+        curve += line;
+    }
+    EXPECT_EQ(predictor.modelFingerprint(), kFingerprint);
+    EXPECT_EQ(curve, kCurve);
+}
+
 TEST(AggregationTest, SaveLoadRoundTrip)
 {
     const auto &graph = smokeDataset().records()[0].graph;
@@ -492,6 +547,40 @@ TEST(PredictBatchTest, WrapperAndOptionsAgree)
                     .predictBatch(std::span<const graphir::Graph
                                                 *const>{})
                     .empty());
+}
+
+TEST(PredictBatchTest, BatchSizeNeverChangesAFp64Prediction)
+{
+    // Rows are independent of their batch mates, so regrouping the
+    // paths into other forward-pass sizes — including sizes above the
+    // plan's 64, which take the module walk — changes no bit.
+    const auto &dataset = smokeDataset();
+    std::vector<size_t> train_idx = {0, 1, 2, 3, 4};
+    SnsTrainer trainer(TrainerConfig::fast());
+    const auto predictor = trainer.train(dataset, train_idx, oracle());
+
+    std::vector<const graphir::Graph *> graphs;
+    for (const auto &record : dataset.records())
+        graphs.push_back(&record.graph);
+    const auto base = predictor.predictBatch(graphs);
+    ASSERT_EQ(base.size(), graphs.size());
+
+    for (int batch_size : {1, 3, 7, 16, 63, 65, 200}) {
+        PredictOptions options;
+        options.batch_size = batch_size;
+        const auto preds = predictor.predictBatch(graphs, options);
+        ASSERT_EQ(preds.size(), base.size());
+        for (size_t i = 0; i < preds.size(); ++i) {
+            EXPECT_EQ(preds[i].timing_ps, base[i].timing_ps)
+                << "design " << i << " batch_size " << batch_size;
+            EXPECT_EQ(preds[i].area_um2, base[i].area_um2)
+                << "design " << i << " batch_size " << batch_size;
+            EXPECT_EQ(preds[i].power_mw, base[i].power_mw)
+                << "design " << i << " batch_size " << batch_size;
+            EXPECT_EQ(preds[i].critical_path, base[i].critical_path)
+                << "design " << i << " batch_size " << batch_size;
+        }
+    }
 }
 
 TEST(PredictBatchTest, CacheOnOffBitwiseIdentical)
@@ -926,8 +1015,9 @@ TEST(TrainerCheckpointTest, KillAndResumeIsBitwiseIdentical)
     par::setThreads(1);
 
     // The final checkpoints are byte-identical files.
-    const std::string final_full = dir_full + "/ckpt-000005.ckpt";
-    const std::string final_resumed = dir_killed + "/ckpt-000005.ckpt";
+    const std::string final_full = dir_full + "/ckpt-000005-r00of01.ckpt";
+    const std::string final_resumed =
+        dir_killed + "/ckpt-000005-r00of01.ckpt";
     ASSERT_TRUE(std::filesystem::exists(final_full));
     ASSERT_TRUE(std::filesystem::exists(final_resumed));
     EXPECT_EQ(fileBytes(final_full), fileBytes(final_resumed));
@@ -971,8 +1061,9 @@ TEST(TrainerCheckpointTest, ResumeRejectsMismatchedConfigAndCorruption)
     config.checkpoint_dir = dir;
     SnsTrainer trainer(config);
     trainer.train(dataset, train_idx, oracle());
-    const std::string latest = nn::latestCheckpoint(dir);
-    ASSERT_FALSE(latest.empty());
+    const auto written = nn::listCheckpoints(dir);
+    ASSERT_FALSE(written.empty());
+    const std::string latest = written.back();
 
     // A different schedule must not silently splice trajectories.
     TrainerConfig other = config;
@@ -1014,6 +1105,27 @@ TEST(TrainerCheckpointTest, ResumeRejectsMismatchedConfigAndCorruption)
     } catch (const nn::SerializeError &e) {
         EXPECT_NE(std::string(e.what()).find("hash mismatch"),
                   std::string::npos);
+    }
+
+    // A checkpoint in the retired single-process format (producer
+    // "sns-trainer-v1") is refused by name, not misparsed.
+    {
+        std::ostringstream payload;
+        nn::CheckpointWriter writer(payload);
+        writer.str("sns-trainer-v1");
+        writer.u64(0);
+        const std::string old_format = dir + "/old-format.ckpt";
+        nn::commitCheckpoint(old_format, payload.str());
+        TrainerConfig old = config;
+        old.resume_from = old_format;
+        SnsTrainer trainer_old(old);
+        try {
+            trainer_old.train(dataset, train_idx, oracle());
+            FAIL() << "a sns-trainer-v1 checkpoint must not resume";
+        } catch (const nn::SerializeError &e) {
+            EXPECT_NE(std::string(e.what()).find("sns-trainer-v1"),
+                      std::string::npos);
+        }
     }
 
     // Resuming from an empty directory is a structured error too.

@@ -464,7 +464,7 @@ TEST(ShardTest, ReadShardMetaRefusesWrongProducer)
 {
     std::ostringstream out;
     nn::CheckpointWriter writer(out);
-    writer.str("sns-trainer-v1"); // the plain trainer's tag
+    writer.str("sns-trainer-v1"); // the retired plain format's tag
     std::istringstream in(out.str());
     nn::CheckpointReader reader(in, "plain");
     EXPECT_THROW(readShardMeta(reader, "plain"), nn::SerializeError);
@@ -558,7 +558,8 @@ TEST(ShardTest, LatestCompleteShardSetSkipsPartialEpochs)
 TEST(ShardTest, ListAndPruneTreatShardSetsAsEpochUnits)
 {
     const std::string dir = freshDir("sns_dist_prune");
-    // Mixed population: plain epochs 1 and 4, sharded epochs 2 and 3.
+    // Mixed population: unsharded (retired-format) epochs 1 and 4,
+    // sharded epochs 2 and 3.
     touch(dir + "/ckpt-000001.ckpt");
     touch(dir + "/" + shardFileName(2, 0, 2));
     touch(dir + "/" + shardFileName(2, 1, 2));
@@ -630,8 +631,8 @@ TEST(ShardTest, LintFlagsTruncatedAndInconsistentShardMeta)
         EXPECT_TRUE(report.hasRule(verify::rules::kShardMeta));
     }
 
-    // A plain (non-shard) checkpoint payload stays untouched by the
-    // shard rules.
+    // A non-shard SNSC payload (here the retired plain format's) stays
+    // untouched by the shard rules.
     {
         std::ostringstream payload;
         nn::CheckpointWriter writer(payload);

@@ -265,8 +265,9 @@ usage()
         << "--checkpoint-dir=DIR commits resumable training state "
            "every --checkpoint-every=N epochs (keeping the newest "
            "--checkpoint-keep=N checkpoint epochs); SIGINT checkpoints "
-           "and exits. --resume[=SRC] continues from SRC (a .ckpt "
-           "file or a directory; default: the checkpoint dir) to a "
+           "and exits. --resume[=SRC] continues from SRC (a "
+           "directory, default the checkpoint dir, or one world-1 "
+           "ckpt-NNNNNN-r00of01.ckpt file) to a "
            "bitwise-identical final model. --log-jsonl=FILE appends "
            "one JSON line per epoch. --promote-socket/--promote-host/"
            "--promote-port hot-reload the freshly saved model into a "
@@ -275,10 +276,11 @@ usage()
            "a deterministic ring allreduce (docs/distributed.md): the "
            "final model is bitwise-identical to a single-rank run at "
            "every power-of-two N that divides --grad-slices (default "
-           "8). --world-size=N --rank=R --rendezvous=SPEC join one "
+           "8 with --ranks, --world-size or --rank, else 1). "
+           "--world-size=N --rank=R --rendezvous=SPEC join one "
            "rank of an explicit multi-process ring instead (SPEC: "
            "unix:<path> or tcp:<host>:<port>); only rank 0 writes the "
-           "model and talks to stdout. Checkpoints become per-rank "
+           "model and talks to stdout. Checkpoints are per-rank "
            "shards (ckpt-NNNNNN-rRRofWW.ckpt) holding the ZeRO-"
            "partitioned optimizer state; --resume merges the newest "
            "complete shard set and reshards to the current rank "
@@ -391,16 +393,14 @@ cmdTrain(const CliArgs &args)
 
     // Distributed data-parallel training (docs/distributed.md):
     // --ranks forks a local ring; --world-size/--rank/--rendezvous
-    // join one rank of an explicit multi-process ring. Either spelling
-    // (or --grad-slices alone) selects the sliced training path.
+    // join one rank of an explicit multi-process ring.
     const int ranks = std::stoi(args.get("ranks", "1"));
     if (ranks > 1 && !args.has("rank"))
         return launchTrainRanks(args, ranks);
-    const bool dist_mode = args.has("rank") || args.has("world-size") ||
-                           args.has("grad-slices");
-    const int world_size =
-        dist_mode ? std::stoi(args.get("world-size", "1")) : 1;
-    const int rank = dist_mode ? std::stoi(args.get("rank", "0")) : 0;
+    const bool multi_rank = args.has("ranks") || args.has("world-size") ||
+                            args.has("rank");
+    const int world_size = std::stoi(args.get("world-size", "1"));
+    const int rank = std::stoi(args.get("rank", "0"));
     if (rank < 0 || rank >= world_size) {
         std::cerr << "--rank must be in [0, --world-size)\n";
         return 1;
@@ -450,15 +450,15 @@ cmdTrain(const CliArgs &args)
         }
     }
 
-    if (dist_mode) {
-        // 8 slices is the bitwise anchor: worlds 1, 2, 4, and 8 all
-        // reduce to the same gradient bits (docs/distributed.md).
-        config.dist.grad_slices =
-            std::stoi(args.get("grad-slices", "8"));
-        config.dist.world_size = world_size;
-        config.dist.rank = rank;
-        config.dist.rendezvous = args.get("rendezvous", "");
-    }
+    // Any rank flag defaults to 8 slices, the bitwise anchor: worlds
+    // 1, 2, 4, and 8 all reduce to the same gradient bits, so --ranks=1
+    // trains the model --ranks=2 does (docs/distributed.md). A plain
+    // train keeps one slice.
+    config.dist.grad_slices =
+        std::stoi(args.get("grad-slices", multi_rank ? "8" : "1"));
+    config.dist.world_size = world_size;
+    config.dist.rank = rank;
+    config.dist.rendezvous = args.get("rendezvous", "");
 
     // Progress sinks: stderr table + SIGINT stop flag, and optionally
     // a JSONL epoch log. Only rank 0 renders the table — every rank
@@ -496,8 +496,12 @@ cmdTrain(const CliArgs &args)
             std::cerr << "resume with: sns-cli train --out="
                       << args.get("out", "") << " --checkpoint-dir="
                       << config.checkpoint_dir
-                      << (world_size > 1
+                      << (multi_rank
                               ? " --ranks=" + std::to_string(world_size)
+                              : "")
+                      << (args.has("grad-slices")
+                              ? " --grad-slices=" +
+                                    args.get("grad-slices", "")
                               : "")
                       << " --resume ...\n";
         }
