@@ -11,11 +11,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "core/circuitformer.hh"
 #include "designs/designs.hh"
 #include "par/thread_pool.hh"
 #include "sampler/path_sampler.hh"
 #include "synth/synthesizer.hh"
+#include "tensor/autograd.hh"
 #include "tensor/gemm.hh"
 #include "tensor/qgemm.hh"
 
@@ -169,6 +173,51 @@ BENCHMARK(BM_QgemmDispatch)
     ->Args({96, 107, 130, 0}) // ragged tails: partial panels + k pad
     ->Args({96, 107, 130, 1})
     ->Args({96, 107, 130, 2});
+
+/**
+ * The GELU epilogue of the FFN up-projection (128 rows x d_ff 512 at
+ * Table-2 width): the per-element libm loop the plan and the walk ran
+ * before the tanh kernel, against tensor::geluInPlace on its scalar
+ * and AVX2 rungs. All three produce the same bits on glibc's fdlibm
+ * tanhf; items/s is GELU elements per second.
+ */
+void
+BM_Gelu(benchmark::State &state)
+{
+    const int variant = static_cast<int>(state.range(0));
+    const bool restore = tensor::gemmSimdActive();
+    tensor::setGemmSimd(variant == 2);
+    if (variant == 2 && !tensor::gemmSimdActive()) {
+        tensor::setGemmSimd(restore);
+        state.SkipWithError("AVX2 rung unavailable");
+        return;
+    }
+    constexpr int kCount = 128 * 512;
+    Rng rng(3);
+    const tensor::Tensor x = tensor::Tensor::randn({kCount}, rng);
+    tensor::Tensor y({kCount});
+    for (auto _ : state) {
+        std::copy(x.data(), x.data() + kCount, y.data());
+        if (variant == 0) {
+            for (int i = 0; i < kCount; ++i) {
+                const float v = y[i];
+                const float inner =
+                    0.7978845608f * (v + 0.044715f * v * v * v);
+                y[i] = 0.5f * v * (1.0f + std::tanh(inner));
+            }
+        } else {
+            tensor::geluInPlace(y.data(), kCount);
+        }
+        benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
+    }
+    tensor::setGemmSimd(restore);
+    state.SetItemsProcessed(state.iterations() * kCount);
+    state.SetLabel(variant == 0   ? "libm loop"
+                   : variant == 1 ? "kernel scalar"
+                                  : "kernel avx2");
+}
+BENCHMARK(BM_Gelu)->Arg(0)->Arg(1)->Arg(2);
 
 void
 BM_CircuitformerInference(benchmark::State &state)

@@ -9,6 +9,7 @@
 
 #include "perf/arena.hh"
 #include "plan/calibrate.hh"
+#include "tensor/autograd.hh"
 #include "tensor/gemm.hh"
 #include "util/logging.hh"
 
@@ -28,16 +29,6 @@ planFlag()
                  value == "false" || value == "FALSE");
     }()};
     return flag;
-}
-
-/** The exact tanh-approximation GELU from the autograd forward kernel
- * (duplicated; the bitwise planned-vs-walk tests pin the two). */
-float
-geluForward(float v)
-{
-    const float c = 0.7978845608f; // sqrt(2/pi)
-    const float inner = c * (v + 0.044715f * v * v * v);
-    return 0.5f * v * (1.0f + std::tanh(inner));
 }
 
 } // namespace
@@ -285,7 +276,8 @@ CompiledPlan::run(const std::vector<int> &ids,
                 const int kp = qk->panels.k_padded;
                 thread_local std::vector<uint8_t> qa;
                 thread_local std::vector<int32_t> qc;
-                qa.assign(m * static_cast<size_t>(kp), 0);
+                if (qa.size() < m * static_cast<size_t>(kp))
+                    qa.resize(m * static_cast<size_t>(kp));
                 for (size_t r = 0; r < m; ++r) {
                     const float *src = a + r * static_cast<size_t>(k);
                     uint8_t *dst = qa.data() + r * static_cast<size_t>(kp);
@@ -297,6 +289,9 @@ CompiledPlan::run(const std::vector<int> &ids,
                         dst[p] = static_cast<uint8_t>(
                             std::clamp(q, 0, 127));
                     }
+                    // Only the k-padding tail needs zeros; the row
+                    // itself was just overwritten.
+                    std::fill(dst + k, dst + kp, uint8_t{0});
                 }
                 if (qc.size() < m * static_cast<size_t>(n))
                     qc.resize(m * static_cast<size_t>(n));
@@ -321,8 +316,7 @@ CompiledPlan::run(const std::vector<int> &ids,
                 }
                 const size_t count = m * static_cast<size_t>(n);
                 if (op.epilogue == Epilogue::BiasGelu) {
-                    for (size_t i = 0; i < count; ++i)
-                        out[i] = geluForward(out[i]);
+                    tensor::geluInPlace(out, count);
                 } else if (op.epilogue == Epilogue::BiasRelu) {
                     for (size_t i = 0; i < count; ++i)
                         out[i] = std::max(out[i], 0.0f);
@@ -345,8 +339,7 @@ CompiledPlan::run(const std::vector<int> &ids,
             }
             const size_t count = m * static_cast<size_t>(n);
             if (op.epilogue == Epilogue::BiasGelu) {
-                for (size_t i = 0; i < count; ++i)
-                    out[i] = geluForward(out[i]);
+                tensor::geluInPlace(out, count);
             } else if (op.epilogue == Epilogue::BiasRelu) {
                 for (size_t i = 0; i < count; ++i)
                     out[i] = std::max(out[i], 0.0f);

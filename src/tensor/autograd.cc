@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "tensor/gemm.hh"
+#include "tensor/tanh.hh"
 #include "verify/diagnostics.hh"
 
 namespace sns::tensor {
@@ -440,41 +441,72 @@ relu(const Variable &x)
 
 namespace {
 
-// tanh-approximation GELU and its derivative.
-float
-geluForward(float v)
+// tanh-approximation GELU: 0.5 v (1 + tanh(c (v + 0.044715 v^3))). The
+// polynomial and the outer expressions stay in this translation unit
+// so GCC contracts them into the same FMAs as ever; only tanh moves to
+// the vectorized kernel, one chunk of inner arguments at a time.
+constexpr float kGeluC = 0.7978845608f; // sqrt(2/pi)
+constexpr size_t kGeluChunk = 256;
+
+/** inner[i] = c * (v + 0.044715 v^3) for v = x[i], i < len. */
+void
+geluInner(const float *x, float *inner, size_t len)
 {
-    const float c = 0.7978845608f; // sqrt(2/pi)
-    const float inner = c * (v + 0.044715f * v * v * v);
-    return 0.5f * v * (1.0f + std::tanh(inner));
+    for (size_t i = 0; i < len; ++i) {
+        const float v = x[i];
+        inner[i] = kGeluC * (v + 0.044715f * v * v * v);
+    }
 }
 
+/** d gelu / dv at v, given t = tanh(inner(v)). */
 float
-geluBackward(float v)
+geluBackward(float v, float t)
 {
-    const float c = 0.7978845608f;
-    const float inner = c * (v + 0.044715f * v * v * v);
-    const float t = std::tanh(inner);
     const float sech2 = 1.0f - t * t;
     return 0.5f * (1.0f + t) +
-           0.5f * v * sech2 * c * (1.0f + 3.0f * 0.044715f * v * v);
+           0.5f * v * sech2 * kGeluC * (1.0f + 3.0f * 0.044715f * v * v);
 }
 
 } // namespace
+
+void
+geluInPlace(float *x, size_t count)
+{
+    float t[kGeluChunk];
+    for (size_t base = 0; base < count; base += kGeluChunk) {
+        const size_t len = std::min(kGeluChunk, count - base);
+        float *chunk = x + base;
+        geluInner(chunk, t, len);
+        tanhArray(t, t, len);
+        for (size_t i = 0; i < len; ++i) {
+            const float v = chunk[i];
+            chunk[i] = 0.5f * v * (1.0f + t[i]);
+        }
+    }
+}
 
 Variable
 gelu(const Variable &x)
 {
     Tensor out = x.value();
-    for (size_t i = 0; i < out.numel(); ++i)
-        out[i] = geluForward(out[i]);
+    geluInPlace(out.data(), out.numel());
     return makeNode(std::move(out), {x}, [](VarImpl &self) {
         auto &px = *self.parents[0];
         if (!wantsGrad(px))
             return;
         Tensor &dx = px.ensureGrad();
-        for (size_t i = 0; i < dx.numel(); ++i)
-            dx[i] += self.grad[i] * geluBackward(px.value[i]);
+        const size_t count = dx.numel();
+        float t[kGeluChunk];
+        for (size_t base = 0; base < count; base += kGeluChunk) {
+            const size_t len = std::min(kGeluChunk, count - base);
+            const float *v = px.value.data() + base;
+            const float *up = self.grad.data() + base;
+            float *down = dx.data() + base;
+            geluInner(v, t, len);
+            tanhArray(t, t, len);
+            for (size_t i = 0; i < len; ++i)
+                down[i] += up[i] * geluBackward(v[i], t[i]);
+        }
     });
 }
 
@@ -482,8 +514,7 @@ Variable
 tanhOp(const Variable &x)
 {
     Tensor out = x.value();
-    for (size_t i = 0; i < out.numel(); ++i)
-        out[i] = std::tanh(out[i]);
+    tanhArray(out.data(), out.data(), out.numel());
     return makeNode(std::move(out), {x}, [](VarImpl &self) {
         auto &px = *self.parents[0];
         if (!wantsGrad(px))

@@ -20,6 +20,7 @@
 #ifndef SNS_TENSOR_AUTOGRAD_HH
 #define SNS_TENSOR_AUTOGRAD_HH
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -158,6 +159,13 @@ Variable gelu(const Variable &x);
 Variable tanhOp(const Variable &x);
 Variable sigmoidOp(const Variable &x);
 Variable softmaxLastDim(const Variable &x);
+
+/**
+ * gelu's forward on a raw buffer, in place: the one GELU shared by
+ * the module walk and the execution plan's BiasGelu epilogue, so the
+ * two agree bit for bit by construction.
+ */
+void geluInPlace(float *x, size_t count);
 /** @} */
 
 /** Layer normalization over the last dimension. */

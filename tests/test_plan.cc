@@ -58,9 +58,10 @@ smallPlanConfig()
 /** A normalized small Circuitformer (deterministic init + synthetic
  * statistics; no training needed for bitwise walk-vs-plan checks). */
 Circuitformer
-normalizedModel()
+normalizedModel(const CircuitformerConfig &config =
+                    CircuitformerConfig::small())
 {
-    Circuitformer model(CircuitformerConfig::small());
+    Circuitformer model(config);
     std::vector<PathRecord> records;
     for (int i = 0; i < 12; ++i) {
         PathRecord record;
@@ -221,6 +222,41 @@ TEST(PlanRuntimeTest, PlannedPredictionsMatchTheWalkBitwise)
         EXPECT_EQ(walk[i].area_um2, planned[i].area_um2) << "path " << i;
         EXPECT_EQ(walk[i].power_mw, planned[i].power_mw) << "path " << i;
     }
+}
+
+TEST(PlanRuntimeTest, BiasGeluTailsMatchTheWalkOnEveryRung)
+{
+    PlanToggleGuard guard;
+    const bool simd_was_active = tensor::gemmSimdActive();
+    // An FFN width of 37 and odd path lengths (batch 1, so m = length)
+    // make the FFN's BiasGelu Gemm m * n miss a multiple of 8: the
+    // shared GELU ends on a partial vector of tanh lanes.
+    CircuitformerConfig config = CircuitformerConfig::small();
+    config.encoder.d_ff = 37;
+    Circuitformer model = normalizedModel(config);
+    model.bindPlan(
+        plan::compilePlan(model.tracePlan(8), model.parameters()));
+    ASSERT_TRUE(model.planActive());
+
+    const std::vector<std::vector<TokenId>> paths = {
+        {1, 2, 3}, {4, 5, 6, 7, 8}, {2, 9, 3, 1, 4, 6, 5}};
+    for (const auto &path : paths) {
+        std::vector<PathPrediction> scalar_rung;
+        for (const bool simd : {false, true}) {
+            tensor::setGemmSimd(simd);
+            plan::setPlanEnabled(false);
+            const auto walk = model.predict({path});
+            plan::setPlanEnabled(true);
+            const auto planned = model.predict({path});
+            EXPECT_TRUE(bitwiseEqual(walk, planned))
+                << "simd " << simd << " length " << path.size();
+            if (!simd)
+                scalar_rung = planned;
+            EXPECT_TRUE(bitwiseEqual(scalar_rung, planned))
+                << "rungs differ at length " << path.size();
+        }
+    }
+    tensor::setGemmSimd(simd_was_active);
 }
 
 TEST(PlanRuntimeTest, BitwiseIdenticalAcrossThreadCounts)

@@ -8,14 +8,23 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <functional>
+#include <string>
 #include <tuple>
+#include <vector>
+
+#if defined(__GLIBC__)
+#include <gnu/libc-version.h>
+#endif
 
 #include "par/thread_pool.hh"
 #include "tensor/autograd.hh"
 #include "tensor/gemm.hh"
 #include "tensor/qgemm.hh"
+#include "tensor/tanh.hh"
 #include "tensor/tensor.hh"
 
 namespace sns::tensor {
@@ -818,6 +827,286 @@ TEST(Qgemm, LevelCapClampsAndRestores)
     EXPECT_EQ(qgemmLevel(), ceiling);
     setQgemmLevelCap(-1); // removes the cap
     EXPECT_EQ(qgemmLevel(), ceiling);
+}
+
+// ---------------------------------------------------------------------
+// The fdlibm tanhf kernel (tensor/tanh.hh) and the GELU built on it.
+
+/** Restore the float-SIMD switch however a test exits. */
+struct SimdGuard
+{
+    bool saved = gemmSimdActive();
+    ~SimdGuard() { setGemmSimd(saved); }
+};
+
+float
+floatFromBits(uint32_t bits)
+{
+    float f;
+    std::memcpy(&f, &bits, sizeof(f));
+    return f;
+}
+
+uint32_t
+bitsOf(float f)
+{
+    uint32_t bits;
+    std::memcpy(&bits, &f, sizeof(bits));
+    return bits;
+}
+
+/**
+ * Every stride-th bit pattern of the 2^32, plus each fdlibm branch
+ * point +-2 ulp at both signs: the tanhf bounds on |x|, the expm1f
+ * bounds on the 2|x| it is called with (the same patterns one
+ * exponent step lower), the k = 2, 3, 22, 23, 56, 57 reduction edges,
+ * +-0, denormals, +-inf and NaNs with assorted payloads.
+ */
+std::vector<float>
+tanhProbes(uint32_t stride)
+{
+    std::vector<uint32_t> bits;
+    for (uint64_t b = 0; b < (uint64_t{1} << 32); b += stride)
+        bits.push_back(static_cast<uint32_t>(b));
+    std::vector<uint32_t> edges = {0x24000000, 0x3f800000, 0x41b00000};
+    for (const uint32_t expm1_edge :
+         {0x33000000u, 0x3eb17218u, 0x3F851592u, 0x4195b844u}) {
+        edges.push_back(expm1_edge);
+        edges.push_back(expm1_edge - 0x00800000u); // x = edge / 2
+    }
+    // expm1f's k = (int)(2|x| / ln2 + 0.5) steps to k at
+    // |x| = (k - 0.5) ln2 / 2; k = 23 and k = 56 switch formulas.
+    for (const int k : {2, 3, 22, 23, 56, 57})
+        edges.push_back(bitsOf((k - 0.5f) * 0.693147182f / 2.0f));
+    for (const uint32_t edge : edges)
+        for (uint32_t sign : {0u, 0x80000000u})
+            for (int d = -2; d <= 2; ++d)
+                bits.push_back((edge + static_cast<uint32_t>(d)) | sign);
+    for (const uint32_t special :
+         {0x00000000u, 0x00000001u, 0x00400000u, 0x007fffffu,
+          0x7f800000u, 0x7f800001u, 0x7fc00000u, 0x7fc12345u,
+          0x7fffffffu}) {
+        bits.push_back(special);
+        bits.push_back(special | 0x80000000u);
+    }
+    std::vector<float> out;
+    for (const uint32_t b : bits)
+        out.push_back(floatFromBits(b));
+    return out;
+}
+
+/** Index of the first bitwise difference, or -1. */
+long
+firstMismatch(const std::vector<float> &a, const std::vector<float> &b)
+{
+    for (size_t i = 0; i < a.size(); ++i)
+        if (bitsOf(a[i]) != bitsOf(b[i]))
+            return static_cast<long>(i);
+    return -1;
+}
+
+std::vector<float>
+tanhOnRung(const std::vector<float> &in, bool simd)
+{
+    setGemmSimd(simd);
+    std::vector<float> out(in.size());
+    tanhArray(in.data(), out.data(), in.size());
+    return out;
+}
+
+/** glibc before 2.41 ships fdlibm's tanhf; 2.41 moved to CORE-MATH. */
+bool
+libmIsFdlibm(std::string &name)
+{
+#if defined(__GLIBC__)
+    name = std::string("glibc ") + gnu_get_libc_version();
+    int major = 0;
+    int minor = 0;
+    return std::sscanf(gnu_get_libc_version(), "%d.%d", &major,
+                       &minor) == 2 &&
+           major == 2 && minor < 41;
+#else
+    name = "a non-glibc libm";
+    return false;
+#endif
+}
+
+TEST(TanhKernel, RungsAgree)
+{
+    if (!gemmSimdAvailable())
+        GTEST_SKIP() << "no AVX2 rung on this CPU";
+    SimdGuard guard;
+    const std::vector<float> in = tanhProbes(4099);
+    const std::vector<float> scalar = tanhOnRung(in, false);
+    const std::vector<float> simd = tanhOnRung(in, true);
+    const long bad = firstMismatch(scalar, simd);
+    ASSERT_EQ(bad, -1) << std::hex << "x bits 0x" << bitsOf(in[bad])
+                       << ": scalar 0x" << bitsOf(scalar[bad])
+                       << ", avx2 0x" << bitsOf(simd[bad]);
+
+    // Every tail length through the padded last vector, in place.
+    for (size_t count = 1; count <= 17; ++count) {
+        std::vector<float> chunk(in.end() - 40, in.end() - 40 + count);
+        tanhArray(chunk.data(), chunk.data(), count);
+        for (size_t i = 0; i < count; ++i)
+            ASSERT_EQ(bitsOf(chunk[i]), bitsOf(scalar[in.size() - 40 + i]))
+                << "count " << count << " index " << i;
+    }
+}
+
+// The full 2^32 sweep (~1 min); tools/run_lint.sh runs it once with
+// --gtest_also_run_disabled_tests.
+TEST(TanhKernel, DISABLED_RungsAgreeExhaustive)
+{
+    if (!gemmSimdAvailable())
+        GTEST_SKIP() << "no AVX2 rung on this CPU";
+    SimdGuard guard;
+    constexpr uint64_t kBlock = uint64_t{1} << 22;
+    std::vector<float> in(kBlock);
+    std::vector<float> scalar(kBlock);
+    std::vector<float> simd(kBlock);
+    for (uint64_t base = 0; base < (uint64_t{1} << 32); base += kBlock) {
+        for (uint64_t i = 0; i < kBlock; ++i)
+            in[i] = floatFromBits(static_cast<uint32_t>(base + i));
+        for (const bool rung : {false, true}) {
+            setGemmSimd(rung);
+            std::vector<float> &out = rung ? simd : scalar;
+            par::parallelFor(kBlock, [&](size_t begin, size_t end) {
+                tanhArray(in.data() + begin, out.data() + begin,
+                          end - begin);
+            });
+        }
+        const long bad = firstMismatch(scalar, simd);
+        ASSERT_EQ(bad, -1) << std::hex << "x bits 0x" << bitsOf(in[bad])
+                           << ": scalar 0x" << bitsOf(scalar[bad])
+                           << ", avx2 0x" << bitsOf(simd[bad]);
+    }
+}
+
+TEST(TanhKernel, MatchesLibmTanhf)
+{
+    std::string libm;
+    if (!libmIsFdlibm(libm))
+        GTEST_SKIP() << libm << " does not ship fdlibm's tanhf; "
+                     << "the kernel ports glibc 2.36's";
+    SimdGuard guard;
+    const std::vector<float> in = tanhProbes(65537);
+    std::vector<float> want(in.size());
+    for (size_t i = 0; i < in.size(); ++i)
+        want[i] = std::tanh(in[i]);
+    for (const bool simd : {false, true}) {
+        if (simd && !gemmSimdAvailable())
+            continue;
+        const std::vector<float> got = tanhOnRung(in, simd);
+        const long bad = firstMismatch(want, got);
+        ASSERT_EQ(bad, -1) << std::hex << "simd " << simd << " x bits 0x"
+                           << bitsOf(in[bad]) << ": " << libm << " 0x"
+                           << bitsOf(want[bad]) << ", kernel 0x"
+                           << bitsOf(got[bad]);
+    }
+}
+
+// The GELU expressions exactly as they read before the kernel, one
+// element and one opaque tanh call at a time.
+using TanhFn = float (*)(float);
+
+float
+oldGeluForward(float v, TanhFn tanh_fn)
+{
+    const float c = 0.7978845608f; // sqrt(2/pi)
+    const float inner = c * (v + 0.044715f * v * v * v);
+    return 0.5f * v * (1.0f + tanh_fn(inner));
+}
+
+float
+oldGeluBackward(float v, TanhFn tanh_fn)
+{
+    const float c = 0.7978845608f;
+    const float inner = c * (v + 0.044715f * v * v * v);
+    const float t = tanh_fn(inner);
+    const float sech2 = 1.0f - t * t;
+    return 0.5f * (1.0f + t) +
+           0.5f * v * sech2 * c * (1.0f + 3.0f * 0.044715f * v * v);
+}
+
+float
+libmTanh(float x)
+{
+    return std::tanh(x);
+}
+
+float
+kernelTanh(float x)
+{
+    float y;
+    tanhArray(&x, &y, 1);
+    return y;
+}
+
+TEST(GeluKernel, ChunkedForwardAndBackwardMatchThePerElementExpressions)
+{
+    // The old expressions called libm; on a libm that is not fdlibm
+    // the kernel's own scalar tanh stands in (MatchesLibmTanhf covers
+    // the equality where it holds).
+    std::string libm;
+    const TanhFn tanh_fn = libmIsFdlibm(libm) ? libmTanh : kernelTanh;
+    SimdGuard guard;
+    Rng rng(15);
+    for (const size_t count : {1, 7, 8, 255, 256, 257, 4097}) {
+        Tensor xs({static_cast<int>(count)});
+        Tensor ws({static_cast<int>(count)});
+        for (size_t i = 0; i < count; ++i) {
+            xs[i] = static_cast<float>(3.0 * rng.normal());
+            ws[i] = static_cast<float>(rng.normal());
+        }
+        // Saturated, tiny and signed-zero arguments.
+        const float specials[] = {0.0f, -0.0f, 1e-20f, -30.0f, 30.0f,
+                                  -5.5f, 9.0f};
+        for (size_t i = 0; i < count && i < std::size(specials); ++i)
+            xs[count - 1 - i] = specials[i];
+
+        for (const bool simd : {false, true}) {
+            if (simd && !gemmSimdAvailable())
+                continue;
+            setGemmSimd(simd);
+            Variable x(xs, true);
+            const Variable y = gelu(x);
+            sumAll(mul(y, constant(ws))).backward();
+            for (size_t i = 0; i < count; ++i) {
+                const float v = xs[i];
+                ASSERT_EQ(bitsOf(y.value()[i]),
+                          bitsOf(oldGeluForward(v, tanh_fn)))
+                    << "count " << count << " simd " << simd << " i " << i;
+                float dx = 0.0f;
+                dx += ws[i] * oldGeluBackward(v, tanh_fn);
+                ASSERT_EQ(bitsOf(x.grad()[i]), bitsOf(dx))
+                    << "count " << count << " simd " << simd << " i " << i;
+            }
+
+            std::vector<float> raw(xs.data(), xs.data() + count);
+            geluInPlace(raw.data(), count);
+            for (size_t i = 0; i < count; ++i)
+                ASSERT_EQ(bitsOf(raw[i]), bitsOf(y.value()[i]))
+                    << "count " << count << " simd " << simd << " i " << i;
+        }
+    }
+}
+
+TEST(GeluKernel, TanhOpUsesTheKernel)
+{
+    SimdGuard guard;
+    const std::vector<float> in = tanhProbes(1u << 24);
+    Tensor xs({static_cast<int>(in.size())});
+    for (size_t i = 0; i < in.size(); ++i)
+        xs[i] = in[i];
+    const std::vector<float> want = tanhOnRung(in, false);
+    for (const bool simd : {false, true}) {
+        setGemmSimd(simd);
+        const Variable y = tanhOp(constant(xs));
+        for (size_t i = 0; i < in.size(); ++i)
+            ASSERT_EQ(bitsOf(y.value()[i]), bitsOf(want[i]))
+                << "simd " << simd << " i " << i;
+    }
 }
 
 } // namespace

@@ -10,9 +10,11 @@
 #      under the sanitizers, check an int8 CLI predict is bitwise
 #      stable across rungs, lint a freshly calibrated plan_int8.snsp
 #      (must be clean) and the corrupted-scales fixture (must fail);
-#   5. run tools/run_docs_check.sh (dead markdown links, documented
+#   5. sweep all 2^32 float bit patterns through the scalar and AVX2
+#      rungs of the fdlibm tanh kernel (docs/perf.md) once, bitwise;
+#   6. run tools/run_docs_check.sh (dead markdown links, documented
 #      CLI flags missing from --help);
-#   6. build with ThreadSanitizer and run the parallel-runtime-heavy
+#   7. build with ThreadSanitizer and run the parallel-runtime-heavy
 #      suites (test_par, test_perf, test_tensor, test_core, test_obs,
 #      test_serve, test_cluster, test_dist — the batching queue, the
 #      metrics registry, the router's concurrent handler/health
@@ -125,6 +127,13 @@ if [ "$BAD_SCALES_EXIT" -ne 1 ]; then
     echo "expected exit 1 on plan_bad_scales.snsp, got $BAD_SCALES_EXIT" >&2
     exit 1
 fi
+
+echo "== tanh kernel: exhaustive 2^32 rung-agreement sweep =="
+# Too slow for every ctest run (a DISABLED_ test), so it runs here once:
+# the scalar and AVX2 rungs must agree on every float bit pattern.
+SNS_THREADS="$(nproc)" "$BUILD/tests/test_tensor" \
+    --gtest_also_run_disabled_tests \
+    --gtest_filter='TanhKernel.DISABLED_RungsAgreeExhaustive'
 
 echo "== documentation drift check =="
 "$REPO/tools/run_docs_check.sh" "$BUILD"
