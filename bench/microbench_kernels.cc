@@ -22,6 +22,7 @@
 #include "tensor/autograd.hh"
 #include "tensor/gemm.hh"
 #include "tensor/qgemm.hh"
+#include "tensor/simd.hh"
 
 namespace {
 
@@ -55,13 +56,39 @@ BENCHMARK(BM_GemmSquare)
     ->Args({512, 4})
     ->Args({512, 0}); // 0 = all cores
 
+/** Mean tokens per sampled path on snsbench's dse workloads (14.4 at
+ * seed 2, rounded as snsbench rounds it for tensor.gemm_gflops). */
+constexpr int kDseMeanPathTokens = 14;
+
+/** Force the shared SNS_SIMD ladder to `level`; false (and the state
+ * marked skipped) when this CPU or environment cannot run it. */
+bool
+forceSimdLevel(benchmark::State &state, int level)
+{
+    tensor::setSimdLevelCap(level);
+    if (tensor::simdLevel() == level)
+        return true;
+    tensor::setSimdLevelCap(-1);
+    state.SkipWithError("SNS_SIMD rung unavailable");
+    return false;
+}
+
+const char *
+rungName(int level)
+{
+    return level == tensor::kSimdScalar ? "scalar"
+           : level == tensor::kSimdAvx2 ? "avx2"
+                                        : "avx512";
+}
+
 /**
- * The microkernel dispatch head to head: the same shape with the AVX2
- * path forced off (pure scalar fma chains) and on (packed 4x16/1x16
- * kernels). items/s here is FLOP/s — tools/run_bench.sh divides by 1e9
- * for the BENCH_pr3.json GFLOP/s columns. Shapes cover the Table-2
- * model's GEMMs: square, attention-thin (n = d_model), FFN-wide, and
- * both transpose layouts used by backprop.
+ * The fp32 GEMM ladder head to head: the same shape forced to each
+ * rung (0 scalar fma chains, 1 AVX2 4x16/1x16, 2 AVX-512 12x32 blocks).
+ * items/s here is FLOP/s — tools/run_bench.sh divides by 1e9 for the
+ * BENCH_pr3.json GFLOP/s columns. Shapes cover the Table-2 model's
+ * GEMMs: square, attention-thin (n = d_model), FFN-wide, both
+ * transpose layouts used by backprop, and the plan's feed-forward pair
+ * at the shape snsbench's tensor.gemm_gflops measures.
  */
 void
 BM_GemmSimdDispatch(benchmark::State &state)
@@ -71,10 +98,10 @@ BM_GemmSimdDispatch(benchmark::State &state)
     const int k = static_cast<int>(state.range(2));
     const bool trans_a = state.range(3) != 0;
     const bool trans_b = state.range(4) != 0;
-    const bool simd = state.range(5) != 0;
+    const int level = static_cast<int>(state.range(5));
     par::setThreads(1);
-    const bool restore = tensor::gemmSimdActive();
-    tensor::setGemmSimd(simd);
+    if (!forceSimdLevel(state, level))
+        return;
     Rng rng(1);
     const tensor::Tensor a =
         tensor::Tensor::randn({trans_a ? k : m, trans_a ? m : k}, rng);
@@ -87,26 +114,36 @@ BM_GemmSimdDispatch(benchmark::State &state)
                         trans_b);
         benchmark::DoNotOptimize(c.data());
     }
-    tensor::setGemmSimd(restore);
+    tensor::setSimdLevelCap(-1);
     state.SetItemsProcessed(state.iterations() * 2ll * m * n * k);
     state.SetLabel(std::string(trans_a ? "T" : "N") +
-                   (trans_b ? "T" : "N") +
-                   (simd ? " simd"
-                         : (tensor::gemmSimdAvailable() ? " scalar"
-                                                        : " scalar-only")));
+                   (trans_b ? "T" : "N") + " " + rungName(level));
 }
-BENCHMARK(BM_GemmSimdDispatch)
-    // {m, n, k, trans_a, trans_b, simd}
-    ->Args({256, 256, 256, 0, 0, 0})
-    ->Args({256, 256, 256, 0, 0, 1})
-    ->Args({64, 64, 512, 0, 1, 0}) // attention scores: q @ k^T
-    ->Args({64, 64, 512, 0, 1, 1})
-    ->Args({128, 256, 64, 0, 0, 0}) // FFN up-projection
-    ->Args({128, 256, 64, 0, 0, 1})
-    ->Args({256, 64, 128, 1, 0, 0}) // backprop weight grad: x^T @ dy
-    ->Args({256, 64, 128, 1, 0, 1})
-    ->Args({96, 107, 128, 0, 0, 0}) // ragged tails: partial panels
-    ->Args({96, 107, 128, 0, 0, 1});
+
+/** {m, n, k, trans_a, trans_b} at every rung. */
+void
+gemmLadderArgs(benchmark::internal::Benchmark *bench)
+{
+    // The plan's FFN at snsbench's shape: one padded batch of 64 paths
+    // at the dse workloads' mean path length, d_model 128 <-> d_ff 512.
+    constexpr int kPlanRows = 64 * kDseMeanPathTokens;
+    const std::vector<std::vector<int64_t>> shapes = {
+        {256, 256, 256, 0, 0},
+        {64, 64, 512, 0, 1},        // attention scores: q @ k^T
+        {128, 256, 64, 0, 0},       // FFN up-projection
+        {256, 64, 128, 1, 0},       // backprop weight grad: x^T @ dy
+        {96, 107, 128, 0, 0},       // ragged tails: partial panels
+        {kPlanRows, 512, 128, 0, 0}, // plan FFN up: d_model -> d_ff
+        {kPlanRows, 128, 512, 0, 0}, // plan FFN down: d_ff -> d_model
+    };
+    for (const auto &shape : shapes)
+        for (int64_t level = 0; level <= 2; ++level) {
+            std::vector<int64_t> args = shape;
+            args.push_back(level);
+            bench->Args(args);
+        }
+}
+BENCHMARK(BM_GemmSimdDispatch)->Apply(gemmLadderArgs);
 
 /**
  * The quantized-tier GEMM ladder head to head: the same u7 x s8
@@ -125,14 +162,10 @@ BM_QgemmDispatch(benchmark::State &state)
     const int k = static_cast<int>(state.range(2));
     const int cap = static_cast<int>(state.range(3));
     par::setThreads(1);
-    tensor::setQgemmLevelCap(cap);
-    if (tensor::qgemmLevel() != cap) {
-        // This CPU cannot run the requested kernel; report it as
-        // skipped rather than silently measuring the fallback.
-        tensor::setQgemmLevelCap(-1);
-        state.SkipWithError("dispatch level unavailable");
+    // A rung this CPU cannot run is reported as skipped rather than
+    // silently measuring the fallback.
+    if (!forceSimdLevel(state, cap))
         return;
-    }
 
     tensor::QuantPanels panels;
     {
@@ -155,7 +188,7 @@ BM_QgemmDispatch(benchmark::State &state)
         tensor::qgemmI32(a.data(), panels, c.data(), m);
         benchmark::DoNotOptimize(c.data());
     }
-    tensor::setQgemmLevelCap(-1);
+    tensor::setSimdLevelCap(-1);
     state.SetItemsProcessed(state.iterations() * 2ll * m * n * k);
     state.SetLabel("level=" + std::to_string(cap) +
                    (cap == 0   ? " scalar"
@@ -176,46 +209,51 @@ BENCHMARK(BM_QgemmDispatch)
 
 /**
  * The GELU epilogue of the FFN up-projection (128 rows x d_ff 512 at
- * Table-2 width): the per-element libm loop the plan and the walk ran
- * before the tanh kernel, against tensor::geluInPlace on its scalar
- * and AVX2 rungs. All three produce the same bits on glibc's fdlibm
- * tanhf; items/s is GELU elements per second.
+ * Table-2 width). BM_GeluLibmLoop is the per-element libm loop the plan
+ * and the walk ran before the tanh kernel; BM_Gelu is
+ * tensor::geluInPlace at each rung of the ladder. All produce the same
+ * bits on glibc's fdlibm tanhf; items/s is GELU elements per second.
  */
+constexpr int kGeluCount = 128 * 512;
+
 void
-BM_Gelu(benchmark::State &state)
+BM_GeluLibmLoop(benchmark::State &state)
 {
-    const int variant = static_cast<int>(state.range(0));
-    const bool restore = tensor::gemmSimdActive();
-    tensor::setGemmSimd(variant == 2);
-    if (variant == 2 && !tensor::gemmSimdActive()) {
-        tensor::setGemmSimd(restore);
-        state.SkipWithError("AVX2 rung unavailable");
-        return;
-    }
-    constexpr int kCount = 128 * 512;
     Rng rng(3);
-    const tensor::Tensor x = tensor::Tensor::randn({kCount}, rng);
-    tensor::Tensor y({kCount});
+    const tensor::Tensor x = tensor::Tensor::randn({kGeluCount}, rng);
+    tensor::Tensor y({kGeluCount});
     for (auto _ : state) {
-        std::copy(x.data(), x.data() + kCount, y.data());
-        if (variant == 0) {
-            for (int i = 0; i < kCount; ++i) {
-                const float v = y[i];
-                const float inner =
-                    0.7978845608f * (v + 0.044715f * v * v * v);
-                y[i] = 0.5f * v * (1.0f + std::tanh(inner));
-            }
-        } else {
-            tensor::geluInPlace(y.data(), kCount);
+        std::copy(x.data(), x.data() + kGeluCount, y.data());
+        for (int i = 0; i < kGeluCount; ++i) {
+            const float v = y[i];
+            const float inner = 0.7978845608f * (v + 0.044715f * v * v * v);
+            y[i] = 0.5f * v * (1.0f + std::tanh(inner));
         }
         benchmark::DoNotOptimize(y.data());
         benchmark::ClobberMemory();
     }
-    tensor::setGemmSimd(restore);
-    state.SetItemsProcessed(state.iterations() * kCount);
-    state.SetLabel(variant == 0   ? "libm loop"
-                   : variant == 1 ? "kernel scalar"
-                                  : "kernel avx2");
+    state.SetItemsProcessed(state.iterations() * kGeluCount);
+}
+BENCHMARK(BM_GeluLibmLoop);
+
+void
+BM_Gelu(benchmark::State &state)
+{
+    const int level = static_cast<int>(state.range(0));
+    if (!forceSimdLevel(state, level))
+        return;
+    Rng rng(3);
+    const tensor::Tensor x = tensor::Tensor::randn({kGeluCount}, rng);
+    tensor::Tensor y({kGeluCount});
+    for (auto _ : state) {
+        std::copy(x.data(), x.data() + kGeluCount, y.data());
+        tensor::geluInPlace(y.data(), kGeluCount);
+        benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
+    }
+    tensor::setSimdLevelCap(-1);
+    state.SetItemsProcessed(state.iterations() * kGeluCount);
+    state.SetLabel(rungName(level));
 }
 BENCHMARK(BM_Gelu)->Arg(0)->Arg(1)->Arg(2);
 

@@ -26,6 +26,7 @@
 
 #include "bench_common.hh"
 #include "tensor/qgemm.hh"
+#include "tensor/simd.hh"
 #include "util/stats.hh"
 #include "util/string_utils.hh"
 #include "util/timer.hh"
@@ -98,7 +99,7 @@ main(int argc, char **argv)
     // Pass D: int8 across the dispatch ladder and the thread pool —
     // every configuration must reproduce pass C bit for bit.
     std::vector<std::vector<core::SnsPrediction>> ladder;
-    for (int cap = 0; cap <= tensor::qgemmMaxLevel(); ++cap) {
+    for (int cap = 0; cap <= tensor::simdMaxLevel(); ++cap) {
         tensor::setQgemmLevelCap(cap);
         ladder.push_back(predictor.predictBatch(test_graphs, int8_opts));
     }
@@ -181,7 +182,7 @@ main(int argc, char **argv)
     std::cout << "fp64 tier after quantize(): "
               << (fp64_bitwise ? "bitwise identical" : "PERTURBED")
               << "\nint8 determinism (reruns, " << multi_threads
-              << " threads, SNS_SIMD 0-" << tensor::qgemmMaxLevel()
+              << " threads, SNS_SIMD 0-" << tensor::simdMaxLevel()
               << "): " << (int8_deterministic ? "PASS" : "FAIL") << "\n";
 
     std::cout << "BENCH quant_fp64_predict_s " << fp64_s << "\n"
@@ -205,7 +206,7 @@ main(int argc, char **argv)
               << "\n"
               << "BENCH quant_int8_deterministic "
               << (int8_deterministic ? 1 : 0) << "\n"
-              << "BENCH quant_simd_max_level " << tensor::qgemmMaxLevel()
+              << "BENCH quant_simd_max_level " << tensor::simdMaxLevel()
               << "\n";
     return fp64_bitwise && int8_deterministic ? 0 : 1;
 }

@@ -1,18 +1,15 @@
 #include "tensor/gemm.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstddef>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
 #include "par/thread_pool.hh"
+#include "tensor/simd.hh"
 
-#if defined(SNS_SIMD) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define SNS_SIMD_X86 1
+#if SNS_SIMD_X86
 #include <immintrin.h>
 #endif
 
@@ -24,8 +21,9 @@ namespace {
 // an idle pool beats the arithmetic.
 constexpr long long kParallelFlops = 1 << 21;
 
-// Packed-panel geometry: B columns are packed 16 wide (two 8-float
-// vectors), and the microkernels cover 4 x 16 / 1 x 16 C tiles.
+// Packed-panel geometry: B columns are packed 16 wide (two ymm or one
+// zmm register). The AVX2 microkernels cover 4 x 16 / 1 x 16 C tiles;
+// kRowBlock is also the grain of the threaded row tiling.
 constexpr int kPanelWidth = 16;
 constexpr int kRowBlock = 4;
 
@@ -89,13 +87,13 @@ gemmRowsScalar(const float *a, const float *b, float *c, int m, int n,
 }
 
 // ---------------------------------------------------------------------
-// Packed AVX2+FMA path. op(B) is packed once per call into 16-wide,
+// Packed SIMD paths. op(B) is packed once per call into 16-wide,
 // zero-padded column panels (panel q = columns [16q, 16q + 16), rows
 // p contiguous), which turns the strided trans_b access into unit
-// stride and lets every microkernel iteration issue two aligned-width
-// FMAs per row. Compiled with a target attribute so portable builds
-// (SNS_NATIVE_ARCH=OFF) still carry the kernels; runtime dispatch
-// keeps them off CPUs without AVX2/FMA. The pack itself is plain C++
+// stride; both SIMD rungs read the same panels. The kernels are
+// compiled with target attributes so portable builds
+// (SNS_NATIVE_ARCH=OFF) still carry them; the ladder (simd.hh) keeps
+// them off CPUs that cannot run them. The pack itself is plain C++
 // (no intrinsics) so gemmPackB works in every build — pre-packed
 // weights serialize/compile identically whether or not the microkernels
 // will consume them.
@@ -140,6 +138,10 @@ packBPanels(const float *b, int n, int k, bool trans_b, float *bt)
 }
 
 #if SNS_SIMD_X86
+
+// ---------------------------------------------------------------------
+// AVX2 + FMA rung: two 8-float FMAs per row per p.
+// ---------------------------------------------------------------------
 
 /**
  * 4 x 16 microkernel: rows [i, i + 4) x panel columns [j0, j0 + w).
@@ -230,7 +232,7 @@ micro1x16(const float *a, int m, int k, bool trans_a, const float *panel,
 
 /** Row tile [i0, i1) over every packed panel. */
 __attribute__((target("avx2,fma"))) void
-gemmRowsSimd(const float *a, const float *bt, float *c, int m, int n,
+gemmRowsAvx2(const float *a, const float *bt, float *c, int m, int n,
              int k, bool trans_a, int i0, int i1)
 {
     const int panels = (n + kPanelWidth - 1) / kPanelWidth;
@@ -246,76 +248,149 @@ gemmRowsSimd(const float *a, const float *bt, float *c, int m, int n,
     }
 }
 
+// ---------------------------------------------------------------------
+// AVX-512 rung. A 16-wide panel row is exactly one zmm register, so an
+// R x (16 P) block of C lives in R * P accumulators, and every p issues
+// P panel loads, R broadcasts of op(A) and R * P FMAs. Each lane is
+// still one element's own fma chain over ascending p, so this rung
+// equals the scalar and AVX2 ones bit for bit. The last panel of a row
+// may be partial: its C lanes load and store under a lane mask, and the
+// zero B padding keeps the masked-off lanes at exact zeros.
+//
+// op(A) is read through two strides, so one kernel serves both
+// layouts: element (i, p) sits at a[i * row_stride + p * depth_stride],
+// that is (k, 1) for A (m x k) and (1, m) for trans_a.
+// ---------------------------------------------------------------------
+
+/** Rows per block of the main AVX-512 kernel (measured; docs/perf.md). */
+constexpr int kRowBlock512 = 12;
+
+/** Lane mask for the w live columns of a panel, 1 <= w <= 16. */
+inline __mmask16
+laneMask(int w)
+{
+    return static_cast<__mmask16>((1u << w) - 1u);
+}
+
+/**
+ * R rows x P panels starting at row i and panel `panel` (column j0).
+ * `last` masks the live lanes of the block's final panel.
+ */
+template <int R, int P>
+__attribute__((target("avx512f"))) inline void
+microAvx512(const float *a, size_t row_stride, size_t depth_stride,
+            int k, const float *panel, float *c, int n, int i, int j0,
+            __mmask16 last)
+{
+    const size_t panel_floats = static_cast<size_t>(k) * kPanelWidth;
+    __m512 acc[R][P];
+    for (int r = 0; r < R; ++r) {
+        float *crow = c + static_cast<size_t>(i + r) * n + j0;
+        for (int q = 0; q < P; ++q)
+            acc[r][q] = _mm512_maskz_loadu_ps(q + 1 == P ? last : 0xffff,
+                                              crow + q * kPanelWidth);
+    }
+    const float *ap = a + static_cast<size_t>(i) * row_stride;
+    for (int p = 0; p < k; ++p) {
+        const float *brow = panel + static_cast<size_t>(p) * kPanelWidth;
+        __m512 bv[P];
+        for (int q = 0; q < P; ++q)
+            bv[q] = _mm512_loadu_ps(brow + q * panel_floats);
+        for (int r = 0; r < R; ++r) {
+            const __m512 av = _mm512_set1_ps(ap[r * row_stride]);
+            for (int q = 0; q < P; ++q)
+                acc[r][q] = _mm512_fmadd_ps(av, bv[q], acc[r][q]);
+        }
+        ap += depth_stride;
+    }
+    for (int r = 0; r < R; ++r) {
+        float *crow = c + static_cast<size_t>(i + r) * n + j0;
+        for (int q = 0; q < P; ++q)
+            _mm512_mask_storeu_ps(crow + q * kPanelWidth,
+                                  q + 1 == P ? last : 0xffff, acc[r][q]);
+    }
+}
+
+/** Rows [i0, i1) against P panels: main blocks, then 4- and 1-row. */
+template <int P>
+__attribute__((target("avx512f"))) void
+rowsAvx512(const float *a, size_t row_stride, size_t depth_stride, int k,
+           const float *panel, float *c, int n, int i0, int i1, int j0,
+           __mmask16 last)
+{
+    int i = i0;
+    for (; i + kRowBlock512 <= i1; i += kRowBlock512)
+        microAvx512<kRowBlock512, P>(a, row_stride, depth_stride, k, panel,
+                                     c, n, i, j0, last);
+    for (; i + 4 <= i1; i += 4)
+        microAvx512<4, P>(a, row_stride, depth_stride, k, panel, c, n, i,
+                          j0, last);
+    for (; i < i1; ++i)
+        microAvx512<1, P>(a, row_stride, depth_stride, k, panel, c, n, i,
+                          j0, last);
+}
+
+/** Row tile [i0, i1) over every packed panel, two panels at a time. */
+__attribute__((target("avx512f"))) void
+gemmRowsAvx512(const float *a, const float *bt, float *c, int m, int n,
+               int k, bool trans_a, int i0, int i1)
+{
+    const size_t row_stride = trans_a ? 1 : static_cast<size_t>(k);
+    const size_t depth_stride = trans_a ? static_cast<size_t>(m) : 1;
+    const int panels = (n + kPanelWidth - 1) / kPanelWidth;
+    const __mmask16 last = laneMask(n - (panels - 1) * kPanelWidth);
+    int q = 0;
+    for (; q + 2 <= panels; q += 2) {
+        const float *panel = bt + static_cast<size_t>(q) * k * kPanelWidth;
+        rowsAvx512<2>(a, row_stride, depth_stride, k, panel, c, n, i0, i1,
+                      q * kPanelWidth, q + 2 == panels ? last : 0xffff);
+    }
+    if (q < panels) {
+        const float *panel = bt + static_cast<size_t>(q) * k * kPanelWidth;
+        rowsAvx512<1>(a, row_stride, depth_stride, k, panel, c, n, i0, i1,
+                      q * kPanelWidth, last);
+    }
+}
+
 /** Per-thread reusable panel scratch (grows to the largest B seen). */
 thread_local std::vector<float> t_pack_buffer;
 
 #endif // SNS_SIMD_X86
 
-bool
-cpuHasSimd()
-{
-#if SNS_SIMD_X86
-    return __builtin_cpu_supports("avx2") &&
-           __builtin_cpu_supports("fma");
-#else
-    return false;
-#endif
-}
-
-std::atomic<bool> &
-simdFlag()
-{
-    static std::atomic<bool> flag([] {
-        if (!cpuHasSimd())
-            return false;
-        // SNS_SIMD=0 forces the scalar path from the environment.
-        const char *env = std::getenv("SNS_SIMD");
-        return !(env != nullptr && env[0] == '0' && env[1] == '\0');
-    }());
-    return flag;
-}
-
 } // namespace
-
-bool
-gemmSimdAvailable()
-{
-    return cpuHasSimd();
-}
-
-void
-setGemmSimd(bool enabled)
-{
-    simdFlag().store(enabled && cpuHasSimd(), std::memory_order_relaxed);
-}
 
 bool
 gemmSimdActive()
 {
-    return simdFlag().load(std::memory_order_relaxed);
+    return simdLevel() >= kSimdAvx2;
 }
 
 namespace {
 
 /**
  * The one row-tiled execution path behind gemmAcc and gemmAccPacked:
- * `bt` (non-null iff the SIMD kernels should run) holds the packed
- * panels of op(B), `b` the raw operand for the scalar fallback. All
- * layouts tile over rows of C: each tile runs the full p loop for its
- * rows, so tiling (and threading over tiles) never changes a single
- * bit of the result.
+ * `level` is the ladder rung to run, `bt` the packed panels of op(B)
+ * (read at levels 1 and 2) and `b` the raw operand (read at level 0).
+ * All layouts tile over rows of C: each tile runs the full p loop for
+ * its rows, so tiling (and threading over tiles) never changes a
+ * single bit of the result.
  */
 void
-gemmDispatch(const float *a, const float *b, const float *bt, float *c,
-             int m, int n, int k, bool trans_a, bool trans_b)
+gemmDispatch(int level, const float *a, const float *b, const float *bt,
+             float *c, int m, int n, int k, bool trans_a, bool trans_b)
 {
     auto rows = [&](int i0, int i1) {
 #if SNS_SIMD_X86
-        if (bt != nullptr) {
-            gemmRowsSimd(a, bt, c, m, n, k, trans_a, i0, i1);
+        if (level >= kSimdAvx512) {
+            gemmRowsAvx512(a, bt, c, m, n, k, trans_a, i0, i1);
+            return;
+        }
+        if (level == kSimdAvx2) {
+            gemmRowsAvx2(a, bt, c, m, n, k, trans_a, i0, i1);
             return;
         }
 #else
+        (void)level;
         (void)bt;
 #endif
         gemmRowsScalar(a, b, c, m, n, k, trans_a, trans_b, i0, i1);
@@ -347,13 +422,14 @@ gemmAcc(const float *a, const float *b, float *c, int m, int n, int k,
     if (m <= 0 || n <= 0 || k <= 0)
         return;
 
+    const int level = simdLevel();
     const float *bt = nullptr;
 #if SNS_SIMD_X86
     // Pack op(B) once, on the calling thread, before the parallel
     // region; row tiles share the read-only panels. The scratch is
     // thread-local, so GEMMs running inline inside pool workers (the
     // nested-parallelism case) each pack into their own buffer.
-    if (gemmSimdActive()) {
+    if (level >= kSimdAvx2) {
         const size_t need = gemmPackedFloats(n, k);
         if (t_pack_buffer.size() < need)
             t_pack_buffer.resize(need);
@@ -361,7 +437,7 @@ gemmAcc(const float *a, const float *b, float *c, int m, int n, int k,
         bt = t_pack_buffer.data();
     }
 #endif
-    gemmDispatch(a, b, bt, c, m, n, k, trans_a, trans_b);
+    gemmDispatch(level, a, b, bt, c, m, n, k, trans_a, trans_b);
 }
 
 size_t
@@ -390,9 +466,8 @@ gemmAccPacked(const float *a, const float *b, const float *bt, float *c,
         return;
     // The panels are only consumed when the microkernels would run;
     // the scalar path reads the raw operand, exactly like gemmAcc.
-    const bool simd = gemmSimdActive() && bt != nullptr;
-    gemmDispatch(a, b, simd ? bt : nullptr, c, m, n, k, trans_a,
-                 trans_b);
+    const int level = bt != nullptr ? simdLevel() : kSimdScalar;
+    gemmDispatch(level, a, b, bt, c, m, n, k, trans_a, trans_b);
 }
 
 void

@@ -9,9 +9,10 @@
  *     for p in 0..k-1:  C[i][j] = fma(opA(A)[i][p], opB(B)[p][j], C[i][j])
  *
  * — ascending p, one fused rounding per step — in *every* code path:
- * the packed AVX2+FMA microkernels, the scalar fallback (std::fmaf),
- * and every edge/remainder loop. Because the per-element order is
- * identical everywhere, SIMD and scalar results are bitwise equal, and
+ * the packed AVX-512 and AVX2+FMA microkernels, the scalar fallback
+ * (std::fmaf), and every edge/remainder loop. Because the per-element
+ * order is identical everywhere, all rungs of the SNS_SIMD ladder
+ * (simd.hh) return bitwise equal results, and
  * the sns::par row tiling (each tile runs its full p loop) keeps
  * results bitwise identical at any thread count.
  */
@@ -25,9 +26,10 @@ namespace sns::tensor {
 
 /**
  * Accumulating GEMM: C += opA(A) * opB(B). Dispatches at runtime to
- * the packed AVX2+FMA microkernels when compiled in (SNS_SIMD) and the
- * CPU supports them, else to the scalar fallback; both produce bitwise
- * identical results.
+ * the rung of the SNS_SIMD ladder in force (simd.hh): the AVX-512
+ * microkernels (12 x 32 register blocks), the AVX2+FMA ones (4 x 16),
+ * or the scalar fallback. Every rung produces bitwise identical
+ * results.
  *
  * @param a pointer to A, stored (m x k) or (k x m) if trans_a
  * @param b pointer to B, stored (k x n) or (n x k) if trans_b
@@ -44,19 +46,8 @@ void gemmAcc(const float *a, const float *b, float *c, int m, int n, int k,
 void gemmAccScalar(const float *a, const float *b, float *c, int m, int n,
                    int k, bool trans_a, bool trans_b);
 
-/** True when the SIMD microkernels are compiled in and this CPU can
- * run them (AVX2 + FMA). */
-bool gemmSimdAvailable();
-
-/**
- * Runtime kill switch for the SIMD path (benchmarking / debugging;
- * the env var SNS_SIMD=0 sets the initial state). Enabling is a no-op
- * when gemmSimdAvailable() is false. Results do not change either
- * way — only throughput does.
- */
-void setGemmSimd(bool enabled);
-
-/** True when gemmAcc currently dispatches to the SIMD microkernels. */
+/** True when gemmAcc currently dispatches to packed SIMD microkernels
+ * (ladder level 1 or 2), that is, when it reads packed panels. */
 bool gemmSimdActive();
 
 /** @name Pre-packed operation
@@ -73,7 +64,7 @@ bool gemmSimdActive();
  * contract of gemmAcc, so its results are bitwise identical to
  * gemmAcc's for the same operands. The raw `b` pointer is still
  * required: the scalar fallback (SIMD compiled out, unsupported CPU,
- * or SNS_SIMD=0) reads it instead of the panels.
+ * or ladder level 0) reads it instead of the panels.
  * @{
  */
 

@@ -1,15 +1,12 @@
 #include "tensor/qgemm.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 #include "par/thread_pool.hh"
+#include "tensor/simd.hh"
 
-#if defined(SNS_SIMD) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define SNS_QSIMD_X86 1
+#if SNS_SIMD_X86
 #include <immintrin.h>
 #endif
 
@@ -73,7 +70,7 @@ qgemmRowsScalar(const uint8_t *a, const QuantPanels &b, int32_t *c,
     }
 }
 
-#if SNS_QSIMD_X86
+#if SNS_SIMD_X86
 
 // ---------------------------------------------------------------------
 // Level 1: AVX2. maddubs(u8, s8) -> saturating i16 pairs; with u7
@@ -232,72 +229,20 @@ qgemmRowsVnni(const uint8_t *a, const QuantPanels &b, int32_t *c,
     }
 }
 
-#endif // SNS_QSIMD_X86
-
-int
-cpuMaxLevel()
-{
-#if SNS_QSIMD_X86
-    if (__builtin_cpu_supports("avx512f") &&
-        __builtin_cpu_supports("avx512bw") &&
-        __builtin_cpu_supports("avx512vl") &&
-        __builtin_cpu_supports("avx512vnni"))
-        return 2;
-    if (__builtin_cpu_supports("avx2"))
-        return 1;
-#endif
-    return 0;
-}
-
-/** SNS_SIMD as a ladder: "0" scalar, "1" AVX2 cap, else full. The
- * float kernels in gemm.cc keep their independent on/off read of the
- * same variable — "0" kills both tiers. */
-int
-envLevel()
-{
-    static const int level = [] {
-        const char *env = std::getenv("SNS_SIMD");
-        if (env != nullptr && env[1] == '\0') {
-            if (env[0] == '0')
-                return 0;
-            if (env[0] == '1')
-                return 1;
-        }
-        return 2;
-    }();
-    return level;
-}
-
-std::atomic<int> &
-levelCap()
-{
-    static std::atomic<int> cap(-1);
-    return cap;
-}
+#endif // SNS_SIMD_X86
 
 } // namespace
 
 int
-qgemmMaxLevel()
-{
-    static const int level = cpuMaxLevel();
-    return level;
-}
-
-int
 qgemmLevel()
 {
-    int level = std::min(qgemmMaxLevel(), envLevel());
-    const int cap = levelCap().load(std::memory_order_relaxed);
-    if (cap >= 0)
-        level = std::min(level, cap);
-    return level;
+    return simdLevel();
 }
 
 void
 setQgemmLevelCap(int cap)
 {
-    levelCap().store(cap, std::memory_order_relaxed);
+    setSimdLevelCap(cap);
 }
 
 void
@@ -339,12 +284,12 @@ qgemmI32(const uint8_t *a, const QuantPanels &panels, int32_t *c, int m)
 
     const int level = qgemmLevel();
     auto rows = [&](int i0, int i1) {
-#if SNS_QSIMD_X86
-        if (level >= 2) {
+#if SNS_SIMD_X86
+        if (level >= kSimdAvx512) {
             qgemmRowsVnni(a, panels, c, i0, i1);
             return;
         }
-        if (level == 1) {
+        if (level == kSimdAvx2) {
             qgemmRowsAvx2(a, panels, c, i0, i1);
             return;
         }

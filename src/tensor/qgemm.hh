@@ -17,11 +17,11 @@
  * accumulation-order contract is needed: quantized SIMD == quantized
  * scalar bitwise at every level, by construction.
  *
- * Dispatch levels extend the SNS_SIMD kill switch of gemm.hh into a
- * ladder: SNS_SIMD=0 forces level 0 (scalar), SNS_SIMD=1 caps at
+ * The three levels are the rungs of the shared SNS_SIMD ladder
+ * (simd.hh): SNS_SIMD=0 forces level 0 (scalar), SNS_SIMD=1 caps at
  * level 1 (AVX2), anything else (including unset) allows level 2
- * (AVX-512 VNNI) when the CPU does. The float kernels keep their
- * existing on/off semantics — only the int8 kernels read the ladder.
+ * (AVX-512 VNNI) when the CPU does. The fp32 GEMM and the tanh kernel
+ * run on the same ladder at the same level.
  */
 
 #ifndef SNS_TENSOR_QGEMM_HH
@@ -71,19 +71,13 @@ void qgemmPackB(const int8_t *b, int k, int n, QuantPanels &panels);
 void qgemmI32(const uint8_t *a, const QuantPanels &panels, int32_t *c,
               int m);
 
-/** Highest dispatch level this build + CPU can run: 0 scalar,
- * 1 AVX2, 2 AVX-512 VNNI. */
-int qgemmMaxLevel();
-
-/** The level qgemmI32 currently dispatches to: min of qgemmMaxLevel,
- * the SNS_SIMD environment ladder, and the test cap. */
+/** The level qgemmI32 currently dispatches to: simdLevel() of the
+ * shared ladder (simd.hh). */
 int qgemmLevel();
 
-/**
- * Test hook: cap the dispatch level to force a downlevel path (e.g.
- * exercise the AVX2 kernel on a VNNI machine). Negative values remove
- * the cap. Results never change — only which kernel computes them.
- */
+/** setSimdLevelCap() under the quantized tier's name: caps the whole
+ * ladder, the float kernels included. Results never change, only
+ * which kernel computes them. */
 void setQgemmLevelCap(int cap);
 
 } // namespace sns::tensor

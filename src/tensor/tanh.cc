@@ -1,18 +1,17 @@
 // Compiled with -ffp-contract=off (src/tensor/CMakeLists.txt): fdlibm
 // rounds every multiply and add separately, and GCC lowers the
-// _mm256_*_ps arithmetic below to generic vector operations that it
-// would otherwise fuse into FMAs under -march=native.
+// _mm256_*_ps and _mm512_*_ps arithmetic below to generic vector
+// operations that it would otherwise fuse into FMAs under
+// -march=native.
 
 #include "tensor/tanh.hh"
 
 #include <cstdint>
 #include <cstring>
 
-#include "tensor/gemm.hh"
+#include "tensor/simd.hh"
 
-#if defined(SNS_SIMD) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define SNS_SIMD_X86 1
+#if SNS_SIMD_X86
 #include <immintrin.h>
 #endif
 
@@ -326,6 +325,175 @@ tanhArrayAvx2(const float *in, float *out, size_t count)
     }
 }
 
+// GCC 12 seeds these intrinsics' results with _mm512_undefined_*(),
+// which -Wmaybe-uninitialized misreports once they are inlined (GCC
+// bug 105593, fixed in GCC 13).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+// The AVX-512 rung is the AVX2 rung above, line for line, on sixteen
+// lanes: every comparison yields a lane mask and every blendv becomes
+// _mm512_mask_blend_ps(mask, else, then). Only AVX-512F instructions
+// are used; the float bitwise ops go through the integer forms.
+
+__attribute__((target("avx512f"))) inline __m512
+xorBits(__m512 a, __m512i bits)
+{
+    return _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(a), bits));
+}
+
+__attribute__((target("avx512f"))) inline __m512
+addExponent16(__m512 y, __m512i k)
+{
+    return _mm512_castsi512_ps(
+        _mm512_add_epi32(_mm512_castps_si512(y), _mm512_slli_epi32(k, 23)));
+}
+
+/** expm1Scalar for sixteen lanes. */
+__attribute__((target("avx512f"))) inline __m512
+expm1Lanes16(__m512 x)
+{
+    const __m512i xi = _mm512_castps_si512(x);
+    const __m512i hx = _mm512_and_si512(xi, _mm512_set1_epi32(0x7fffffff));
+    const __m512i sign =
+        _mm512_andnot_si512(_mm512_set1_epi32(0x7fffffff), xi);
+    const __m512 one = _mm512_set1_ps(1.0f);
+    const __m512 half = _mm512_set1_ps(0.5f);
+
+    // Argument reduction, as in expm1Lanes.
+    const __mmask16 reduce =
+        _mm512_cmpgt_epi32_mask(hx, _mm512_set1_epi32(kHalfLn2));
+    const __mmask16 wide =
+        _mm512_cmpgt_epi32_mask(hx, _mm512_set1_epi32(kThreeHalfLn2 - 1));
+    const __m512i k_wide = _mm512_cvttps_epi32(_mm512_add_ps(
+        _mm512_mul_ps(_mm512_set1_ps(kInvLn2), x),
+        _mm512_castsi512_ps(
+            _mm512_or_si512(_mm512_castps_si512(half), sign))));
+    const __m512i k_unit =
+        _mm512_or_si512(_mm512_srai_epi32(xi, 31), _mm512_set1_epi32(1));
+    const __m512i k = _mm512_maskz_mov_epi32(
+        reduce, _mm512_mask_blend_epi32(wide, k_unit, k_wide));
+    const __m512 kf = _mm512_cvtepi32_ps(k);
+    const __m512 hi =
+        _mm512_sub_ps(x, _mm512_mul_ps(kf, _mm512_set1_ps(kLn2Hi)));
+    const __m512 lo = _mm512_mul_ps(kf, _mm512_set1_ps(kLn2Lo));
+    const __m512 r = _mm512_sub_ps(hi, lo);
+    const __m512 c = _mm512_sub_ps(_mm512_sub_ps(hi, r), lo);
+
+    // Primary range.
+    const __m512 hfx = _mm512_mul_ps(half, r);
+    const __m512 hxs = _mm512_mul_ps(r, hfx);
+    __m512 poly = _mm512_add_ps(_mm512_set1_ps(kQ4),
+                                _mm512_mul_ps(hxs, _mm512_set1_ps(kQ5)));
+    poly = _mm512_add_ps(_mm512_set1_ps(kQ3), _mm512_mul_ps(hxs, poly));
+    poly = _mm512_add_ps(_mm512_set1_ps(kQ2), _mm512_mul_ps(hxs, poly));
+    poly = _mm512_add_ps(_mm512_set1_ps(kQ1), _mm512_mul_ps(hxs, poly));
+    const __m512 r1 = _mm512_add_ps(one, _mm512_mul_ps(hxs, poly));
+    const __m512 t =
+        _mm512_sub_ps(_mm512_set1_ps(3.0f), _mm512_mul_ps(r1, hfx));
+    const __m512 e0 = _mm512_mul_ps(
+        hxs, _mm512_div_ps(_mm512_sub_ps(r1, t),
+                           _mm512_sub_ps(_mm512_set1_ps(6.0f),
+                                         _mm512_mul_ps(r, t))));
+    const __m512 res_k0 =
+        _mm512_sub_ps(r, _mm512_sub_ps(_mm512_mul_ps(r, e0), hxs));
+    const __m512 e = _mm512_sub_ps(
+        _mm512_sub_ps(_mm512_mul_ps(r, _mm512_sub_ps(e0, c)), c), hxs);
+    const __m512 e_minus_r = _mm512_sub_ps(e, r);
+
+    const __m512 res_km1 = _mm512_sub_ps(
+        _mm512_mul_ps(half, _mm512_sub_ps(r, e)), half);
+    const __m512 res_k1 = _mm512_mask_blend_ps(
+        _mm512_cmp_ps_mask(r, _mm512_set1_ps(-0.25f), _CMP_LT_OQ),
+        _mm512_add_ps(one, _mm512_mul_ps(_mm512_set1_ps(2.0f),
+                                         _mm512_sub_ps(r, e))),
+        _mm512_mul_ps(_mm512_set1_ps(-2.0f),
+                      _mm512_sub_ps(e, _mm512_add_ps(r, half))));
+    const __m512 res_out = _mm512_sub_ps(
+        addExponent16(_mm512_sub_ps(one, e_minus_r), k), one);
+    const __m512 t_low = _mm512_castsi512_ps(_mm512_sub_epi32(
+        _mm512_set1_epi32(0x3f800000),
+        _mm512_srlv_epi32(_mm512_set1_epi32(0x1000000), k)));
+    const __m512 res_low = addExponent16(_mm512_sub_ps(t_low, e_minus_r), k);
+    const __m512 t_high = _mm512_castsi512_ps(_mm512_slli_epi32(
+        _mm512_sub_epi32(_mm512_set1_epi32(0x7f), k), 23));
+    const __m512 res_high = addExponent16(
+        _mm512_add_ps(_mm512_sub_ps(r, _mm512_add_ps(e, t_high)), one), k);
+
+    __m512 res = _mm512_mask_blend_ps(
+        _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(23), k), res_high,
+        res_low);
+    const __mmask16 outside =
+        _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(-1), k) |
+        _mm512_cmpgt_epi32_mask(k, _mm512_set1_epi32(56));
+    res = _mm512_mask_blend_ps(outside, res, res_out);
+    res = _mm512_mask_blend_ps(
+        _mm512_cmpeq_epi32_mask(k, _mm512_set1_epi32(1)), res, res_k1);
+    res = _mm512_mask_blend_ps(
+        _mm512_cmpeq_epi32_mask(k, _mm512_set1_epi32(-1)), res, res_km1);
+    res = _mm512_mask_blend_ps(
+        _mm512_cmpeq_epi32_mask(k, _mm512_setzero_si512()), res, res_k0);
+    return _mm512_mask_blend_ps(
+        _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(kExpm1Tiny), hx), res, x);
+}
+
+/** tanhScalar for sixteen lanes. */
+__attribute__((target("avx512f"))) inline __m512
+tanhLanes16(__m512 x)
+{
+    const __m512i xi = _mm512_castps_si512(x);
+    const __m512i ix = _mm512_and_si512(xi, _mm512_set1_epi32(0x7fffffff));
+    const __m512i sign =
+        _mm512_andnot_si512(_mm512_set1_epi32(0x7fffffff), xi);
+    const __m512i sign_bit = _mm512_set1_epi32(INT32_MIN);
+    const __m512 one = _mm512_set1_ps(1.0f);
+    const __m512 two = _mm512_set1_ps(2.0f);
+
+    // |x| >= 1 takes expm1f(2|x|), smaller |x| expm1f(-2|x|).
+    const __mmask16 ge_one =
+        _mm512_cmpgt_epi32_mask(ix, _mm512_set1_epi32(kTanhOne - 1));
+    const __m512 twice = _mm512_mul_ps(two, _mm512_castsi512_ps(ix));
+    const __m512 arg =
+        _mm512_mask_blend_ps(ge_one, xorBits(twice, sign_bit), twice);
+    const __m512 t = expm1Lanes16(arg);
+    const __m512 denom = _mm512_add_ps(t, two);
+    __m512 z = _mm512_mask_blend_ps(
+        ge_one, _mm512_div_ps(xorBits(t, sign_bit), denom),
+        _mm512_sub_ps(one, _mm512_div_ps(two, denom)));
+    z = _mm512_mask_blend_ps(
+        _mm512_cmpgt_epi32_mask(ix, _mm512_set1_epi32(kTanhHuge - 1)), z,
+        one);
+    z = xorBits(z, sign);
+    // |x| < 2^-55, +-0 included: x * (1 + x) == x.
+    z = _mm512_mask_blend_ps(
+        _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(kTanhTiny), ix), z,
+        _mm512_mul_ps(x, _mm512_add_ps(one, x)));
+    // Non-finite: 1/x +- 1, as in tanhLanes.
+    return _mm512_mask_blend_ps(
+        _mm512_cmpgt_epi32_mask(ix, _mm512_set1_epi32(kNonFinite - 1)), z,
+        _mm512_add_ps(_mm512_div_ps(one, x),
+                      _mm512_castsi512_ps(_mm512_or_si512(
+                          _mm512_castps_si512(one), sign))));
+}
+
+__attribute__((target("avx512f"))) void
+tanhArrayAvx512(const float *in, float *out, size_t count)
+{
+    size_t i = 0;
+    for (; i + 16 <= count; i += 16)
+        _mm512_storeu_ps(out + i, tanhLanes16(_mm512_loadu_ps(in + i)));
+    if (i < count) {
+        // Masked tail: the dead lanes load as zeros, as in the AVX2
+        // rung's padded buffer, and are never stored.
+        const __mmask16 live =
+            static_cast<__mmask16>((1u << (count - i)) - 1u);
+        _mm512_mask_storeu_ps(
+            out + i, live, tanhLanes16(_mm512_maskz_loadu_ps(live, in + i)));
+    }
+}
+
+#pragma GCC diagnostic pop
+
 #endif // SNS_SIMD_X86
 
 } // namespace
@@ -334,7 +502,12 @@ void
 tanhArray(const float *in, float *out, size_t count)
 {
 #if SNS_SIMD_X86
-    if (gemmSimdActive()) {
+    const int level = simdLevel();
+    if (level >= kSimdAvx512) {
+        tanhArrayAvx512(in, out, count);
+        return;
+    }
+    if (level == kSimdAvx2) {
         tanhArrayAvx2(in, out, count);
         return;
     }

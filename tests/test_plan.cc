@@ -23,6 +23,7 @@
 #include "plan/snsp.hh"
 #include "tensor/gemm.hh"
 #include "tensor/qgemm.hh"
+#include "tensor/simd.hh"
 #include "util/fnv.hh"
 #include "verify/plan_check.hh"
 
@@ -227,7 +228,8 @@ TEST(PlanRuntimeTest, PlannedPredictionsMatchTheWalkBitwise)
 TEST(PlanRuntimeTest, BiasGeluTailsMatchTheWalkOnEveryRung)
 {
     PlanToggleGuard guard;
-    const bool simd_was_active = tensor::gemmSimdActive();
+    tensor::setSimdLevelCap(-1);
+    const int ceiling = tensor::simdLevel();
     // An FFN width of 37 and odd path lengths (batch 1, so m = length)
     // make the FFN's BiasGelu Gemm m * n miss a multiple of 8: the
     // shared GELU ends on a partial vector of tanh lanes.
@@ -242,21 +244,22 @@ TEST(PlanRuntimeTest, BiasGeluTailsMatchTheWalkOnEveryRung)
         {1, 2, 3}, {4, 5, 6, 7, 8}, {2, 9, 3, 1, 4, 6, 5}};
     for (const auto &path : paths) {
         std::vector<PathPrediction> scalar_rung;
-        for (const bool simd : {false, true}) {
-            tensor::setGemmSimd(simd);
+        for (int level = 0; level <= ceiling; ++level) {
+            tensor::setSimdLevelCap(level);
             plan::setPlanEnabled(false);
             const auto walk = model.predict({path});
             plan::setPlanEnabled(true);
             const auto planned = model.predict({path});
             EXPECT_TRUE(bitwiseEqual(walk, planned))
-                << "simd " << simd << " length " << path.size();
-            if (!simd)
+                << "level " << level << " length " << path.size();
+            if (level == 0)
                 scalar_rung = planned;
             EXPECT_TRUE(bitwiseEqual(scalar_rung, planned))
-                << "rungs differ at length " << path.size();
+                << "level " << level << " differs from the scalar rung "
+                << "at length " << path.size();
         }
     }
-    tensor::setGemmSimd(simd_was_active);
+    tensor::setSimdLevelCap(-1);
 }
 
 TEST(PlanRuntimeTest, BitwiseIdenticalAcrossThreadCounts)
@@ -504,7 +507,7 @@ TEST(PlanQuantTest, Int8ExecutionIsBitwiseAcrossLevelsAndThreads)
     tensor::setQgemmLevelCap(0);
     const auto scalar = model.predict(paths, 8, Precision::Int8);
     ASSERT_EQ(scalar.size(), paths.size());
-    for (int cap = 1; cap <= tensor::qgemmMaxLevel(); ++cap) {
+    for (int cap = 1; cap <= tensor::simdMaxLevel(); ++cap) {
         tensor::setQgemmLevelCap(cap);
         const auto leveled = model.predict(paths, 8, Precision::Int8);
         EXPECT_TRUE(bitwiseEqual(scalar, leveled)) << "level " << cap;

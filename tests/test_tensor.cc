@@ -24,6 +24,7 @@
 #include "tensor/autograd.hh"
 #include "tensor/gemm.hh"
 #include "tensor/qgemm.hh"
+#include "tensor/simd.hh"
 #include "tensor/tanh.hh"
 #include "tensor/tensor.hh"
 
@@ -150,22 +151,73 @@ INSTANTIATE_TEST_SUITE_P(
                (std::get<1>(info.param) ? "tB" : "nB");
     });
 
-// The gemm.hh accumulation contract: the dispatched kernel (packed
-// SIMD microkernels when available) must equal the scalar reference
-// bit for bit, across every layout and every remainder shape (rows %
-// 4, cols % 16 / % 8), and at any pool width.
+// ---------------------------------------------------------------------
+// The shared SNS_SIMD ladder (tensor/simd.hh).
+
+TEST(SimdLadder, ParseKnowsExactlyZeroAndOne)
+{
+    EXPECT_EQ(parseSimdLevel(nullptr), kSimdAvx512);
+    EXPECT_EQ(parseSimdLevel(""), kSimdAvx512);
+    EXPECT_EQ(parseSimdLevel("0"), kSimdScalar);
+    EXPECT_EQ(parseSimdLevel("1"), kSimdAvx2);
+    EXPECT_EQ(parseSimdLevel("2"), kSimdAvx512);
+    EXPECT_EQ(parseSimdLevel("00"), kSimdAvx512);
+    EXPECT_EQ(parseSimdLevel("off"), kSimdAvx512);
+}
+
+/** Remove the ladder cap however a test exits. */
+struct SimdCapGuard
+{
+    ~SimdCapGuard() { setSimdLevelCap(-1); }
+};
+
+/** The highest rung this process may run: the CPU ceiling, lowered by
+ * a forced SNS_SIMD (the lint sweep sets it). */
+int
+simdCeiling()
+{
+    setSimdLevelCap(-1);
+    return simdLevel();
+}
+
+TEST(SimdLadder, OneLevelForEveryKernel)
+{
+    SimdCapGuard guard;
+    const int ceiling = simdCeiling();
+    EXPECT_LE(ceiling, simdMaxLevel());
+    for (int level = 0; level <= ceiling; ++level) {
+        setSimdLevelCap(level);
+        EXPECT_EQ(simdLevel(), level);
+        EXPECT_EQ(qgemmLevel(), level);
+        EXPECT_EQ(gemmSimdActive(), level >= kSimdAvx2);
+    }
+    setQgemmLevelCap(0); // the quantized tier's name caps the float kernels
+    EXPECT_FALSE(gemmSimdActive());
+}
+
+// The gemm.hh accumulation contract: every rung of the dispatched
+// kernel must equal the scalar reference bit for bit, across every
+// layout and every remainder shape (rows % 12 and % 4, cols % 32,
+// % 16 and % 8), and at any pool width.
 TEST(GemmSimd, DispatchMatchesScalarBitForBit)
 {
     struct Shape
     {
         int m, n, k;
     };
-    // Exercise full 4x16 tiles, 1-row and sub-16/sub-8 column tails,
-    // and k edge cases.
-    const Shape shapes[] = {{4, 16, 8},  {8, 32, 16}, {1, 1, 1},
-                            {3, 7, 5},   {5, 17, 9},  {2, 8, 64},
-                            {7, 23, 33}, {16, 48, 1}, {1, 16, 128},
-                            {6, 9, 2},   {13, 40, 21}};
+    // Full tiles of every rung, 1-row and sub-16/sub-8 column tails,
+    // and k edge cases...
+    std::vector<Shape> shapes = {{4, 16, 8},  {8, 32, 16}, {1, 1, 1},
+                                 {3, 7, 5},   {5, 17, 9},  {2, 8, 64},
+                                 {7, 23, 33}, {16, 48, 1}, {1, 16, 128},
+                                 {6, 9, 2},   {13, 40, 21}};
+    // ...and every row remainder of the 12-row AVX-512 block (m up to
+    // 2 * 12 + 1) against one or two, full or partial, panels.
+    for (int m = 1; m <= 25; ++m)
+        for (const int n : {1, 15, 16, 17, 31, 32, 33, 48})
+            shapes.push_back({m, n, 1 + (m * n) % 11});
+    SimdCapGuard guard;
+    const int ceiling = simdCeiling();
     Rng rng(99);
     for (const auto &shape : shapes) {
         for (const bool ta : {false, true}) {
@@ -186,15 +238,18 @@ TEST(GemmSimd, DispatchMatchesScalarBitForBit)
                 std::vector<float> want = c0;
                 gemmAccScalar(a.data(), b.data(), want.data(), shape.m,
                               shape.n, shape.k, ta, tb);
-                std::vector<float> got = c0;
-                gemmAcc(a.data(), b.data(), got.data(), shape.m,
-                        shape.n, shape.k, ta, tb);
-                for (size_t i = 0; i < got.size(); ++i) {
-                    ASSERT_EQ(got[i], want[i])
-                        << "m=" << shape.m << " n=" << shape.n
-                        << " k=" << shape.k << " ta=" << ta
-                        << " tb=" << tb << " index " << i
-                        << " simd=" << gemmSimdActive();
+                for (int level = 0; level <= ceiling; ++level) {
+                    setSimdLevelCap(level);
+                    std::vector<float> got = c0;
+                    gemmAcc(a.data(), b.data(), got.data(), shape.m,
+                            shape.n, shape.k, ta, tb);
+                    for (size_t i = 0; i < got.size(); ++i) {
+                        ASSERT_EQ(got[i], want[i])
+                            << "m=" << shape.m << " n=" << shape.n
+                            << " k=" << shape.k << " ta=" << ta
+                            << " tb=" << tb << " index " << i
+                            << " level=" << level;
+                    }
                 }
             }
         }
@@ -220,10 +275,11 @@ TEST(GemmSimd, RuntimeToggleAndThreadingPreserveBits)
     gemmAccScalar(a.data(), b.data(), want.data(), m, n, k, false,
                   false);
 
-    const bool simd_was_active = gemmSimdActive();
-    for (const bool simd : {false, true}) {
-        setGemmSimd(simd);
-        EXPECT_EQ(gemmSimdActive(), simd && gemmSimdAvailable());
+    SimdCapGuard guard;
+    const int ceiling = simdCeiling();
+    for (int level = 0; level <= ceiling; ++level) {
+        setSimdLevelCap(level);
+        EXPECT_EQ(simdLevel(), level);
         for (const int threads : {1, 4}) {
             par::setThreads(threads);
             std::vector<float> got = c0;
@@ -231,10 +287,9 @@ TEST(GemmSimd, RuntimeToggleAndThreadingPreserveBits)
                     false);
             ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
                                      got.size() * sizeof(float)))
-                << "simd=" << simd << " threads=" << threads;
+                << "level=" << level << " threads=" << threads;
         }
     }
-    setGemmSimd(simd_was_active);
     par::setThreads(1);
 }
 
@@ -798,7 +853,7 @@ TEST(Qgemm, SaturationFreeAtTheU7S8Extremes)
     for (int i = 0; i < m; ++i)
         for (int p = 0; p < k; ++p)
             a[static_cast<size_t>(i) * panels.k_padded + p] = 127;
-    for (int cap = 0; cap <= qgemmMaxLevel(); ++cap) {
+    for (int cap = 0; cap <= simdMaxLevel(); ++cap) {
         setQgemmLevelCap(cap);
         std::vector<int32_t> c(static_cast<size_t>(m) * n, 0);
         qgemmI32(a.data(), panels, c.data(), m);
@@ -813,7 +868,7 @@ TEST(Qgemm, SaturationFreeAtTheU7S8Extremes)
 
 TEST(Qgemm, LevelCapClampsAndRestores)
 {
-    const int max_level = qgemmMaxLevel();
+    const int max_level = simdMaxLevel();
     EXPECT_GE(max_level, 0);
     EXPECT_LE(max_level, 2);
     // The uncapped level is the CPU max further clamped by a forced
@@ -831,13 +886,6 @@ TEST(Qgemm, LevelCapClampsAndRestores)
 
 // ---------------------------------------------------------------------
 // The fdlibm tanhf kernel (tensor/tanh.hh) and the GELU built on it.
-
-/** Restore the float-SIMD switch however a test exits. */
-struct SimdGuard
-{
-    bool saved = gemmSimdActive();
-    ~SimdGuard() { setGemmSimd(saved); }
-};
 
 float
 floatFromBits(uint32_t bits)
@@ -906,9 +954,9 @@ firstMismatch(const std::vector<float> &a, const std::vector<float> &b)
 }
 
 std::vector<float>
-tanhOnRung(const std::vector<float> &in, bool simd)
+tanhOnRung(const std::vector<float> &in, int level)
 {
-    setGemmSimd(simd);
+    setSimdLevelCap(level);
     std::vector<float> out(in.size());
     tanhArray(in.data(), out.data(), in.size());
     return out;
@@ -933,53 +981,64 @@ libmIsFdlibm(std::string &name)
 
 TEST(TanhKernel, RungsAgree)
 {
-    if (!gemmSimdAvailable())
-        GTEST_SKIP() << "no AVX2 rung on this CPU";
-    SimdGuard guard;
+    SimdCapGuard guard;
+    const int ceiling = simdCeiling();
+    if (ceiling < kSimdAvx2)
+        GTEST_SKIP() << "no SIMD rung on this CPU";
     const std::vector<float> in = tanhProbes(4099);
-    const std::vector<float> scalar = tanhOnRung(in, false);
-    const std::vector<float> simd = tanhOnRung(in, true);
-    const long bad = firstMismatch(scalar, simd);
-    ASSERT_EQ(bad, -1) << std::hex << "x bits 0x" << bitsOf(in[bad])
-                       << ": scalar 0x" << bitsOf(scalar[bad])
-                       << ", avx2 0x" << bitsOf(simd[bad]);
+    const std::vector<float> scalar = tanhOnRung(in, kSimdScalar);
+    for (int level = kSimdAvx2; level <= ceiling; ++level) {
+        const std::vector<float> simd = tanhOnRung(in, level);
+        const long bad = firstMismatch(scalar, simd);
+        ASSERT_EQ(bad, -1) << std::hex << "x bits 0x" << bitsOf(in[bad])
+                           << ": scalar 0x" << bitsOf(scalar[bad])
+                           << ", level " << level << " 0x"
+                           << bitsOf(simd[bad]);
 
-    // Every tail length through the padded last vector, in place.
-    for (size_t count = 1; count <= 17; ++count) {
-        std::vector<float> chunk(in.end() - 40, in.end() - 40 + count);
-        tanhArray(chunk.data(), chunk.data(), count);
-        for (size_t i = 0; i < count; ++i)
-            ASSERT_EQ(bitsOf(chunk[i]), bitsOf(scalar[in.size() - 40 + i]))
-                << "count " << count << " index " << i;
+        // Every tail length through the last partial vector, in place.
+        for (size_t count = 1; count <= 33; ++count) {
+            std::vector<float> chunk(in.end() - 40, in.end() - 40 + count);
+            tanhArray(chunk.data(), chunk.data(), count);
+            for (size_t i = 0; i < count; ++i)
+                ASSERT_EQ(bitsOf(chunk[i]),
+                          bitsOf(scalar[in.size() - 40 + i]))
+                    << "level " << level << " count " << count
+                    << " index " << i;
+        }
     }
 }
 
-// The full 2^32 sweep (~1 min); tools/run_lint.sh runs it once with
+// The full 2^32 sweep of every SIMD rung against the scalar one
+// (~1 min per rung); tools/run_lint.sh runs it once with
 // --gtest_also_run_disabled_tests.
 TEST(TanhKernel, DISABLED_RungsAgreeExhaustive)
 {
-    if (!gemmSimdAvailable())
-        GTEST_SKIP() << "no AVX2 rung on this CPU";
-    SimdGuard guard;
+    SimdCapGuard guard;
+    const int ceiling = simdCeiling();
+    if (ceiling < kSimdAvx2)
+        GTEST_SKIP() << "no SIMD rung on this CPU";
     constexpr uint64_t kBlock = uint64_t{1} << 22;
     std::vector<float> in(kBlock);
     std::vector<float> scalar(kBlock);
     std::vector<float> simd(kBlock);
+    const auto sweep = [&](int level, std::vector<float> &out) {
+        setSimdLevelCap(level);
+        par::parallelFor(kBlock, [&](size_t begin, size_t end) {
+            tanhArray(in.data() + begin, out.data() + begin, end - begin);
+        });
+    };
     for (uint64_t base = 0; base < (uint64_t{1} << 32); base += kBlock) {
         for (uint64_t i = 0; i < kBlock; ++i)
             in[i] = floatFromBits(static_cast<uint32_t>(base + i));
-        for (const bool rung : {false, true}) {
-            setGemmSimd(rung);
-            std::vector<float> &out = rung ? simd : scalar;
-            par::parallelFor(kBlock, [&](size_t begin, size_t end) {
-                tanhArray(in.data() + begin, out.data() + begin,
-                          end - begin);
-            });
+        sweep(kSimdScalar, scalar);
+        for (int level = kSimdAvx2; level <= ceiling; ++level) {
+            sweep(level, simd);
+            const long bad = firstMismatch(scalar, simd);
+            ASSERT_EQ(bad, -1)
+                << std::hex << "x bits 0x" << bitsOf(in[bad])
+                << ": scalar 0x" << bitsOf(scalar[bad]) << ", level "
+                << level << " 0x" << bitsOf(simd[bad]);
         }
-        const long bad = firstMismatch(scalar, simd);
-        ASSERT_EQ(bad, -1) << std::hex << "x bits 0x" << bitsOf(in[bad])
-                           << ": scalar 0x" << bitsOf(scalar[bad])
-                           << ", avx2 0x" << bitsOf(simd[bad]);
     }
 }
 
@@ -989,17 +1048,16 @@ TEST(TanhKernel, MatchesLibmTanhf)
     if (!libmIsFdlibm(libm))
         GTEST_SKIP() << libm << " does not ship fdlibm's tanhf; "
                      << "the kernel ports glibc 2.36's";
-    SimdGuard guard;
+    SimdCapGuard guard;
+    const int ceiling = simdCeiling();
     const std::vector<float> in = tanhProbes(65537);
     std::vector<float> want(in.size());
     for (size_t i = 0; i < in.size(); ++i)
         want[i] = std::tanh(in[i]);
-    for (const bool simd : {false, true}) {
-        if (simd && !gemmSimdAvailable())
-            continue;
-        const std::vector<float> got = tanhOnRung(in, simd);
+    for (int level = 0; level <= ceiling; ++level) {
+        const std::vector<float> got = tanhOnRung(in, level);
         const long bad = firstMismatch(want, got);
-        ASSERT_EQ(bad, -1) << std::hex << "simd " << simd << " x bits 0x"
+        ASSERT_EQ(bad, -1) << std::hex << "level " << level << " x bits 0x"
                            << bitsOf(in[bad]) << ": " << libm << " 0x"
                            << bitsOf(want[bad]) << ", kernel 0x"
                            << bitsOf(got[bad]);
@@ -1050,7 +1108,8 @@ TEST(GeluKernel, ChunkedForwardAndBackwardMatchThePerElementExpressions)
     // the equality where it holds).
     std::string libm;
     const TanhFn tanh_fn = libmIsFdlibm(libm) ? libmTanh : kernelTanh;
-    SimdGuard guard;
+    SimdCapGuard guard;
+    const int ceiling = simdCeiling();
     Rng rng(15);
     for (const size_t count : {1, 7, 8, 255, 256, 257, 4097}) {
         Tensor xs({static_cast<int>(count)});
@@ -1065,10 +1124,8 @@ TEST(GeluKernel, ChunkedForwardAndBackwardMatchThePerElementExpressions)
         for (size_t i = 0; i < count && i < std::size(specials); ++i)
             xs[count - 1 - i] = specials[i];
 
-        for (const bool simd : {false, true}) {
-            if (simd && !gemmSimdAvailable())
-                continue;
-            setGemmSimd(simd);
+        for (int level = 0; level <= ceiling; ++level) {
+            setSimdLevelCap(level);
             Variable x(xs, true);
             const Variable y = gelu(x);
             sumAll(mul(y, constant(ws))).backward();
@@ -1076,36 +1133,37 @@ TEST(GeluKernel, ChunkedForwardAndBackwardMatchThePerElementExpressions)
                 const float v = xs[i];
                 ASSERT_EQ(bitsOf(y.value()[i]),
                           bitsOf(oldGeluForward(v, tanh_fn)))
-                    << "count " << count << " simd " << simd << " i " << i;
+                    << "count " << count << " level " << level << " i " << i;
                 float dx = 0.0f;
                 dx += ws[i] * oldGeluBackward(v, tanh_fn);
                 ASSERT_EQ(bitsOf(x.grad()[i]), bitsOf(dx))
-                    << "count " << count << " simd " << simd << " i " << i;
+                    << "count " << count << " level " << level << " i " << i;
             }
 
             std::vector<float> raw(xs.data(), xs.data() + count);
             geluInPlace(raw.data(), count);
             for (size_t i = 0; i < count; ++i)
                 ASSERT_EQ(bitsOf(raw[i]), bitsOf(y.value()[i]))
-                    << "count " << count << " simd " << simd << " i " << i;
+                    << "count " << count << " level " << level << " i " << i;
         }
     }
 }
 
 TEST(GeluKernel, TanhOpUsesTheKernel)
 {
-    SimdGuard guard;
+    SimdCapGuard guard;
+    const int ceiling = simdCeiling();
     const std::vector<float> in = tanhProbes(1u << 24);
     Tensor xs({static_cast<int>(in.size())});
     for (size_t i = 0; i < in.size(); ++i)
         xs[i] = in[i];
-    const std::vector<float> want = tanhOnRung(in, false);
-    for (const bool simd : {false, true}) {
-        setGemmSimd(simd);
+    const std::vector<float> want = tanhOnRung(in, kSimdScalar);
+    for (int level = 0; level <= ceiling; ++level) {
+        setSimdLevelCap(level);
         const Variable y = tanhOp(constant(xs));
         for (size_t i = 0; i < in.size(); ++i)
             ASSERT_EQ(bitsOf(y.value()[i]), bitsOf(want[i]))
-                << "simd " << simd << " i " << i;
+                << "level " << level << " i " << i;
     }
 }
 

@@ -5,13 +5,14 @@
 #   2. run the full test suite under the sanitizers;
 #   3. run sns_lint over the bundled example designs and datasets
 #      (must be clean) and the corrupted fixtures (must fail);
-#   4. quantized tier (docs/quantization.md): re-run the quantized
-#      test suites at every SNS_SIMD rung (0 scalar, 1 AVX2, 2 VNNI)
-#      under the sanitizers, check an int8 CLI predict is bitwise
-#      stable across rungs, lint a freshly calibrated plan_int8.snsp
-#      (must be clean) and the corrupted-scales fixture (must fail);
-#   5. sweep all 2^32 float bit patterns through the scalar and AVX2
-#      rungs of the fdlibm tanh kernel (docs/perf.md) once, bitwise;
+#   4. SNS_SIMD ladder (src/tensor/simd.hh): re-run the kernel and
+#      quantized test suites at every rung (0 scalar, 1 AVX2,
+#      2 AVX-512) under the sanitizers, check fp64 and int8 CLI
+#      predictions are bitwise stable across rungs, lint a freshly
+#      calibrated plan_int8.snsp (must be clean) and the
+#      corrupted-scales fixture (must fail);
+#   5. sweep all 2^32 float bit patterns through every rung of the
+#      fdlibm tanh kernel (docs/perf.md) once, bitwise;
 #   6. run tools/run_docs_check.sh (dead markdown links, documented
 #      CLI flags missing from --help);
 #   7. build with ThreadSanitizer and run the parallel-runtime-heavy
@@ -84,15 +85,17 @@ SNS_PLAN=0 "$CLI" predict --model="$PLAN_WORK/model" "$PLAN_WORK/fir.snl" \
     | grep -v "predicted in" > "$PLAN_WORK/walk.out"
 diff "$PLAN_WORK/planned.out" "$PLAN_WORK/walk.out"
 
-echo "== quantized tier: SNS_SIMD ladder sweep under ASan+UBSan =="
-# The int8 kernels promise identical bits at every dispatch rung
-# (docs/quantization.md); run the quantized suites at each rung so the
+echo "== SNS_SIMD ladder sweep under ASan+UBSan =="
+# Every kernel on the ladder promises identical bits at every rung
+# (docs/perf.md, docs/quantization.md); run the kernel and quantized
+# suites with the environment capping the ladder at each rung, so the
 # promise is sanitizer-checked on the scalar, AVX2, and (when the CPU
-# allows) VNNI paths alike.
+# allows) AVX-512 paths alike.
 for level in 0 1 2; do
     echo "-- SNS_SIMD=$level --"
     SNS_SIMD=$level "$BUILD/tests/test_tensor" \
-        --gtest_filter='Qgemm.*' > /dev/null
+        --gtest_filter='Qgemm.*:GemmSimd.*:TanhKernel.*:GeluKernel.*:SimdLadder.*' \
+        > /dev/null
     SNS_SIMD=$level "$BUILD/tests/test_plan" \
         --gtest_filter='PlanQuantTest.*' > /dev/null
     SNS_SIMD=$level "$BUILD/tests/test_verify" \
@@ -112,6 +115,14 @@ for level in 0 1 2; do
 done
 diff "$PLAN_WORK/int8_0.out" "$PLAN_WORK/int8_1.out"
 diff "$PLAN_WORK/int8_0.out" "$PLAN_WORK/int8_2.out"
+# The fp64 tier (fp32 GEMM and tanh rungs) must be just as stable, and
+# equal to the uncapped run above.
+for level in 0 1 2; do
+    SNS_SIMD=$level "$CLI" predict --model="$PLAN_WORK/model" \
+        "$PLAN_WORK/fir.snl" \
+        | grep -v "predicted in" > "$PLAN_WORK/fp64_$level.out"
+    diff "$PLAN_WORK/planned.out" "$PLAN_WORK/fp64_$level.out"
+done
 # The int8 tier must genuinely differ from fp64 (it is a second tier,
 # not a relabel)...
 if diff -q "$PLAN_WORK/int8_0.out" "$PLAN_WORK/planned.out" > /dev/null; then
@@ -130,7 +141,8 @@ fi
 
 echo "== tanh kernel: exhaustive 2^32 rung-agreement sweep =="
 # Too slow for every ctest run (a DISABLED_ test), so it runs here once:
-# the scalar and AVX2 rungs must agree on every float bit pattern.
+# the AVX2 and AVX-512 rungs must each agree with the scalar rung on
+# every float bit pattern.
 SNS_THREADS="$(nproc)" "$BUILD/tests/test_tensor" \
     --gtest_also_run_disabled_tests \
     --gtest_filter='TanhKernel.DISABLED_RungsAgreeExhaustive'
