@@ -17,6 +17,7 @@
 #include "core/circuitformer.hh"
 #include "designs/designs.hh"
 #include "par/thread_pool.hh"
+#include "plan/runtime.hh"
 #include "sampler/path_sampler.hh"
 #include "synth/synthesizer.hh"
 #include "tensor/autograd.hh"
@@ -293,6 +294,41 @@ BENCHMARK(BM_CircuitformerInference)
     ->Args({32, 4})
     ->Args({128, 1})
     ->Args({128, 4});
+
+void
+BM_CircuitformerMixedLengths(benchmark::State &state)
+{
+    // The 28 paths of one dse_unique chain design (lengths 2-22, 403
+    // real tokens) as one planned batch. The batch pads every path to
+    // 22 (616 token rows), so unlike the equal-length case above this
+    // one sees what padded positions cost. Items are real tokens.
+    const std::vector<int> lengths = {2,  2,  2,  2,  3,  6,  9,
+                                      9,  11, 12, 13, 13, 14, 15,
+                                      15, 16, 20, 21, 21, 21, 22,
+                                      22, 22, 22, 22, 22, 22, 22};
+    par::setThreads(1);
+    core::Circuitformer model(core::CircuitformerConfig{});
+    const auto &vocab = graphir::Vocabulary::instance();
+    std::vector<std::vector<graphir::TokenId>> paths;
+    int64_t tokens = 0;
+    for (const int len : lengths) {
+        std::vector<graphir::TokenId> path(len, *vocab.parse("add16"));
+        path.front() = path.back() = *vocab.parse("dff16");
+        paths.push_back(std::move(path));
+        tokens += len;
+    }
+    model.fitNormalization({{paths.back(), 100.0, 10.0, 0.1},
+                            {paths.front(), 200.0, 20.0, 0.2}});
+    model.bindPlan(
+        plan::compilePlan(model.tracePlan(64), model.parameters()));
+    for (auto _ : state) {
+        const auto preds = model.predict(paths);
+        benchmark::DoNotOptimize(preds.data());
+    }
+    state.SetItemsProcessed(state.iterations() * tokens);
+    state.SetLabel("one chain design, planned, items = real tokens");
+}
+BENCHMARK(BM_CircuitformerMixedLengths);
 
 void
 BM_PathSampling(benchmark::State &state)

@@ -170,7 +170,29 @@ CompiledPlan::run(const std::vector<int> &ids,
     SNS_ASSERT(ids.size() == static_cast<size_t>(batch) * time &&
                    lengths.size() == static_cast<size_t>(batch),
                "plan run: ids/lengths size mismatch");
+    for (int bi = 0; bi < batch; ++bi) {
+        SNS_ASSERT(lengths[bi] >= 0 && lengths[bi] <= time,
+                   "plan run: length ", lengths[bi], " of row ", bi,
+                   " outside [0, ", time, "]");
+    }
     const int heads = config.heads;
+    Calibrator *const calibrator =
+        calibrator_.load(std::memory_order_acquire);
+
+    // Ragged execution (docs/plan.md): sequence bi runs over its own
+    // span of positions, not the batch's padded `time`. Padded
+    // positions never reach a real row, so skipping them changes no
+    // output bit. A zero-length row attends uniformly over every
+    // padded key, so it keeps the full span, and so does every row
+    // while a calibrator observes: calibration scales are defined over
+    // the padded batch (docs/quantization.md).
+    const auto span = [&](int bi) {
+        return calibrator != nullptr || lengths[bi] == 0 ? time
+                                                         : lengths[bi];
+    };
+    size_t tokens = 0;
+    for (int bi = 0; bi < batch; ++bi)
+        tokens += static_cast<size_t>(span(bi));
 
     thread_local perf::FloatArena arena;
     float *base = arena.ensure(layout_.total_floats);
@@ -179,14 +201,17 @@ CompiledPlan::run(const std::vector<int> &ids,
     const auto buffer = [&](uint32_t id) {
         return base + layout_.offsets[id];
     };
-    const auto numel = [&](uint32_t id) {
-        return resolveNumel(plan_.buffers[id], batch, time, heads);
-    };
     // Static last dimension (the shape pass proved it static wherever
     // the executor relies on it).
     const auto lastDim = [&](uint32_t id) {
         const Shape &shape = plan_.buffers[id];
         return shape.dims[shape.ndim - 1].value;
+    };
+    // Rows of a [B, T, d] buffer are the packed token rows, sequence
+    // after sequence; a [B, d] buffer has one row per sequence.
+    const auto rows = [&](uint32_t id) {
+        const Shape &shape = plan_.buffers[id];
+        return shape.ndim == 3 ? tokens : static_cast<size_t>(batch);
     };
 
     for (size_t opi = 0; opi < plan_.ops.size(); ++opi) {
@@ -198,22 +223,20 @@ CompiledPlan::run(const std::vector<int> &ids,
             const WeightRef &table = plan_.weights[op.weights[0]];
             const float *w = weight_data_[op.weights[0]];
             const int d = table.cols;
-            if (op.kind == OpKind::TokenEmbed) {
-                for (size_t i = 0; i < ids.size(); ++i) {
-                    const int id = ids[i];
-                    SNS_ASSERT(id >= 0 && id < table.rows,
-                               "plan run: token id out of range: ", id);
-                    const float *src = w + static_cast<size_t>(id) * d;
-                    std::copy(src, src + d, out + i * d);
-                }
-            } else {
-                for (int bi = 0; bi < batch; ++bi) {
-                    for (int ti = 0; ti < time; ++ti) {
-                        const float *src = w + static_cast<size_t>(ti) * d;
-                        std::copy(src, src + d,
-                                  out + (static_cast<size_t>(bi) * time +
-                                         ti) * d);
+            const bool token = op.kind == OpKind::TokenEmbed;
+            float *dst = out;
+            for (int bi = 0; bi < batch; ++bi) {
+                const int s = span(bi);
+                for (int ti = 0; ti < s; ++ti) {
+                    int row = ti;
+                    if (token) {
+                        row = ids[static_cast<size_t>(bi) * time + ti];
+                        SNS_ASSERT(row >= 0 && row < table.rows,
+                                   "plan run: token id out of range: ",
+                                   row);
                     }
+                    const float *src = w + static_cast<size_t>(row) * d;
+                    dst = std::copy(src, src + d, dst);
                 }
             }
             break;
@@ -221,7 +244,7 @@ CompiledPlan::run(const std::vector<int> &ids,
           case OpKind::Add: {
             const float *a = buffer(op.inputs[0]);
             const float *b = buffer(op.inputs[1]);
-            const size_t count = numel(op.out);
+            const size_t count = rows(op.out) * lastDim(op.out);
             // add() in the walk is copy + addScaled(alpha = 1).
             for (size_t i = 0; i < count; ++i)
                 out[i] = a[i] + 1.0f * b[i];
@@ -232,9 +255,9 @@ CompiledPlan::run(const std::vector<int> &ids,
             const float *g = weight_data_[op.weights[0]];
             const float *bb = weight_data_[op.weights[1]];
             const int d = lastDim(op.out);
-            const size_t rows = numel(op.out) / d;
+            const size_t count = rows(op.out);
             const float eps = op.fattr;
-            for (size_t r = 0; r < rows; ++r) {
+            for (size_t r = 0; r < count; ++r) {
                 const float *src = src_base + r * d;
                 float mu = 0.0f;
                 for (int j = 0; j < d; ++j)
@@ -259,11 +282,10 @@ CompiledPlan::run(const std::vector<int> &ids,
             const int k = matrix.rows;
             const int n = matrix.cols;
             const float *a = buffer(op.inputs[0]);
-            const size_t m = numel(op.inputs[0]) / static_cast<size_t>(k);
-            if (Calibrator *cal =
-                    calibrator_.load(std::memory_order_acquire)) {
-                cal->observe(static_cast<uint32_t>(opi), a,
-                             m * static_cast<size_t>(k));
+            const size_t m = rows(op.inputs[0]);
+            if (calibrator != nullptr) {
+                calibrator->observe(static_cast<uint32_t>(opi), a,
+                                    m * static_cast<size_t>(k));
             }
             if (const QuantKernel *qk = qkernels_.empty()
                                             ? nullptr
@@ -346,141 +368,133 @@ CompiledPlan::run(const std::vector<int> &ids,
             }
             break;
           }
-          case OpKind::SplitHeads: {
-            const int d = lastDim(op.inputs[0]);
+          case OpKind::SplitHeads:
+          case OpKind::MergeHeads: {
+            // Sequence bi's packed rows [first, first + s) of d floats
+            // map to `heads` contiguous [s, dh] blocks in the same
+            // floats, head after head.
+            const bool split = op.kind == OpKind::SplitHeads;
+            const int d = split ? lastDim(op.inputs[0]) : lastDim(op.out);
             const int dh = d / heads;
             const float *src_base = buffer(op.inputs[0]);
+            size_t first = 0;
             for (int bi = 0; bi < batch; ++bi) {
-                for (int ti = 0; ti < time; ++ti) {
-                    const float *src =
-                        src_base +
-                        (static_cast<size_t>(bi) * time + ti) * d;
+                const int s = span(bi);
+                for (int ti = 0; ti < s; ++ti) {
+                    const size_t row = (first + ti) * d;
                     for (int h = 0; h < heads; ++h) {
-                        float *dst =
-                            out + ((static_cast<size_t>(bi) * heads + h) *
-                                       time + ti) * dh;
-                        std::copy(src + h * dh, src + (h + 1) * dh, dst);
-                    }
-                }
-            }
-            break;
-          }
-          case OpKind::MergeHeads: {
-            const int dh = lastDim(op.inputs[0]);
-            const int d = dh * heads;
-            const float *src_base = buffer(op.inputs[0]);
-            for (int bi = 0; bi < batch; ++bi) {
-                for (int ti = 0; ti < time; ++ti) {
-                    float *dst =
-                        out + (static_cast<size_t>(bi) * time + ti) * d;
-                    for (int h = 0; h < heads; ++h) {
+                        const size_t head =
+                            (first * heads +
+                             static_cast<size_t>(h) * s + ti) * dh;
                         const float *src =
-                            src_base +
-                            ((static_cast<size_t>(bi) * heads + h) *
-                                 time + ti) * dh;
-                        std::copy(src, src + dh, dst + h * dh);
+                            src_base + (split ? row + h * dh : head);
+                        float *dst = out + (split ? head : row + h * dh);
+                        std::copy(src, src + dh, dst);
                     }
                 }
+                first += static_cast<size_t>(s);
             }
             break;
           }
           case OpKind::BmmTransB: {
-            // scores[i] = q[i] x k[i]^T per batch-head slice, exactly
-            // like bmmTransB's per-batch gemmAcc loop.
+            // scores = q x k^T per (sequence, head) block of s x s,
+            // exactly like bmmTransB's per-batch gemmAcc loop.
             const int dh = lastDim(op.inputs[0]);
-            const float *q = buffer(op.inputs[0]);
-            const float *kmat = buffer(op.inputs[1]);
-            const int bh = batch * heads;
-            const size_t in_stride = static_cast<size_t>(time) * dh;
-            const size_t out_stride = static_cast<size_t>(time) * time;
+            const float *q_base = buffer(op.inputs[0]);
+            const float *k_base = buffer(op.inputs[1]);
             const bool simd = tensor::gemmSimdActive();
-            for (int i = 0; i < bh; ++i) {
-                float *c = out + i * out_stride;
-                std::fill(c, c + out_stride, 0.0f);
-                const float *b = kmat + i * in_stride;
-                const float *bt = nullptr;
-                if (simd) {
-                    tensor::gemmPackB(b, time, dh, true, scratch);
-                    bt = scratch;
-                }
-                tensor::gemmAccPacked(q + i * in_stride, b, bt, c, time,
-                                      time, dh, false, true);
-            }
-            if (op.epilogue == Epilogue::ScaleMaskSoftmax) {
-                // The walk's exact pass order: scale the whole tensor,
-                // assign the padding mask, then per-row softmax.
-                const size_t total = static_cast<size_t>(bh) * out_stride;
-                for (size_t i = 0; i < total; ++i)
-                    out[i] *= op.fattr;
-                constexpr float kNegInf = -1e9f;
-                for (int i = 0; i < bh; ++i) {
-                    const int len = lengths[i / heads];
-                    for (int qi = 0; qi < time; ++qi) {
-                        float *row =
-                            out + (static_cast<size_t>(i) * time + qi) *
-                                      time;
-                        for (int j = len; j < time; ++j)
+            constexpr float kNegInf = -1e9f;
+            size_t in_off = 0;
+            size_t out_off = 0;
+            for (int bi = 0; bi < batch; ++bi) {
+                const int s = span(bi);
+                const int len = lengths[bi];
+                const size_t in_stride = static_cast<size_t>(s) * dh;
+                const size_t out_stride = static_cast<size_t>(s) * s;
+                for (int h = 0; h < heads; ++h) {
+                    float *c = out + out_off;
+                    std::fill(c, c + out_stride, 0.0f);
+                    const float *b = k_base + in_off;
+                    const float *bt = nullptr;
+                    if (simd) {
+                        tensor::gemmPackB(b, s, dh, true, scratch);
+                        bt = scratch;
+                    }
+                    tensor::gemmAccPacked(q_base + in_off, b, bt, c, s, s,
+                                          dh, false, true);
+                    in_off += in_stride;
+                    out_off += out_stride;
+                    if (op.epilogue != Epilogue::ScaleMaskSoftmax)
+                        continue;
+                    // The walk's per-element pass order: scale, assign
+                    // the padding mask (keys j >= len; none when the
+                    // span is the length), then per-row softmax.
+                    for (size_t i = 0; i < out_stride; ++i)
+                        c[i] *= op.fattr;
+                    for (int qi = 0; qi < s; ++qi) {
+                        float *row = c + static_cast<size_t>(qi) * s;
+                        for (int j = len; j < s; ++j)
                             row[j] = kNegInf;
+                        float max_val = row[0];
+                        for (int j = 1; j < s; ++j)
+                            max_val = std::max(max_val, row[j]);
+                        float sum = 0.0f;
+                        for (int j = 0; j < s; ++j) {
+                            row[j] = std::exp(row[j] - max_val);
+                            sum += row[j];
+                        }
+                        const float inv = 1.0f / sum;
+                        for (int j = 0; j < s; ++j)
+                            row[j] *= inv;
                     }
-                }
-                const size_t rows = static_cast<size_t>(bh) * time;
-                for (size_t r = 0; r < rows; ++r) {
-                    float *row = out + r * time;
-                    float max_val = row[0];
-                    for (int j = 1; j < time; ++j)
-                        max_val = std::max(max_val, row[j]);
-                    float sum = 0.0f;
-                    for (int j = 0; j < time; ++j) {
-                        row[j] = std::exp(row[j] - max_val);
-                        sum += row[j];
-                    }
-                    const float inv = 1.0f / sum;
-                    for (int j = 0; j < time; ++j)
-                        row[j] *= inv;
                 }
             }
             break;
           }
           case OpKind::Bmm: {
-            // ctx[i] = attn[i] x v[i] per batch-head slice.
+            // ctx = attn x v per (sequence, head) block.
             const int dh = lastDim(op.inputs[1]);
             const float *a_base = buffer(op.inputs[0]);
-            const float *b_base = buffer(op.inputs[1]);
-            const int bh = batch * heads;
-            const size_t a_stride = static_cast<size_t>(time) * time;
-            const size_t b_stride = static_cast<size_t>(time) * dh;
+            const float *v_base = buffer(op.inputs[1]);
             const bool simd = tensor::gemmSimdActive();
-            for (int i = 0; i < bh; ++i) {
-                float *c = out + i * b_stride;
-                std::fill(c, c + b_stride, 0.0f);
-                const float *b = b_base + i * b_stride;
-                const float *bt = nullptr;
-                if (simd) {
-                    tensor::gemmPackB(b, dh, time, false, scratch);
-                    bt = scratch;
+            size_t a_off = 0;
+            size_t v_off = 0;
+            for (int bi = 0; bi < batch; ++bi) {
+                const int s = span(bi);
+                const size_t a_stride = static_cast<size_t>(s) * s;
+                const size_t v_stride = static_cast<size_t>(s) * dh;
+                for (int h = 0; h < heads; ++h) {
+                    float *c = out + v_off;
+                    std::fill(c, c + v_stride, 0.0f);
+                    const float *b = v_base + v_off;
+                    const float *bt = nullptr;
+                    if (simd) {
+                        tensor::gemmPackB(b, dh, s, false, scratch);
+                        bt = scratch;
+                    }
+                    tensor::gemmAccPacked(a_base + a_off, b, bt, c, s, dh,
+                                          s, false, false);
+                    a_off += a_stride;
+                    v_off += v_stride;
                 }
-                tensor::gemmAccPacked(a_base + i * a_stride, b, bt, c,
-                                      time, dh, time, false, false);
             }
             break;
           }
           case OpKind::MeanPool: {
             const int d = lastDim(op.inputs[0]);
-            const float *src_base = buffer(op.inputs[0]);
+            const float *src = buffer(op.inputs[0]);
             for (int bi = 0; bi < batch; ++bi) {
-                const int len = std::max(1, std::min(lengths[bi], time));
+                const int len = std::max(1, lengths[bi]);
                 float *dst = out + static_cast<size_t>(bi) * d;
                 std::fill(dst, dst + d, 0.0f);
                 for (int ti = 0; ti < len; ++ti) {
-                    const float *src =
-                        src_base +
-                        (static_cast<size_t>(bi) * time + ti) * d;
                     for (int j = 0; j < d; ++j)
-                        dst[j] += src[j];
+                        dst[j] += src[static_cast<size_t>(ti) * d + j];
                 }
                 const float inv = 1.0f / len;
                 for (int j = 0; j < d; ++j)
                     dst[j] *= inv;
+                src += static_cast<size_t>(span(bi)) * d;
             }
             break;
           }

@@ -13,9 +13,11 @@
  *
  * CompiledPlan::run() then executes the op list over a thread-local
  * grow-only float arena at the offsets the layout pass proved
- * non-overlapping. Every op replicates the corresponding module-walk
- * kernel loop *exactly* (same accumulation order, same float/double
- * promotions), so planned output is bitwise-identical to the walk —
+ * non-overlapping, running each row over its own length rather than
+ * the batch's padded one. Every op replicates the corresponding
+ * module-walk kernel loop *exactly* (same accumulation order, same
+ * float/double promotions), and padded positions never reach a real
+ * row, so planned output is bitwise-identical to the walk —
  * tests/test_plan.cc and bench/fig07_runtime.cc gate on that.
  *
  * A CompiledPlan snapshots nothing: it aliases the parameter tensors
@@ -71,10 +73,13 @@ class CompiledPlan
     /**
      * Execute one padded batch. `ids` is row-major [batch, time],
      * `lengths` the per-row valid lengths (as produced by the
-     * predictor's pack()). Returns a pointer to the [batch, 3]
+     * predictor's pack()). Each row runs over its own length, not
+     * over `time` (docs/plan.md, "Ragged execution"); a zero-length
+     * row, and every row while a calibration observer is attached,
+     * runs over the full `time`. Returns a pointer to the [batch, 3]
      * output region inside a thread-local arena — valid until the
-     * next run() on the same thread. Requires batch <= batchMax()
-     * and time <= config.max_positions.
+     * next run() on the same thread. Requires batch <= batchMax(),
+     * time <= config.max_positions and 0 <= lengths[b] <= time.
      */
     const float *run(const std::vector<int> &ids,
                      const std::vector<int> &lengths, int batch,
@@ -86,9 +91,10 @@ class CompiledPlan
 
     /**
      * Attach (or detach, with nullptr) an activation-absmax observer:
-     * while set, every run() feeds each Gemm op's input rows to
+     * while set, every run() executes the whole padded batch and
+     * feeds each Gemm op's input rows, padded positions included, to
      * calibrator->observe() before multiplying. Observation never
-     * changes the computed values. Logically const — the plan's
+     * changes the computed values of real rows. Logically const — the plan's
      * semantics are untouched — so a calibration pass can run through
      * the same shared const handle the predictor executes.
      */

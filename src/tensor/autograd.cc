@@ -811,6 +811,8 @@ addKeyPaddingMask(const Variable &scores, const std::vector<int> &lengths,
     SNS_ASSERT(bh % heads == 0 &&
                    lengths.size() == static_cast<size_t>(bh / heads),
                "mask length batch mismatch");
+    for (const int len : lengths)
+        SNS_ASSERT(len >= 0, "mask length must be non-negative: ", len);
     constexpr float kNegInf = -1e9f;
 
     Tensor out = sv;

@@ -189,7 +189,7 @@ Variable mergeHeads(const Variable &x, int heads);
 /**
  * Add -inf (approximately) to attention scores of padded key columns:
  * scores is [B*H, Tq, Tk], lengths[b] gives the valid prefix of batch
- * element b.
+ * element b and must be non-negative.
  */
 Variable addKeyPaddingMask(const Variable &scores,
                            const std::vector<int> &lengths, int heads);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <vector>
@@ -108,6 +109,34 @@ bitwiseEqual(const std::vector<PathPrediction> &a,
             return false;
     }
     return true;
+}
+
+/** Remove the SNS_SIMD ladder cap however a test exits. */
+struct SimdCapGuard
+{
+    ~SimdCapGuard() { tensor::setSimdLevelCap(-1); }
+};
+
+/** One batch of T = 22: the corner lengths 1, 2, T-1 and T, then the
+ * 28 path lengths of one chain design (403 real tokens). */
+std::vector<std::vector<TokenId>>
+raggedPaths(int vocab)
+{
+    const std::vector<int> lengths = {
+        1,  22, 2,  21, 2,  2,  2,  2,  3,  6,  9,  9,  11, 12, 13, 13,
+        14, 15, 15, 16, 20, 21, 21, 21, 22, 22, 22, 22, 22, 22, 22, 22};
+    std::vector<std::vector<TokenId>> paths;
+    uint64_t state = 0xfeed;
+    for (const int len : lengths) {
+        std::vector<TokenId> path;
+        for (int t = 0; t < len; ++t) {
+            state = state * 6364136223846793005ull + 1442695040888963407ull;
+            path.push_back(static_cast<TokenId>(
+                1 + (state >> 33) % static_cast<uint64_t>(vocab - 2)));
+        }
+        paths.push_back(std::move(path));
+    }
+    return paths;
 }
 
 TEST(PlanIrTest, CanonicalPlanHasDocumentedCountsAndChecksClean)
@@ -310,6 +339,19 @@ TEST(PlanRuntimeTest, UnbindingRestoresTheWalk)
     EXPECT_FALSE(model.planActive());
 }
 
+TEST(PlanRuntimeTest, RejectsLengthsOutsideTheBatch)
+{
+    Circuitformer model = normalizedModel();
+    const auto compiled =
+        plan::compilePlan(model.tracePlan(8), model.parameters());
+    const int time = 4;
+    const std::vector<int> ids(2 * time, 1);
+    EXPECT_THROW(compiled->run(ids, {2, -1}, 2, time), std::logic_error);
+    EXPECT_THROW(compiled->run(ids, {time + 1, 2}, 2, time),
+                 std::logic_error);
+    EXPECT_NO_THROW(compiled->run(ids, {0, time}, 2, time));
+}
+
 TEST(PlanPredictorTest, EndToEndPlannedServingIsBitwiseAndReloadable)
 {
     PlanToggleGuard guard;
@@ -407,10 +449,10 @@ TEST(PlanPredictorTest, EndToEndPlannedServingIsBitwiseAndReloadable)
 /** Calibrate a model's compiled fp64 plan on the synthetic paths and
  * return the rewritten mixed-precision plan. */
 plan::Plan
-calibratedQuantPlan(Circuitformer &model)
+calibratedQuantPlan(Circuitformer &model, int batch_max = 8)
 {
     model.bindPlan(
-        plan::compilePlan(model.tracePlan(8), model.parameters()));
+        plan::compilePlan(model.tracePlan(batch_max), model.parameters()));
     plan::Calibrator calibrator;
     model.boundPlan()->setCalibrationObserver(&calibrator);
     // batch_size 8 keeps every batch inside the plan's batch_max, so
@@ -420,6 +462,74 @@ calibratedQuantPlan(Circuitformer &model)
     EXPECT_GT(calibrator.observed(), 0u);
     return plan::quantizePlan(model.boundPlan()->plan(), calibrator,
                               model.parameters());
+}
+
+TEST(PlanRuntimeTest, RaggedRowsMatchTheWalkAndRunAlone)
+{
+    // Each row of a mixed-length batch runs over its own length. Its
+    // output must equal the same row computed over the padded batch
+    // (the walk for fp64; the plan with a calibration observer
+    // attached, which keeps padded spans, for int8, which has no walk)
+    // and the same path run alone, at every rung and pool width.
+    PlanToggleGuard plan_guard;
+    SimdCapGuard simd_guard;
+    plan::setPlanEnabled(true);
+    Circuitformer model = normalizedModel();
+    model.bindQuantPlan(plan::compilePlan(calibratedQuantPlan(model, 32),
+                                          model.parameters()));
+    const int vocab = model.config().encoder.vocab_size;
+    const auto paths = raggedPaths(vocab);
+    ASSERT_EQ(paths.size(), 32u);
+    // The one row whose output depends on the padded length.
+    auto with_empty = paths;
+    with_empty[7].clear();
+
+    tensor::setSimdLevelCap(-1);
+    const int ceiling = tensor::simdLevel();
+    plan::Calibrator observer;
+    for (const int threads : {1, 4}) {
+        par::setThreads(threads);
+        for (int level = 0; level <= ceiling; ++level) {
+            tensor::setSimdLevelCap(level);
+            for (const Precision precision :
+                 {Precision::Fp64, Precision::Int8}) {
+                const bool int8 = precision == Precision::Int8;
+                const plan::CompiledPlan &compiled =
+                    int8 ? *model.boundQuantPlan() : *model.boundPlan();
+                const auto padded = [&](const auto &batch) {
+                    if (!int8) {
+                        plan::setPlanEnabled(false);
+                        const auto walk = model.predict(batch, 32);
+                        plan::setPlanEnabled(true);
+                        return walk;
+                    }
+                    compiled.setCalibrationObserver(&observer);
+                    const auto full = model.predict(batch, 32, precision);
+                    compiled.setCalibrationObserver(nullptr);
+                    return full;
+                };
+                const std::string where =
+                    std::string(int8 ? "int8" : "fp64") + " level " +
+                    std::to_string(level) + " threads " +
+                    std::to_string(threads);
+
+                const auto ragged = model.predict(paths, 32, precision);
+                EXPECT_TRUE(bitwiseEqual(ragged, padded(paths))) << where;
+                for (size_t i = 0; i < paths.size(); ++i) {
+                    const auto alone =
+                        model.predict({paths[i]}, 1, precision);
+                    EXPECT_TRUE(bitwiseEqual({ragged[i]}, alone))
+                        << where << " path " << i << " length "
+                        << paths[i].size();
+                }
+                EXPECT_TRUE(bitwiseEqual(
+                    model.predict(with_empty, 32, precision),
+                    padded(with_empty)))
+                    << where << " with a zero-length row";
+            }
+        }
+    }
+    par::setThreads(1);
 }
 
 TEST(PlanQuantTest, QuantizePlanEmitsACheckedSideTable)
@@ -444,6 +554,35 @@ TEST(PlanQuantTest, QuantizePlanEmitsACheckedSideTable)
     }
     const verify::Report report = verify::checkPlan(quantized);
     EXPECT_FALSE(report.hasErrors()) << report.summary();
+}
+
+TEST(PlanQuantTest, CalibrationScalesArePinned)
+{
+    // Golden activation scales of the test model's quantized plan,
+    // recorded before the runtime skipped padded positions. Calibration
+    // must keep observing padded spans (docs/quantization.md), so these
+    // bits may never move. Builds that target an FMA-capable ISA let
+    // GCC contract LayerNorm and softmax, so they carry their own pin.
+#ifdef __FMA__
+    const std::vector<uint32_t> kXScaleBits = {
+        0x3d5be0c1u, 0x3d5be0c1u, 0x3d5be0c1u, 0x3d1cca3cu, 0x3d56f19au,
+        0x3d4c988au, 0x3d6a74dcu, 0x3d6a74dcu, 0x3d6a74dcu, 0x3cef62eeu,
+        0x3d5e5bedu, 0x3d54135cu, 0x3d05a065u};
+#else
+    const std::vector<uint32_t> kXScaleBits = {
+        0x3d5be0c1u, 0x3d5be0c1u, 0x3d5be0c1u, 0x3d1cca3cu, 0x3d56f19au,
+        0x3d4c988au, 0x3d6a74dcu, 0x3d6a74dcu, 0x3d6a74dcu, 0x3cef62f0u,
+        0x3d5e5bedu, 0x3d54135cu, 0x3d05a065u};
+#endif
+    Circuitformer model = normalizedModel();
+    const plan::Plan quantized = calibratedQuantPlan(model);
+    std::vector<uint32_t> bits;
+    for (const auto &entry : quantized.quant) {
+        uint32_t word = 0;
+        std::memcpy(&word, &entry.x_scale, sizeof(word));
+        bits.push_back(word);
+    }
+    EXPECT_EQ(bits, kXScaleBits);
 }
 
 TEST(PlanQuantTest, QuantizedSnspRoundTripAndV1Compat)

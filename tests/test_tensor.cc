@@ -486,6 +486,14 @@ TEST(Autograd, KeyPaddingMaskGradients)
     });
 }
 
+TEST(Autograd, KeyPaddingMaskRejectsNegativeLengths)
+{
+    // A negative length would start the mask loop before the row.
+    const Variable scores(Tensor::zeros({4, 3, 3})); // B=2, H=2
+    EXPECT_THROW(addKeyPaddingMask(scores, {2, -1}, 2), std::logic_error);
+    EXPECT_NO_THROW(addKeyPaddingMask(scores, {0, 3}, 2));
+}
+
 TEST(Autograd, MeanPoolMaskedGradients)
 {
     const Tensor x0 = randomTensor({2, 4, 3}, 24);

@@ -5,9 +5,9 @@
 #   2. run the full test suite under the sanitizers;
 #   3. run sns_lint over the bundled example designs and datasets
 #      (must be clean) and the corrupted fixtures (must fail);
-#   4. SNS_SIMD ladder (src/tensor/simd.hh): re-run the kernel and
-#      quantized test suites at every rung (0 scalar, 1 AVX2,
-#      2 AVX-512) under the sanitizers, check fp64 and int8 CLI
+#   4. SNS_SIMD ladder (src/tensor/simd.hh): re-run the kernel,
+#      quantized and plan runtime test suites at every rung (0 scalar,
+#      1 AVX2, 2 AVX-512) under the sanitizers, check fp64 and int8 CLI
 #      predictions are bitwise stable across rungs, lint a freshly
 #      calibrated plan_int8.snsp (must be clean) and the
 #      corrupted-scales fixture (must fail);
@@ -90,14 +90,16 @@ echo "== SNS_SIMD ladder sweep under ASan+UBSan =="
 # (docs/perf.md, docs/quantization.md); run the kernel and quantized
 # suites with the environment capping the ladder at each rung, so the
 # promise is sanitizer-checked on the scalar, AVX2, and (when the CPU
-# allows) AVX-512 paths alike.
+# allows) AVX-512 paths alike. The plan runtime suite rides along: its
+# ragged executor packs per-row spans into arena offsets, and ASan
+# catches any span or offset overrun at every rung.
 for level in 0 1 2; do
     echo "-- SNS_SIMD=$level --"
     SNS_SIMD=$level "$BUILD/tests/test_tensor" \
         --gtest_filter='Qgemm.*:GemmSimd.*:TanhKernel.*:GeluKernel.*:SimdLadder.*' \
         > /dev/null
     SNS_SIMD=$level "$BUILD/tests/test_plan" \
-        --gtest_filter='PlanQuantTest.*' > /dev/null
+        --gtest_filter='PlanQuantTest.*:PlanRuntimeTest.*' > /dev/null
     SNS_SIMD=$level "$BUILD/tests/test_verify" \
         --gtest_filter='*Quant*' > /dev/null
 done
