@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
+#include <sstream>
 
 #include "dist/exchange.hh"
 #include "nn/serialize.hh"
@@ -462,7 +462,7 @@ Circuitformer::bindQuantPlan(
 }
 
 void
-Circuitformer::saveTo(std::ostream &out, const std::string &where) const
+Circuitformer::saveTo(nn::CheckpointWriter &out) const
 {
     SNS_ASSERT(normalized_, "save() before fitNormalization()");
     std::vector<Variable> all = parameters();
@@ -476,15 +476,15 @@ Circuitformer::saveTo(std::ostream &out, const std::string &where) const
         norm[3 + t] = static_cast<float>(target_std_[t]);
     }
     all.emplace_back(norm);
-    nn::saveParameters(out, all, where);
+    nn::saveParameters(out, all);
 }
 
 void
-Circuitformer::loadFrom(std::istream &in, const std::string &where)
+Circuitformer::loadFrom(nn::CheckpointReader &in)
 {
     std::vector<Variable> all = parameters();
     all.emplace_back(Tensor({6}));
-    nn::loadParameters(in, all, where);
+    nn::loadParameters(in, all);
     const Tensor &norm = all.back().value();
     for (int t = 0; t < 3; ++t) {
         target_mean_[t] = norm[t];
@@ -496,23 +496,18 @@ Circuitformer::loadFrom(std::istream &in, const std::string &where)
 void
 Circuitformer::save(const std::string &path) const
 {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
-        throw nn::SerializeError(
-            "cannot open weight file for writing: " + path);
-    }
-    saveTo(out, path);
-    if (!out)
-        throw nn::SerializeError("short write to weight file: " + path);
+    std::ostringstream out;
+    nn::CheckpointWriter writer(out);
+    saveTo(writer);
+    nn::writeFile(path, out.str());
 }
 
 void
 Circuitformer::load(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw nn::SerializeError("cannot open weight file: " + path);
-    loadFrom(in, path);
+    const std::string bytes = nn::readFile(path);
+    nn::CheckpointReader in(bytes, path, 0);
+    loadFrom(in);
 }
 
 } // namespace sns::core

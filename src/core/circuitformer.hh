@@ -14,7 +14,6 @@
 #define SNS_CORE_CIRCUITFORMER_HH
 
 #include <array>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -25,6 +24,11 @@
 
 namespace sns::dist {
 class GradientExchange;
+}
+
+namespace sns::nn {
+class CheckpointReader;
+class CheckpointWriter;
 }
 
 namespace sns::core {
@@ -200,11 +204,10 @@ class Circuitformer : public nn::Module
     /** Restore weights + normalization from a file. */
     void load(const std::string &path);
 
-    /** Stream forms of save()/load(), used to embed the model inside a
-     * training checkpoint (nn::CheckpointWriter/Reader payloads);
-     * `where` labels load errors. */
-    void saveTo(std::ostream &out, const std::string &where) const;
-    void loadFrom(std::istream &in, const std::string &where);
+    /** In-payload forms of save()/load(), used to embed the model
+     * inside a training checkpoint. */
+    void saveTo(nn::CheckpointWriter &out) const;
+    void loadFrom(nn::CheckpointReader &in);
 
     const CircuitformerConfig &config() const { return config_; }
 

@@ -442,7 +442,7 @@ SnsTrainer::train(const HardwareDesignDataset &designs,
             writer.f64(point.validation_loss);
         }
         if (dc.rank == 0)
-            circuitformer->saveTo(payload, "checkpoint payload");
+            circuitformer->saveTo(writer);
         writer.i64(optimizer.stepCount());
         writer.u32(meta.owned_end - meta.owned_begin);
         for (size_t i = meta.owned_begin; i < meta.owned_end; ++i) {
@@ -496,8 +496,7 @@ SnsTrainer::train(const HardwareDesignDataset &designs,
         std::vector<dist::ShardMeta> metas;
         for (const std::string &file : files) {
             payloads.push_back(nn::readCheckpointPayload(file));
-            std::istringstream in(payloads.back());
-            nn::CheckpointReader reader(in, file);
+            nn::CheckpointReader reader(payloads.back(), file);
             metas.push_back(dist::readShardMeta(reader, file));
         }
         verify::enforce(dist::validateShardSet(metas, source),
@@ -523,14 +522,13 @@ SnsTrainer::train(const HardwareDesignDataset &designs,
                 std::to_string(all_params.size()));
         }
         for (size_t i = 0; i < files.size(); ++i) {
-            std::istringstream in(payloads[i]);
-            nn::CheckpointReader reader(in, files[i]);
+            nn::CheckpointReader reader(payloads[i], files[i]);
             const dist::ShardMeta meta =
                 dist::readShardMeta(reader, files[i]);
             const Rng::State rng_state = readRngState(reader);
             const Rng::State epoch_rng_state = readRngState(reader);
-            const uint32_t curve_count = reader.u32();
-            std::vector<LossPoint> curve(curve_count);
+            std::vector<LossPoint> curve(
+                reader.count(sizeof(int64_t) + 2 * sizeof(double)));
             for (auto &point : curve) {
                 point.epoch = static_cast<int>(reader.i64());
                 point.train_loss = reader.f64();
@@ -540,10 +538,11 @@ SnsTrainer::train(const HardwareDesignDataset &designs,
                 rng.setState(rng_state);
                 epoch_rng.setState(epoch_rng_state);
                 loss_curve_ = std::move(curve);
-                circuitformer->loadFrom(in, files[i]);
+                circuitformer->loadFrom(reader);
             }
             optimizer.setStepCount(reader.i64());
-            const uint32_t owned_count = reader.u32();
+            // u32 index + two tensors of at least a u32 rank each.
+            const uint32_t owned_count = reader.count(12);
             for (uint32_t k = 0; k < owned_count; ++k) {
                 const uint32_t idx = reader.u32();
                 if (idx >= all_params.size()) {

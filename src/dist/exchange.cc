@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "obs/metrics.hh"
+#include "util/container.hh"
 #include "util/logging.hh"
 #include "util/timer.hh"
 
@@ -35,41 +36,21 @@ ringDistance(int q, int c, int world)
     return (c - q + world) % world;
 }
 
-void
-putU32(std::vector<uint8_t> &buf, uint32_t v)
+/** A reader over a ring frame; an underrun throws DistError. */
+ByteReader
+frameReader(const std::vector<uint8_t> &frame)
 {
-    const size_t at = buf.size();
-    buf.resize(at + 4);
-    std::memcpy(buf.data() + at, &v, 4);
+    return ByteReader(frame.data(), frame.size(), 0,
+                      [](const ByteReader &, const void *) {
+                          throw DistError("ring frame underrun");
+                      });
 }
 
 void
-putF32(std::vector<uint8_t> &buf, const float *data, size_t count)
+readFloats(ByteReader &in, float *out, size_t count)
 {
-    const size_t at = buf.size();
-    buf.resize(at + count * sizeof(float));
-    std::memcpy(buf.data() + at, data, count * sizeof(float));
-}
-
-uint32_t
-getU32(const std::vector<uint8_t> &buf, size_t &pos)
-{
-    if (pos + 4 > buf.size())
-        throw DistError("ring frame underrun");
-    uint32_t v = 0;
-    std::memcpy(&v, buf.data() + pos, 4);
-    pos += 4;
-    return v;
-}
-
-void
-getF32(const std::vector<uint8_t> &buf, size_t &pos, float *out,
-       size_t count)
-{
-    if (pos + count * sizeof(float) > buf.size())
-        throw DistError("ring frame underrun");
-    std::memcpy(out, buf.data() + pos, count * sizeof(float));
-    pos += count * sizeof(float);
+    std::memcpy(out, in.bytes(count * sizeof(float)),
+                count * sizeof(float));
 }
 
 } // namespace
@@ -294,32 +275,27 @@ RingExchange::handshake(uint64_t config_fp, uint64_t split_fp,
                         uint64_t param_elems)
 {
     // "SNSD" + version 1, then the ring-consistency fields.
-    std::vector<uint8_t> hello;
-    hello.reserve(4 + 4 * 4 + 3 * 8);
-    hello.push_back('S');
-    hello.push_back('N');
-    hello.push_back('S');
-    hello.push_back('D');
-    putU32(hello, 1);
-    putU32(hello, static_cast<uint32_t>(world_));
-    putU32(hello, static_cast<uint32_t>(rank_));
-    putU32(hello, static_cast<uint32_t>(slices_));
-    const uint64_t words[3] = {config_fp, split_fp, param_elems};
-    const size_t at = hello.size();
-    hello.resize(at + sizeof(words));
-    std::memcpy(hello.data() + at, words, sizeof(words));
+    ByteWriter hello;
+    hello.bytes("SNSD", 4);
+    hello.u32(1);
+    hello.u32(static_cast<uint32_t>(world_));
+    hello.u32(static_cast<uint32_t>(rank_));
+    hello.u32(static_cast<uint32_t>(slices_));
+    for (uint64_t word : {config_fp, split_fp, param_elems})
+        hello.u64(word);
 
-    const std::vector<uint8_t> peer = channel_->exchange(hello);
-    if (peer.size() != hello.size() || peer[0] != 'S' ||
-        peer[1] != 'N' || peer[2] != 'S' || peer[3] != 'D')
+    const std::vector<uint8_t> peer = channel_->exchange(hello.buffer());
+    if (peer.size() != hello.buffer().size() ||
+        std::memcmp(peer.data(), "SNSD", 4) != 0)
         throw DistError("ring handshake: malformed hello frame");
-    size_t pos = 4;
-    const uint32_t version = getU32(peer, pos);
-    const uint32_t peer_world = getU32(peer, pos);
-    const uint32_t peer_rank = getU32(peer, pos);
-    const uint32_t peer_slices = getU32(peer, pos);
+    ByteReader in(peer.data() + 4, peer.size() - 4);
+    const uint32_t version = in.u32();
+    const uint32_t peer_world = in.u32();
+    const uint32_t peer_rank = in.u32();
+    const uint32_t peer_slices = in.u32();
     uint64_t peer_words[3];
-    std::memcpy(peer_words, peer.data() + pos, sizeof(peer_words));
+    for (uint64_t &word : peer_words)
+        word = in.u64();
 
     const uint32_t want_rank =
         static_cast<uint32_t>((rank_ + world_ - 1) % world_);
@@ -372,38 +348,37 @@ RingExchange::allreduceGrad(std::vector<float> &flat, bool present)
     bool held_present = present;
     for (int s = 0; s < n - 1; ++s) {
         const int q_out = (rank_ - s + n) % n;
-        std::vector<uint8_t> frame;
-        frame.push_back('R');
-        putU32(frame, static_cast<uint32_t>(s));
-        putU32(frame, static_cast<uint32_t>(q_out));
-        frame.push_back(held_present ? 1 : 0);
+        ByteWriter frame;
+        frame.u8('R');
+        frame.u32(static_cast<uint32_t>(s));
+        frame.u32(static_cast<uint32_t>(q_out));
+        frame.u8(held_present ? 1 : 0);
         if (held_present) {
             if (s == 0) {
                 for (int c = 0; c < n; ++c) {
                     if (ringDistance(q_out, c, n) <= s)
                         continue;
                     const auto [lo, hi] = chunkRange(elems, n, c);
-                    putF32(frame, flat.data() + lo, hi - lo);
+                    frame.bytes(flat.data() + lo,
+                                (hi - lo) * sizeof(float));
                 }
             } else {
-                putF32(frame, held.data(), held.size());
+                frame.bytes(held.data(), held.size() * sizeof(float));
             }
         }
 
-        const std::vector<uint8_t> in = channel_->exchange(frame);
-        size_t pos = 0;
-        if (in.empty() || in[pos++] != 'R')
+        const std::vector<uint8_t> got = channel_->exchange(frame.buffer());
+        ByteReader in = frameReader(got);
+        if (in.u8() != 'R')
             throw DistError("allreduce: bad reduce-scatter frame tag");
-        const uint32_t in_step = getU32(in, pos);
-        const uint32_t q_in = getU32(in, pos);
+        const uint32_t in_step = in.u32();
+        const uint32_t q_in = in.u32();
         const uint32_t want_q =
             static_cast<uint32_t>((rank_ - s - 1 + n) % n);
         if (in_step != static_cast<uint32_t>(s) || q_in != want_q)
             throw DistError("allreduce: reduce-scatter frame out of "
                             "order (ranks out of sync)");
-        if (pos >= in.size())
-            throw DistError("ring frame underrun");
-        const bool in_present = in[pos++] != 0;
+        const bool in_present = in.u8() != 0;
 
         // Unpack: the delivered chunk (distance s+1 == arrival here)
         // lands in the owner buffer; farther chunks are held for the
@@ -418,14 +393,14 @@ RingExchange::allreduceGrad(std::vector<float> &flat, bool present)
                 // c == rank_: delivery.
                 if (in_present) {
                     std::vector<float> data(hi - lo);
-                    getF32(in, pos, data.data(), data.size());
+                    readFloats(in, data.data(), data.size());
                     owner_slots[q_in] = std::move(data);
                 }
             } else {
                 const size_t at = next_held.size();
                 next_held.resize(at + (hi - lo));
                 if (in_present)
-                    getF32(in, pos, next_held.data() + at, hi - lo);
+                    readFloats(in, next_held.data() + at, hi - lo);
             }
         }
         held = std::move(next_held);
@@ -448,18 +423,18 @@ RingExchange::allreduceGrad(std::vector<float> &flat, bool present)
     std::vector<float> carry = std::move(my_chunk);
     for (int t = 0; t < n - 1; ++t) {
         const int c_out = (rank_ - t + n) % n;
-        std::vector<uint8_t> frame;
-        frame.push_back('G');
-        putU32(frame, static_cast<uint32_t>(t));
-        putU32(frame, static_cast<uint32_t>(c_out));
-        putF32(frame, carry.data(), carry.size());
+        ByteWriter frame;
+        frame.u8('G');
+        frame.u32(static_cast<uint32_t>(t));
+        frame.u32(static_cast<uint32_t>(c_out));
+        frame.bytes(carry.data(), carry.size() * sizeof(float));
 
-        const std::vector<uint8_t> in = channel_->exchange(frame);
-        size_t pos = 0;
-        if (in.empty() || in[pos++] != 'G')
+        const std::vector<uint8_t> got = channel_->exchange(frame.buffer());
+        ByteReader in = frameReader(got);
+        if (in.u8() != 'G')
             throw DistError("allreduce: bad allgather frame tag");
-        const uint32_t in_step = getU32(in, pos);
-        const uint32_t c_in = getU32(in, pos);
+        const uint32_t in_step = in.u32();
+        const uint32_t c_in = in.u32();
         const uint32_t want_c =
             static_cast<uint32_t>((rank_ - t - 1 + n) % n);
         if (in_step != static_cast<uint32_t>(t) || c_in != want_c)
@@ -467,7 +442,7 @@ RingExchange::allreduceGrad(std::vector<float> &flat, bool present)
                             "(ranks out of sync)");
         const auto [lo, hi] = chunkRange(elems, n, c_in);
         carry.resize(hi - lo);
-        getF32(in, pos, carry.data(), carry.size());
+        readFloats(in, carry.data(), carry.size());
         std::memcpy(flat.data() + lo, carry.data(),
                     (hi - lo) * sizeof(float));
     }
@@ -488,16 +463,15 @@ RingExchange::reduceLoss(const ScalarPartial &mine)
 
     ScalarPartial carry = mine;
     for (int t = 0; t < world_ - 1; ++t) {
-        std::vector<uint8_t> frame(sizeof(double) + sizeof(uint64_t));
-        std::memcpy(frame.data(), &carry.sum, sizeof(double));
-        std::memcpy(frame.data() + sizeof(double), &carry.count,
-                    sizeof(uint64_t));
-        const std::vector<uint8_t> in = channel_->exchange(frame);
-        if (in.size() != frame.size())
+        ByteWriter frame;
+        frame.f64(carry.sum);
+        frame.u64(carry.count);
+        const std::vector<uint8_t> got = channel_->exchange(frame.buffer());
+        ByteReader in = frameReader(got);
+        carry.sum = in.f64();
+        carry.count = in.u64();
+        if (in.remaining() != 0)
             throw DistError("loss allgather: bad frame size");
-        std::memcpy(&carry.sum, in.data(), sizeof(double));
-        std::memcpy(&carry.count, in.data() + sizeof(double),
-                    sizeof(uint64_t));
         slots[(rank_ - t - 1 + world_) % world_] = carry;
     }
     flushByteCounters();
@@ -575,22 +549,22 @@ RingExchange::allgatherWeights(std::vector<tensor::Variable> &params)
     std::vector<float> carry =
         readRange(elem_cuts_[rank_], elem_cuts_[rank_ + 1]);
     for (int t = 0; t < world_ - 1; ++t) {
-        std::vector<uint8_t> frame;
-        frame.push_back('W');
-        putU32(frame, static_cast<uint32_t>(t));
-        putF32(frame, carry.data(), carry.size());
-        const std::vector<uint8_t> in = channel_->exchange(frame);
-        size_t pos = 0;
-        if (in.empty() || in[pos++] != 'W')
+        ByteWriter frame;
+        frame.u8('W');
+        frame.u32(static_cast<uint32_t>(t));
+        frame.bytes(carry.data(), carry.size() * sizeof(float));
+        const std::vector<uint8_t> got = channel_->exchange(frame.buffer());
+        ByteReader in = frameReader(got);
+        if (in.u8() != 'W')
             throw DistError("weight allgather: bad frame tag");
-        const uint32_t in_step = getU32(in, pos);
+        const uint32_t in_step = in.u32();
         if (in_step != static_cast<uint32_t>(t))
             throw DistError("weight allgather: frame out of order");
         const int src = (rank_ - t - 1 + world_) % world_;
         const size_t lo = elem_cuts_[src];
         const size_t hi = elem_cuts_[src + 1];
         carry.resize(hi - lo);
-        getF32(in, pos, carry.data(), carry.size());
+        readFloats(in, carry.data(), carry.size());
         writeRange(lo, hi, carry);
     }
 

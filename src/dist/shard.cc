@@ -1,5 +1,6 @@
 #include "dist/shard.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -15,24 +16,6 @@ shardFileName(int epoch, int rank, int world)
     std::snprintf(name, sizeof(name), "ckpt-%06d-r%02dof%02d.ckpt",
                   epoch, rank, world);
     return name;
-}
-
-std::optional<ShardName>
-parseShardName(const std::string &file)
-{
-    const std::string name =
-        std::filesystem::path(file).filename().string();
-    ShardName parsed;
-    char tail = '\0';
-    // ckpt-000123-r01of04.ckpt — %c catches trailing garbage.
-    if (std::sscanf(name.c_str(), "ckpt-%6d-r%2dof%2d.ckpt%c",
-                    &parsed.epoch, &parsed.rank, &parsed.world,
-                    &tail) != 3)
-        return std::nullopt;
-    if (parsed.world <= 0 || parsed.rank < 0 ||
-        parsed.rank >= parsed.world)
-        return std::nullopt;
-    return parsed;
 }
 
 void
@@ -55,31 +38,17 @@ writeShardMeta(nn::CheckpointWriter &writer, const ShardMeta &meta)
 ShardMeta
 readShardMeta(nn::CheckpointReader &reader, const std::string &where)
 {
-    const std::string producer = reader.str();
-    if (producer != kShardProducer) {
-        throw nn::SerializeError(
-            "checkpoint " + where + " was written by \"" + producer +
-            "\", expected \"" + kShardProducer + "\"");
-    }
-    const uint32_t layout = reader.u32();
-    if (layout != kShardLayoutVersion) {
-        throw nn::SerializeError(
-            "shard checkpoint " + where + " uses layout version " +
-            std::to_string(layout) + ", expected " +
-            std::to_string(kShardLayoutVersion));
-    }
-    ShardMeta meta;
-    meta.world = reader.u32();
-    meta.rank = reader.u32();
-    meta.grad_slices = reader.u32();
-    meta.param_count = reader.u32();
-    meta.owned_begin = reader.u32();
-    meta.owned_end = reader.u32();
-    meta.config_fp = reader.u64();
-    meta.split_fp = reader.u64();
-    meta.completed_epoch = reader.i64();
-    meta.total_epochs = reader.i64();
-    return meta;
+    verify::Report report;
+    std::string producer;
+    const auto meta =
+        verify::decodeShardMeta(reader, report, where, &producer);
+    if (meta)
+        return *meta;
+    if (report.hasErrors())
+        throw nn::SerializeError(report.summary());
+    throw nn::SerializeError("checkpoint " + where + " was written by \"" +
+                             producer + "\", expected \"" +
+                             kShardProducer + "\"");
 }
 
 verify::Report
@@ -93,8 +62,19 @@ validateShardSet(const std::vector<ShardMeta> &metas,
         return report;
     }
     const ShardMeta &first = metas.front();
+    // One shard per rank: checking the count first keeps a corrupt
+    // world field from sizing `seen`.
+    if (metas.size() != first.world) {
+        report.error(verify::rules::kShardSet, where,
+                     "the set holds " + std::to_string(metas.size()) +
+                         " shard(s) but rank " +
+                         std::to_string(first.rank) + " declares world " +
+                         std::to_string(first.world),
+                     "resume from an older complete set");
+        return report;
+    }
     std::vector<int> seen(first.world, 0);
-    std::vector<int> coverage(first.param_count, 0);
+    std::vector<std::pair<uint32_t, uint32_t>> owned;
     for (const ShardMeta &meta : metas) {
         const std::string shard_where =
             where + " rank " + std::to_string(meta.rank);
@@ -112,52 +92,40 @@ validateShardSet(const std::vector<ShardMeta> &metas,
                          "older complete set");
             continue;
         }
-        if (meta.rank >= meta.world) {
-            report.error(verify::rules::kShardMeta, shard_where,
-                         "rank " + std::to_string(meta.rank) +
-                             " outside world " +
-                             std::to_string(meta.world));
+        // An inadmissible shard (rank outside the world, owned range
+        // past param_count) must not index `seen`.
+        const size_t errors = report.count(verify::Severity::Error);
+        verify::checkShardMeta(meta, report, shard_where);
+        if (report.count(verify::Severity::Error) != errors)
             continue;
-        }
         if (seen[meta.rank]++ > 0) {
             report.error(verify::rules::kShardSet, shard_where,
                          "rank appears more than once in the set");
             continue;
         }
-        if (meta.owned_begin > meta.owned_end ||
-            meta.owned_end > meta.param_count) {
-            report.error(verify::rules::kShardMeta, shard_where,
-                         "owned range [" +
-                             std::to_string(meta.owned_begin) + ", " +
-                             std::to_string(meta.owned_end) +
-                             ") outside the " +
-                             std::to_string(meta.param_count) +
-                             " parameter tensors");
-            continue;
-        }
-        for (uint32_t i = meta.owned_begin; i < meta.owned_end; ++i)
-            ++coverage[i];
+        owned.emplace_back(meta.owned_begin, meta.owned_end);
     }
     if (report.hasErrors())
         return report;
-    for (uint32_t r = 0; r < first.world; ++r) {
-        if (!seen[r]) {
-            report.error(verify::rules::kShardSet, where,
-                         "rank " + std::to_string(r) +
-                             " of world " + std::to_string(first.world) +
-                             " is missing from the set");
-        }
-    }
-    for (uint32_t i = 0; i < first.param_count; ++i) {
-        if (coverage[i] != 1) {
-            report.error(
-                verify::rules::kShardSet, where,
-                "parameter tensor " + std::to_string(i) + " is owned " +
-                    std::to_string(coverage[i]) +
-                    " times (the shards must partition the optimizer "
-                    "state exactly)");
+    // The non-empty owned ranges must tile [0, param_count) exactly;
+    // `next` is the first tensor no range has claimed yet.
+    std::sort(owned.begin(), owned.end());
+    uint32_t next = 0;
+    for (const auto &[begin, end] : owned) {
+        if (begin == end)
+            continue;
+        if (begin != next) {
+            next = std::min(begin, next); // a gap or an overlap
             break;
         }
+        next = end;
+    }
+    if (next != first.param_count) {
+        report.error(verify::rules::kShardSet, where,
+                     "parameter tensor " + std::to_string(next) +
+                         " is owned by no shard or by several (the "
+                         "shards must partition the optimizer state "
+                         "exactly)");
     }
     return report;
 }

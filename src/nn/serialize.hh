@@ -4,22 +4,22 @@
  *
  * Two layers:
  *
- *  1. Weight files ("SNSW"): the flat parameter-tensor format trained
+ *  1. Weight blocks ("SNSW"): the flat parameter-tensor format trained
  *     models (Circuitformer, Aggregation MLPs, SeqGAN) persist and
  *     reload — "SNSW" magic, uint32 tensor count, then per tensor a
- *     uint32 ndim, int32 dims, and float32 data, all little-endian
- *     host order. Stream overloads let the same format embed inside a
- *     larger container.
+ *     uint32 ndim, int32 dims, and float32 data, all little-endian.
+ *     The same block stands alone as a file or sits inside a
+ *     checkpoint payload.
  *
  *  2. Training checkpoints ("SNSC"): a self-validating container for
  *     full crash-safe training state — model weights, optimizer
  *     moments, RNG streams, epoch counters, loss history, dataset
  *     fingerprints (docs/training.md documents the exact layout).
- *     The 24-byte header is magic "SNSC", uint32 version, uint64
- *     payload length, uint64 FNV-1a of the payload; readers verify
- *     length and hash before parsing, so truncation and bit rot are
- *     detected up front with a structured error instead of a
- *     mysterious shape mismatch mid-parse. Files are committed with
+ *     The 24-byte header is the shared container header
+ *     (util/container.hh); readers verify length and hash before
+ *     parsing, so truncation and bit rot are detected up front with a
+ *     structured error instead of a mysterious shape mismatch
+ *     mid-parse. Files are committed with
  *     write-to-temp + atomic rename, so a crash mid-write never
  *     corrupts the previous checkpoint, and a rolling keep-last-N
  *     policy bounds disk use.
@@ -32,9 +32,11 @@
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tensor/autograd.hh"
+#include "util/container.hh"
 
 namespace sns::nn {
 
@@ -54,42 +56,6 @@ class SerializeError : public std::runtime_error
     }
 };
 
-/** @name Weight files (SNSW)
- * @{
- */
-
-/** Write the parameter tensors to a file; SerializeError on I/O
- * failure. */
-void saveParameters(const std::string &path,
-                    const std::vector<tensor::Variable> &params);
-
-/**
- * Load parameters saved by saveParameters() into the given variables.
- * Count and shapes must match exactly; throws SerializeError on
- * mismatch or I/O error.
- */
-void loadParameters(const std::string &path,
-                    std::vector<tensor::Variable> &params);
-
-/** Stream forms of the SNSW format, for embedding weight blocks in a
- * training checkpoint; `where` labels errors. */
-void saveParameters(std::ostream &out,
-                    const std::vector<tensor::Variable> &params,
-                    const std::string &where);
-void loadParameters(std::istream &in,
-                    std::vector<tensor::Variable> &params,
-                    const std::string &where);
-/** @} */
-
-/** @name Training checkpoints (SNSC)
- * @{
- */
-
-/** Container magic/version (the verify checkpoint checker and
- * docs/training.md mirror these values). */
-inline constexpr char kCheckpointMagic[4] = {'S', 'N', 'S', 'C'};
-inline constexpr uint32_t kCheckpointVersion = 1;
-
 /**
  * Typed little-endian payload writer. The layout is positional: the
  * reader must issue the same sequence of typed reads the writer issued
@@ -100,46 +66,66 @@ class CheckpointWriter
   public:
     explicit CheckpointWriter(std::ostream &out) : out_(out) {}
 
-    void u32(uint32_t value);
-    void u64(uint64_t value);
-    void i64(int64_t value);
-    void f64(double value);
+    void u32(uint32_t value) { bytes(&value, sizeof(value)); }
+    void u64(uint64_t value) { bytes(&value, sizeof(value)); }
+    void i64(int64_t value) { bytes(&value, sizeof(value)); }
+    void f64(double value) { bytes(&value, sizeof(value)); }
     void str(const std::string &value);
     void bytes(const void *data, size_t size);
 
-    /** One raw tensor: uint32 ndim, int32 dims, float32 data. */
+    /** One raw tensor: u32 ndim, i32 dims, f32 data. */
     void tensor(const tensor::Tensor &value);
 
   private:
     std::ostream &out_;
 };
 
-/** Typed payload reader; every read throws SerializeError on EOF or
- * (for tensor reads) shape mismatch. */
-class CheckpointReader
+/** Typed reader over a payload that must outlive it; throws
+ * SerializeError naming `where` and the file offset (`base` is that
+ * of payload byte 0) on a short payload or a tensor shape mismatch. */
+class CheckpointReader : public ByteReader
 {
   public:
-    CheckpointReader(std::istream &in, std::string where)
-        : in_(in), where_(std::move(where))
-    {
-    }
+    CheckpointReader(std::string_view payload, std::string where,
+                     uint64_t base = kContainerHeaderBytes);
+    CheckpointReader(const CheckpointReader &) = delete;
 
-    uint32_t u32();
-    uint64_t u64();
-    int64_t i64();
-    double f64();
     std::string str();
 
-    /** Read a tensor written by CheckpointWriter::tensor into `value`;
-     * the shape must match exactly. */
+    /** Read into `value`; the shape must match exactly. */
     void tensor(tensor::Tensor &value);
 
-  private:
-    void raw(void *data, size_t size);
+    const std::string &where() const { return where_; }
 
-    std::istream &in_;
+  private:
     std::string where_;
 };
+
+/** @name Weight blocks (SNSW); loading requires count and shapes to
+ * match exactly and throws SerializeError otherwise.
+ * @{
+ */
+void saveParameters(CheckpointWriter &out,
+                    const std::vector<tensor::Variable> &params);
+void loadParameters(CheckpointReader &in,
+                    std::vector<tensor::Variable> &params);
+
+/** The same block as a whole file. */
+void saveParameters(const std::string &path,
+                    const std::vector<tensor::Variable> &params);
+void loadParameters(const std::string &path,
+                    std::vector<tensor::Variable> &params);
+/** @} */
+
+/** Write `bytes` to `path`; SerializeError on I/O failure. */
+void writeFile(const std::string &path, std::string_view bytes);
+
+/** The bytes of `path`; SerializeError if it cannot be opened. */
+std::string readFile(const std::string &path);
+
+/** @name Training checkpoints (SNSC)
+ * @{
+ */
 
 /**
  * Atomically commit a checkpoint payload to `path`: header (magic,
@@ -147,13 +133,14 @@ class CheckpointReader
  * and renamed onto `path`, so readers only ever observe complete
  * files. Throws SerializeError on I/O failure.
  */
-void commitCheckpoint(const std::string &path, const std::string &payload);
+void commitCheckpoint(const std::string &path, std::string_view payload);
 
 /**
  * Read and validate a checkpoint committed by commitCheckpoint():
- * checks magic, version, declared payload length against the file, and
+ * readContainer() checks magic, version, the declared payload length
+ * against the file size (before anything is allocated from it), and
  * the payload hash. Returns the payload bytes; throws SerializeError
- * (with the failing aspect named) on any mismatch.
+ * (with the failing check named) on any mismatch.
  */
 std::string readCheckpointPayload(const std::string &path);
 

@@ -1,10 +1,9 @@
 #include "plan/snsp.hh"
 
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
 
-#include "util/fnv.hh"
+#include "util/container.hh"
 
 namespace sns::plan {
 
@@ -14,78 +13,54 @@ using verify::Report;
 using verify::atByte;
 namespace rules = verify::rules;
 
-/** Element-count sanity cap: a valid plan has a few dozen records per
- * table; anything past this is garbage input, not a big plan. */
-constexpr uint32_t kMaxTableEntries = 1u << 20;
-
-void
-appendRaw(std::vector<unsigned char> &out, const void *data, size_t bytes)
-{
-    const size_t at = out.size();
-    out.resize(at + bytes);
-    std::memcpy(out.data() + at, data, bytes);
-}
-
-template <typename T>
-void
-append(std::vector<unsigned char> &out, T value)
-{
-    appendRaw(out, &value, sizeof(T));
-}
-
 /**
- * Offset-tracked payload reader. `base` is the file offset of payload
- * byte 0, so every diagnostic points at an absolute file position.
+ * Field-naming P-TRUNCATED reporter over the shared ByteReader (based
+ * at the file offset of payload byte 0). Once a field fails, `failed`
+ * latches and every later read is a no-op.
  */
 struct Cursor
 {
-    const unsigned char *data;
-    size_t size;
-    size_t pos = 0;
-    size_t base;
+    ByteReader in;
     const std::string &where;
     Report &report;
     bool failed = false;
 
-    size_t fileOffset() const { return base + pos; }
+    /** Report `message` at `at` against `field` and latch. */
+    bool
+    fail(uint64_t at, const std::string &field, const std::string &message)
+    {
+        report.error(rules::kPlanTruncated, atByte(where, at, field),
+                     message, "re-trace the plan with `sns-cli plan`");
+        failed = true;
+        return false;
+    }
 
-    /** Read one fixed-width value; reports P-TRUNCATED and latches
-     * `failed` when the payload ends early. */
+    /** Report a failed read of `field` as `message` and latch. */
+    bool
+    check(const char *field, const char *message)
+    {
+        return !in.failed() || fail(in.failOffset(), field, message);
+    }
+
     template <typename T>
     bool
     read(T &out_value, const char *field)
     {
         if (failed)
             return false;
-        if (pos + sizeof(T) > size) {
-            report.error(rules::kPlanTruncated,
-                         atByte(where, fileOffset(), field),
-                         "payload ends early while decoding this field",
-                         "re-trace the plan with `sns-cli plan`");
-            failed = true;
-            return false;
-        }
-        std::memcpy(&out_value, data + pos, sizeof(T));
-        pos += sizeof(T);
-        return true;
+        out_value = in.read<T>();
+        return check(field, "payload ends early while decoding this field");
     }
 
-    /** Read a table length and range-check it. */
+    /** A table length whose entries (at least `elem_bytes` each) must
+     * fit in the rest of the payload. */
     bool
-    readCount(uint32_t &out_value, const char *field)
+    readCount(uint32_t &out_value, size_t elem_bytes, const char *field)
     {
-        const size_t at = fileOffset();
-        if (!read(out_value, field))
+        if (failed)
             return false;
-        if (out_value > kMaxTableEntries) {
-            report.error(rules::kPlanTruncated, atByte(where, at, field),
-                         "implausible table length " +
-                             std::to_string(out_value),
-                         "the payload is not a serialized plan");
-            failed = true;
-            return false;
-        }
-        return true;
+        out_value = in.count(elem_bytes);
+        return check(field, "payload ends before this table's entries");
     }
 
     /** Read + range-check an enum byte. */
@@ -93,16 +68,13 @@ struct Cursor
     bool
     readEnum(E &out_value, uint8_t limit, const char *field)
     {
-        const size_t at = fileOffset();
+        const uint64_t at = in.offset();
         uint8_t raw = 0;
         if (!read(raw, field))
             return false;
-        if (raw >= limit) {
-            report.error(rules::kPlanTruncated, atByte(where, at, field),
-                         "invalid enum value " + std::to_string(raw));
-            failed = true;
-            return false;
-        }
+        if (raw >= limit)
+            return fail(at, field,
+                        "invalid enum value " + std::to_string(raw));
         out_value = static_cast<E>(raw);
         return true;
     }
@@ -113,71 +85,64 @@ struct Cursor
 std::vector<unsigned char>
 serializePlanPayload(const Plan &plan)
 {
-    std::vector<unsigned char> out;
-    append(out, plan.fingerprint);
-    const int32_t config[8] = {
-        plan.config.vocab,   plan.config.max_positions,
-        plan.config.d_model, plan.config.heads,
-        plan.config.layers,  plan.config.d_ff,
-        plan.config.head_hidden, plan.config.batch_max,
-    };
-    appendRaw(out, config, sizeof(config));
+    ByteWriter out;
+    out.write(plan.fingerprint);
+    for (int32_t field : {plan.config.vocab, plan.config.max_positions,
+                          plan.config.d_model, plan.config.heads,
+                          plan.config.layers, plan.config.d_ff,
+                          plan.config.head_hidden, plan.config.batch_max})
+        out.write(field);
 
-    append(out, static_cast<uint32_t>(plan.buffers.size()));
+    out.u32(static_cast<uint32_t>(plan.buffers.size()));
     for (const Shape &shape : plan.buffers) {
-        append(out, shape.ndim);
+        out.u8(shape.ndim);
         for (uint8_t i = 0; i < shape.ndim; ++i) {
-            append(out, static_cast<uint8_t>(shape.dims[i].kind));
-            append(out, shape.dims[i].value);
+            out.u8(static_cast<uint8_t>(shape.dims[i].kind));
+            out.write(shape.dims[i].value);
         }
     }
 
-    append(out, static_cast<uint32_t>(plan.weights.size()));
+    out.u32(static_cast<uint32_t>(plan.weights.size()));
     for (const WeightRef &weight : plan.weights) {
-        append(out, weight.param_index);
-        append(out, static_cast<uint8_t>(weight.role));
-        append(out, weight.rows);
-        append(out, weight.cols);
+        out.u32(weight.param_index);
+        out.u8(static_cast<uint8_t>(weight.role));
+        out.write(weight.rows);
+        out.write(weight.cols);
     }
 
-    append(out, static_cast<uint32_t>(plan.ops.size()));
+    out.u32(static_cast<uint32_t>(plan.ops.size()));
     for (const Op &op : plan.ops) {
-        append(out, static_cast<uint8_t>(op.kind));
-        append(out, static_cast<uint8_t>(op.epilogue));
-        append(out, static_cast<uint8_t>(op.inputs.size()));
-        append(out, static_cast<uint8_t>(op.weights.size()));
+        out.u8(static_cast<uint8_t>(op.kind));
+        out.u8(static_cast<uint8_t>(op.epilogue));
+        out.u8(static_cast<uint8_t>(op.inputs.size()));
+        out.u8(static_cast<uint8_t>(op.weights.size()));
         for (uint32_t input : op.inputs)
-            append(out, input);
+            out.u32(input);
         for (uint32_t weight : op.weights)
-            append(out, weight);
-        append(out, op.out);
-        append(out, op.fattr);
-        append(out, op.iattr);
+            out.u32(weight);
+        out.u32(op.out);
+        out.write(op.fattr);
+        out.write(op.iattr);
     }
 
     // Version-2 quant side table; nquant = 0 for pure fp64 plans.
-    append(out, static_cast<uint32_t>(plan.quant.size()));
+    out.u32(static_cast<uint32_t>(plan.quant.size()));
     for (const QuantizedGemm &entry : plan.quant) {
-        append(out, entry.op_index);
-        append(out, entry.x_scale);
-        append(out, static_cast<uint32_t>(entry.w_scales.size()));
+        out.u32(entry.op_index);
+        out.write(entry.x_scale);
+        out.u32(static_cast<uint32_t>(entry.w_scales.size()));
         for (float scale : entry.w_scales)
-            append(out, scale);
+            out.write(scale);
     }
-    return out;
+    return out.take();
 }
 
 std::vector<unsigned char>
 serializePlan(const Plan &plan)
 {
-    const std::vector<unsigned char> payload = serializePlanPayload(plan);
-    std::vector<unsigned char> out;
-    out.reserve(kSnspHeaderBytes + payload.size());
-    appendRaw(out, kSnspMagic, sizeof(kSnspMagic));
-    append(out, kSnspVersion);
-    append(out, static_cast<uint64_t>(payload.size()));
-    append(out, fnv1a(payload.data(), payload.size()));
-    appendRaw(out, payload.data(), payload.size());
+    std::vector<unsigned char> out = serializePlanPayload(plan);
+    const auto header = containerHeader(kPlanFormat, out.data(), out.size());
+    out.insert(out.begin(), header.begin(), header.end());
     return out;
 }
 
@@ -200,7 +165,8 @@ parsePlanPayload(const unsigned char *data, size_t size,
                  uint32_t version, Plan &out, verify::Report &report,
                  const std::string &where)
 {
-    Cursor cur{data, size, 0, kSnspHeaderBytes, where, report};
+    Cursor cur{ByteReader(data, size, kContainerHeaderBytes), where,
+               report};
 
     cur.read(out.fingerprint, "model fingerprint");
     int32_t *config[8] = {
@@ -213,19 +179,17 @@ parsePlanPayload(const unsigned char *data, size_t size,
         cur.read(*field, "plan config");
 
     uint32_t nbuffers = 0;
-    cur.readCount(nbuffers, "buffer table length");
+    // Table lengths are bounded by each entry's smallest encoding.
+    cur.readCount(nbuffers, 1 + 5, "buffer table length");
     for (uint32_t i = 0; !cur.failed && i < nbuffers; ++i) {
         Shape shape;
-        const size_t at = cur.fileOffset();
+        const uint64_t at = cur.in.offset();
         if (!cur.read(shape.ndim, "buffer ndim"))
             break;
         if (shape.ndim < 1 || shape.ndim > 3) {
-            report.error(rules::kPlanTruncated,
-                         atByte(where, at,
-                                "buffer " + std::to_string(i) + " ndim"),
-                         "buffer rank " + std::to_string(shape.ndim) +
-                             " out of range (1..3)");
-            cur.failed = true;
+            cur.fail(at, "buffer " + std::to_string(i) + " ndim",
+                     "buffer rank " + std::to_string(shape.ndim) +
+                         " out of range (1..3)");
             break;
         }
         for (uint8_t j = 0; j < shape.ndim; ++j) {
@@ -236,7 +200,7 @@ parsePlanPayload(const unsigned char *data, size_t size,
     }
 
     uint32_t nweights = 0;
-    cur.readCount(nweights, "weight table length");
+    cur.readCount(nweights, 4 + 1 + 4 + 4, "weight table length");
     for (uint32_t i = 0; !cur.failed && i < nweights; ++i) {
         WeightRef weight;
         cur.read(weight.param_index, "weight param index");
@@ -247,7 +211,7 @@ parsePlanPayload(const unsigned char *data, size_t size,
     }
 
     uint32_t nops = 0;
-    cur.readCount(nops, "op table length");
+    cur.readCount(nops, 4 + 4 * 3, "op table length");
     for (uint32_t i = 0; !cur.failed && i < nops; ++i) {
         Op op;
         const std::string field = "op " + std::to_string(i);
@@ -274,13 +238,13 @@ parsePlanPayload(const unsigned char *data, size_t size,
     // files end at the op table and parse with an empty side table.
     if (version >= 2) {
         uint32_t nquant = 0;
-        cur.readCount(nquant, "quant table length");
+        cur.readCount(nquant, 4 * 3, "quant table length");
         for (uint32_t i = 0; !cur.failed && i < nquant; ++i) {
             QuantizedGemm entry;
             cur.read(entry.op_index, "quant op index");
             cur.read(entry.x_scale, "quant activation scale");
             uint32_t nscales = 0;
-            cur.readCount(nscales, "quant scale count");
+            cur.readCount(nscales, 4, "quant scale count");
             entry.w_scales.resize(nscales);
             for (uint32_t j = 0; !cur.failed && j < nscales; ++j)
                 cur.read(entry.w_scales[j], "quant weight scale");
@@ -289,10 +253,10 @@ parsePlanPayload(const unsigned char *data, size_t size,
         }
     }
 
-    if (!cur.failed && cur.pos != size) {
+    if (!cur.failed && cur.in.remaining() != 0) {
         report.warning(rules::kPlanTruncated,
-                       atByte(where, cur.fileOffset(), "payload tail"),
-                       std::to_string(size - cur.pos) +
+                       atByte(where, cur.in.offset(), "payload tail"),
+                       std::to_string(cur.in.remaining()) +
                            " unparsed byte(s) after the op table");
     }
     return !cur.failed;
@@ -301,70 +265,18 @@ parsePlanPayload(const unsigned char *data, size_t size,
 bool
 readPlanFile(const std::string &path, Plan &out, verify::Report &report)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        report.error(rules::kPlanOpen, path, "cannot open plan file");
+    static const verify::ContainerRules kRules{
+        kPlanFormat, "plan", rules::kPlanOpen, rules::kPlanMagic,
+        rules::kPlanVersion, rules::kPlanTruncated, rules::kPlanHash,
+        "this is not a serialized execution plan",
+        "re-trace the plan with `sns-cli plan`"};
+    const Container file = readContainer(path, kPlanFormat);
+    if (!verify::reportContainer(file, path, kRules, report))
         return false;
-    }
-    std::vector<unsigned char> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-
-    if (bytes.size() < kSnspHeaderBytes) {
-        report.error(rules::kPlanTruncated,
-                     atByte(path, bytes.size(), "header"),
-                     "file shorter than the 24-byte SNSP header",
-                     "re-trace the plan with `sns-cli plan`");
-        return false;
-    }
-    if (std::memcmp(bytes.data(), kSnspMagic, sizeof(kSnspMagic)) != 0) {
-        report.error(rules::kPlanMagic, atByte(path, 0, "magic"),
-                     "bad container magic (expected \"SNSP\")",
-                     "this is not a serialized execution plan");
-        return false;
-    }
-    uint32_t version = 0;
-    uint64_t length = 0;
-    uint64_t expected_hash = 0;
-    std::memcpy(&version, bytes.data() + 4, sizeof(version));
-    std::memcpy(&length, bytes.data() + 8, sizeof(length));
-    std::memcpy(&expected_hash, bytes.data() + 16, sizeof(expected_hash));
-    if (version < kSnspMinVersion || version > kSnspVersion) {
-        report.error(rules::kPlanVersion, atByte(path, 4, "version"),
-                     "unsupported plan version " +
-                         std::to_string(version) + " (expected " +
-                         std::to_string(kSnspMinVersion) + ".." +
-                         std::to_string(kSnspVersion) + ")",
-                     "re-trace the plan with this build's `sns-cli plan`");
-        return false;
-    }
-    const size_t available = bytes.size() - kSnspHeaderBytes;
-    if (length > available) {
-        report.error(rules::kPlanTruncated,
-                     atByte(path, 8, "payload length"),
-                     "header declares " + std::to_string(length) +
-                         " payload bytes but only " +
-                         std::to_string(available) + " follow",
-                     "the plan write was interrupted; re-trace it");
-        return false;
-    }
-    if (length < available) {
-        report.warning(rules::kPlanTruncated,
-                       atByte(path, kSnspHeaderBytes + length,
-                              "payload tail"),
-                       std::to_string(available - length) +
-                           " trailing byte(s) after the declared payload");
-    }
-    const unsigned char *payload = bytes.data() + kSnspHeaderBytes;
-    const uint64_t hash = fnv1a(payload, length);
-    if (hash != expected_hash) {
-        report.error(rules::kPlanHash,
-                     atByte(path, 16, "payload hash"),
-                     "payload hash mismatch (plan file is corrupt)",
-                     "re-trace the plan with `sns-cli plan`");
-        return false;
-    }
-    return parsePlanPayload(payload, length, version, out, report, path);
+    const std::string_view payload = file.payload();
+    return parsePlanPayload(
+        reinterpret_cast<const unsigned char *>(payload.data()),
+        payload.size(), file.version, out, report, path);
 }
 
 } // namespace sns::plan

@@ -4,11 +4,9 @@
  *
  * Layout (little-endian, fixed-width fields):
  *
- *   header, 24 bytes:
- *     "SNSP"            4-byte magic
- *     u32 version       currently 2 (1 still readable)
- *     u64 payload_len   bytes following the header
- *     u64 payload_hash  FNV-1a over the payload bytes
+ *   header, 24 bytes: the shared container header (util/container.hh,
+ *     kPlanFormat): magic "SNSP", u32 version (2 written, 1 still
+ *     readable), u64 payload length, u64 FNV-1a of the payload
  *
  *   payload:
  *     u64 fingerprint
@@ -28,8 +26,9 @@
  * parse into a plan with an empty side table; version 2 is always
  * written, with nquant = 0 for pure fp64 plans.
  *
- * readPlanFile() performs the container checks (rules P-OPEN, P-MAGIC,
- * P-VERSION, P-TRUNCATED, P-HASH) and an offset-tracked payload parse:
+ * readPlanFile() maps the shared container checks to rules P-OPEN,
+ * P-MAGIC, P-VERSION, P-TRUNCATED and P-HASH, then runs an
+ * offset-tracked payload parse over the shared ByteReader:
  * every diagnostic carries the absolute byte offset and the field
  * being decoded (verify::atByte). It deliberately reports *into* a
  * Report instead of throwing, so sns_lint can keep going; enforcement
@@ -44,15 +43,10 @@
 #include <vector>
 
 #include "plan/ir.hh"
+#include "util/container.hh"
 #include "verify/diagnostics.hh"
 
 namespace sns::plan {
-
-inline constexpr char kSnspMagic[4] = {'S', 'N', 'S', 'P'};
-inline constexpr uint32_t kSnspVersion = 2;
-/** Oldest container version readPlanFile still accepts. */
-inline constexpr uint32_t kSnspMinVersion = 1;
-inline constexpr size_t kSnspHeaderBytes = 24;
 
 /** Serialize a plan's payload (everything after the 24-byte header). */
 std::vector<unsigned char> serializePlanPayload(const Plan &plan);
@@ -68,7 +62,7 @@ void writePlanFile(const Plan &plan, const std::string &path);
  * the container version from the header and selects which sections to
  * expect (the quant side table exists from version 2). Diagnostics
  * carry byte offsets relative to the *file* start, i.e. payload
- * offsets shifted by kSnspHeaderBytes. Returns false — with at least
+ * offsets shifted by kContainerHeaderBytes. Returns false — with at least
  * one error in `report` — when the payload is malformed.
  */
 bool parsePlanPayload(const unsigned char *data, size_t size,

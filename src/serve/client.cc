@@ -181,7 +181,8 @@ Client::workers()
         reader.expectEnd();
         return reply;
     }
-    const uint32_t count = reader.u32();
+    // Each entry is at least a u32-length address and a state byte.
+    const uint32_t count = reader.count(sizeof(uint32_t) + 1);
     reply.workers.reserve(count);
     for (uint32_t i = 0; i < count; ++i) {
         WorkerEndpoint endpoint;

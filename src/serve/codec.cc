@@ -43,7 +43,7 @@ readPrediction(WireReader &reader)
     prediction.area_um2 = reader.f64();
     prediction.power_mw = reader.f64();
     prediction.paths_sampled = reader.u64();
-    const uint32_t nodes = reader.u32();
+    const uint32_t nodes = reader.count(sizeof(uint32_t));
     prediction.critical_path.reserve(nodes);
     for (uint32_t i = 0; i < nodes; ++i)
         prediction.critical_path.push_back(reader.u32());

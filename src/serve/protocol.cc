@@ -29,92 +29,31 @@ statusName(Status status)
 }
 
 void
-WireWriter::u32(uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void
-WireWriter::u64(uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void
-WireWriter::f64(double v)
-{
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-}
-
-void
 WireWriter::str(const std::string &s)
 {
     u32(static_cast<uint32_t>(s.size()));
-    buf_.insert(buf_.end(), s.begin(), s.end());
+    ByteWriter::bytes(s.data(), s.size());
 }
 
-void
-WireReader::need(size_t bytes) const
+WireReader::WireReader(const uint8_t *data, size_t size)
+    : ByteReader(data, size, 0, [](const ByteReader &, const void *) {
+          throw ProtocolError("truncated payload");
+      })
 {
-    if (size_ - pos_ < bytes)
-        throw ProtocolError("truncated payload");
-}
-
-uint8_t
-WireReader::u8()
-{
-    need(1);
-    return data_[pos_++];
-}
-
-uint32_t
-WireReader::u32()
-{
-    need(4);
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<uint32_t>(data_[pos_++]) << (8 * i);
-    return v;
-}
-
-uint64_t
-WireReader::u64()
-{
-    need(8);
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(data_[pos_++]) << (8 * i);
-    return v;
-}
-
-double
-WireReader::f64()
-{
-    const uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
 }
 
 std::string
 WireReader::str()
 {
     const uint32_t len = u32();
-    need(len);
-    std::string s(reinterpret_cast<const char *>(data_ + pos_), len);
-    pos_ += len;
-    return s;
+    const uint8_t *data = bytes(len);
+    return std::string(reinterpret_cast<const char *>(data), len);
 }
 
 void
 WireReader::expectEnd() const
 {
-    if (pos_ != size_)
+    if (remaining() != 0)
         throw ProtocolError("trailing bytes in payload");
 }
 
@@ -169,11 +108,8 @@ readAll(int fd, uint8_t *data, size_t size)
 void
 sendFrame(int fd, const std::vector<uint8_t> &payload)
 {
-    uint8_t header[4];
     const auto len = static_cast<uint32_t>(payload.size());
-    for (int i = 0; i < 4; ++i)
-        header[i] = static_cast<uint8_t>(len >> (8 * i));
-    writeAll(fd, header, sizeof(header));
+    writeAll(fd, reinterpret_cast<const uint8_t *>(&len), sizeof(len));
     if (!payload.empty())
         writeAll(fd, payload.data(), payload.size());
 }
@@ -184,9 +120,7 @@ recvFrame(int fd, size_t max_bytes)
     uint8_t header[4];
     if (!readAll(fd, header, sizeof(header)))
         return std::nullopt;
-    uint32_t len = 0;
-    for (int i = 0; i < 4; ++i)
-        len |= static_cast<uint32_t>(header[i]) << (8 * i);
+    const uint32_t len = ByteReader(header, sizeof(header)).u32();
     if (len > max_bytes)
         throw ProtocolError("frame length " + std::to_string(len) +
                             " exceeds limit " +

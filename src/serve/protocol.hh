@@ -66,6 +66,8 @@
 #include <string>
 #include <vector>
 
+#include "util/container.hh"
+
 namespace sns::serve {
 
 /**
@@ -131,52 +133,31 @@ class ProtocolError : public std::runtime_error
     }
 };
 
-/** Append-only payload builder. */
-class WireWriter
+/** Append-only payload builder: the shared ByteWriter plus the
+ * wire's u32-length strings. */
+class WireWriter : public ByteWriter
 {
   public:
-    void u8(uint8_t v) { buf_.push_back(v); }
-    void u32(uint32_t v);
-    void u64(uint64_t v);
-    void f64(double v);
     void str(const std::string &s);
 
-    const std::vector<uint8_t> &bytes() const { return buf_; }
-
-  private:
-    std::vector<uint8_t> buf_;
+    const std::vector<uint8_t> &bytes() const { return buffer(); }
 };
 
-/** Bounds-checked payload reader; throws ProtocolError on underrun. */
-class WireReader
+/** Payload reader: the shared ByteReader, throwing ProtocolError on
+ * underrun, plus the wire's u32-length strings. */
+class WireReader : public ByteReader
 {
   public:
-    WireReader(const uint8_t *data, size_t size)
-        : data_(data), size_(size)
-    {
-    }
+    WireReader(const uint8_t *data, size_t size);
     explicit WireReader(const std::vector<uint8_t> &payload)
         : WireReader(payload.data(), payload.size())
     {
     }
 
-    uint8_t u8();
-    uint32_t u32();
-    uint64_t u64();
-    double f64();
     std::string str();
-
-    size_t remaining() const { return size_ - pos_; }
 
     /** Throws unless the payload was consumed exactly. */
     void expectEnd() const;
-
-  private:
-    void need(size_t bytes) const;
-
-    const uint8_t *data_;
-    size_t size_;
-    size_t pos_ = 0;
 };
 
 /**

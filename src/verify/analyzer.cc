@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -609,11 +608,15 @@ checkSynthesisResult(double timing_ps, double area_um2, double power_mw,
 
 namespace {
 
-/** The sns::dist shard producer tag; payloads opening with it carry
- * the self-describing ShardMeta block linted below. Duplicated from
- * dist/shard.hh on purpose — sns_verify stays a leaf library; the
- * test_dist round trip pins the two copies together. */
-constexpr const char *kShardProducerTag = "sns-dist-trainer-v1";
+/** Meta block bytes after the producer string: u32 layout, 6 x u32,
+ * 2 x u64, 2 x i64. */
+constexpr size_t kShardMetaBytes = 4 + 6 * 4 + 2 * 8 + 2 * 8;
+
+bool
+powerOfTwo(uint32_t v)
+{
+    return v > 0 && (v & (v - 1)) == 0;
+}
 
 /**
  * C-SHARD-* lint of a shard checkpoint's payload prefix. Quietly
@@ -621,203 +624,153 @@ constexpr const char *kShardProducerTag = "sns-dist-trainer-v1";
  * (other SNSC containers are not shards).
  */
 void
-checkShardPayload(Report &report, const std::string &payload,
+checkShardPayload(Report &report, std::string_view payload,
                   const std::string &path)
 {
-    const size_t tag_len = std::strlen(kShardProducerTag);
-    uint64_t str_len = 0;
-    if (payload.size() < sizeof(str_len))
+    ByteReader in(payload.data(), payload.size(), kContainerHeaderBytes);
+    const auto meta = decodeShardMeta(in, report, path);
+    if (!meta)
         return;
-    std::memcpy(&str_len, payload.data(), sizeof(str_len));
-    if (str_len != tag_len || payload.size() < sizeof(str_len) + tag_len ||
-        std::memcmp(payload.data() + sizeof(str_len), kShardProducerTag,
-                    tag_len) != 0)
-        return; // not a shard payload
-
-    // After the producer string: u32 layout, then 6 x u32, 2 x u64,
-    // 2 x i64 (dist::ShardMeta). 24 header bytes precede the payload
-    // in the file, hence the atByte offsets.
-    size_t pos = sizeof(str_len) + tag_len;
-    constexpr size_t kMetaBytes = 4 + 6 * 4 + 2 * 8 + 2 * 8;
-    if (payload.size() < pos + kMetaBytes) {
-        report.error(
-            rules::kShardTruncated, atByte(path, 24 + pos, "shard meta"),
-            "payload ends inside the shard meta block (" +
-                std::to_string(payload.size() - pos) + " of " +
-                std::to_string(kMetaBytes) + " bytes)",
-            "the shard is unusable; resume from an older complete set");
-        return;
-    }
-    const auto u32at = [&](size_t offset) {
-        uint32_t value = 0;
-        std::memcpy(&value, payload.data() + pos + offset, sizeof(value));
-        return value;
-    };
-    const auto i64at = [&](size_t offset) {
-        int64_t value = 0;
-        std::memcpy(&value, payload.data() + pos + offset, sizeof(value));
-        return value;
-    };
-    const uint32_t layout = u32at(0);
-    const uint32_t world = u32at(4);
-    const uint32_t rank = u32at(8);
-    const uint32_t grad_slices = u32at(12);
-    const uint32_t param_count = u32at(16);
-    const uint32_t owned_begin = u32at(20);
-    const uint32_t owned_end = u32at(24);
-    const int64_t completed_epoch = i64at(44);
-    const int64_t total_epochs = i64at(52);
-
-    if (layout != 1) {
-        report.error(rules::kShardMeta, atByte(path, 24 + pos, "layout"),
-                     "unsupported shard layout version " +
-                         std::to_string(layout) + " (expected 1)");
-        return; // later fields may have moved
-    }
-    const auto powerOfTwo = [](uint32_t v) {
-        return v > 0 && (v & (v - 1)) == 0;
-    };
-    if (!powerOfTwo(world)) {
-        report.error(rules::kShardMeta, atByte(path, 24 + pos + 4, "world"),
-                     "world size " + std::to_string(world) +
-                         " is not a positive power of two");
-    } else if (rank >= world) {
-        report.error(rules::kShardMeta, atByte(path, 24 + pos + 8, "rank"),
-                     "rank " + std::to_string(rank) + " outside world " +
-                         std::to_string(world));
-    }
-    if (!powerOfTwo(grad_slices) ||
-        (powerOfTwo(world) && grad_slices % world != 0)) {
-        report.error(rules::kShardMeta,
-                     atByte(path, 24 + pos + 12, "grad_slices"),
-                     "grad_slices " + std::to_string(grad_slices) +
-                         " is not a power of two divisible by world " +
-                         std::to_string(world));
-    }
-    if (owned_begin > owned_end || owned_end > param_count) {
-        report.error(rules::kShardMeta,
-                     atByte(path, 24 + pos + 20, "owned range"),
-                     "owned range [" + std::to_string(owned_begin) +
-                         ", " + std::to_string(owned_end) +
-                         ") outside the " + std::to_string(param_count) +
-                         " parameter tensors");
-    }
-    if (total_epochs <= 0 || completed_epoch < 0 ||
-        completed_epoch >= total_epochs) {
-        report.error(rules::kShardMeta,
-                     atByte(path, 24 + pos + 44, "epoch counters"),
-                     "completed epoch " + std::to_string(completed_epoch) +
-                         " of " + std::to_string(total_epochs) +
-                         " is out of range");
-    }
+    const uint64_t at = in.offset() - kShardMetaBytes;
+    checkShardMeta(*meta, report, path, at);
 
     // The file name is the set-discovery key; it must agree with the
     // payload, or resume would merge the wrong shards.
-    const std::string name = std::filesystem::path(path).filename().string();
-    int f_epoch = 0;
-    int f_rank = 0;
-    int f_world = 0;
-    char tail = '\0';
-    if (std::sscanf(name.c_str(), "ckpt-%6d-r%2dof%2d.ckpt%c", &f_epoch,
-                    &f_rank, &f_world, &tail) == 3) {
-        if (static_cast<uint32_t>(f_rank) != rank ||
-            static_cast<uint32_t>(f_world) != world ||
-            static_cast<int64_t>(f_epoch) != completed_epoch) {
-            report.error(
-                rules::kShardMeta, atByte(path, 24 + pos, "shard meta"),
-                "file name says epoch " + std::to_string(f_epoch) +
-                    " rank " + std::to_string(f_rank) + "/" +
-                    std::to_string(f_world) + " but the meta says epoch " +
-                    std::to_string(completed_epoch) + " rank " +
-                    std::to_string(rank) + "/" + std::to_string(world),
-                "the file was renamed; restore the committed name");
-        }
+    const auto name = parseShardName(path);
+    if (name && (static_cast<uint32_t>(name->rank) != meta->rank ||
+                 static_cast<uint32_t>(name->world) != meta->world ||
+                 name->epoch != meta->completed_epoch)) {
+        report.error(
+            rules::kShardMeta, atByte(path, at, "shard meta"),
+            "file name says epoch " + std::to_string(name->epoch) +
+                " rank " + std::to_string(name->rank) + "/" +
+                std::to_string(name->world) + " but the meta says epoch " +
+                std::to_string(meta->completed_epoch) + " rank " +
+                std::to_string(meta->rank) + "/" +
+                std::to_string(meta->world),
+            "the file was renamed; restore the committed name");
     }
 }
 
 } // namespace
 
+std::optional<ShardMeta>
+decodeShardMeta(ByteReader &in, Report &report, const std::string &where,
+                std::string *producer)
+{
+    const uint64_t size = in.u64();
+    const uint8_t *tag = in.bytes(size);
+    const std::string opening =
+        tag ? std::string(reinterpret_cast<const char *>(tag), size) : "";
+    if (producer != nullptr)
+        *producer = opening;
+    if (in.failed() || opening != kShardProducer)
+        return std::nullopt;
+    const uint64_t at = in.offset();
+    if (in.remaining() < kShardMetaBytes) {
+        report.error(
+            rules::kShardTruncated, atByte(where, at, "shard meta"),
+            "payload ends inside the shard meta block (" +
+                std::to_string(in.remaining()) + " of " +
+                std::to_string(kShardMetaBytes) + " bytes)",
+            "the shard is unusable; resume from an older complete set");
+        return std::nullopt;
+    }
+    if (const uint32_t layout = in.u32(); layout != kShardLayoutVersion) {
+        report.error(rules::kShardMeta, atByte(where, at, "layout"),
+                     "unsupported shard layout version " +
+                         std::to_string(layout) + " (expected " +
+                         std::to_string(kShardLayoutVersion) + ")");
+        return std::nullopt;
+    }
+    ShardMeta meta;
+    meta.world = in.u32();
+    meta.rank = in.u32();
+    meta.grad_slices = in.u32();
+    meta.param_count = in.u32();
+    meta.owned_begin = in.u32();
+    meta.owned_end = in.u32();
+    meta.config_fp = in.u64();
+    meta.split_fp = in.u64();
+    meta.completed_epoch = in.i64();
+    meta.total_epochs = in.i64();
+    return meta;
+}
+
+void
+checkShardMeta(const ShardMeta &meta, Report &report,
+               const std::string &where, std::optional<uint64_t> meta_offset)
+{
+    // Field offsets from the layout version (see decodeShardMeta).
+    const auto at = [&](uint64_t field_offset, const char *field) {
+        return meta_offset ? atByte(where, *meta_offset + field_offset, field)
+                           : where;
+    };
+    if (!powerOfTwo(meta.world)) {
+        report.error(rules::kShardMeta, at(4, "world"),
+                     "world size " + std::to_string(meta.world) +
+                         " is not a positive power of two");
+    } else if (meta.rank >= meta.world) {
+        report.error(rules::kShardMeta, at(8, "rank"),
+                     "rank " + std::to_string(meta.rank) +
+                         " outside world " + std::to_string(meta.world));
+    }
+    if (!powerOfTwo(meta.grad_slices) ||
+        (powerOfTwo(meta.world) && meta.grad_slices % meta.world != 0)) {
+        report.error(rules::kShardMeta, at(12, "grad_slices"),
+                     "grad_slices " + std::to_string(meta.grad_slices) +
+                         " is not a power of two divisible by world " +
+                         std::to_string(meta.world));
+    }
+    if (meta.owned_begin > meta.owned_end ||
+        meta.owned_end > meta.param_count) {
+        report.error(rules::kShardMeta, at(20, "owned range"),
+                     "owned range [" + std::to_string(meta.owned_begin) +
+                         ", " + std::to_string(meta.owned_end) +
+                         ") outside the " +
+                         std::to_string(meta.param_count) +
+                         " parameter tensors");
+    }
+    if (meta.total_epochs <= 0 || meta.completed_epoch < 0 ||
+        meta.completed_epoch >= meta.total_epochs) {
+        report.error(rules::kShardMeta, at(44, "epoch counters"),
+                     "completed epoch " +
+                         std::to_string(meta.completed_epoch) + " of " +
+                         std::to_string(meta.total_epochs) +
+                         " is out of range");
+    }
+}
+
+std::optional<ShardName>
+parseShardName(const std::string &file)
+{
+    const std::string name =
+        std::filesystem::path(file).filename().string();
+    ShardName parsed;
+    char tail = '\0';
+    // ckpt-000123-r01of04.ckpt; %c catches trailing garbage.
+    if (std::sscanf(name.c_str(), "ckpt-%6d-r%2dof%2d.ckpt%c",
+                    &parsed.epoch, &parsed.rank, &parsed.world,
+                    &tail) != 3 ||
+        parsed.world <= 0 || parsed.rank < 0 ||
+        parsed.rank >= parsed.world)
+        return std::nullopt;
+    return parsed;
+}
+
 Report
 checkCheckpointFile(const std::string &path)
 {
-    // The SNSC header layout, duplicated from nn/serialize.hh on
-    // purpose: sns_verify stays a leaf library (graphir only), and a
-    // round-trip test pins the two copies together against drift.
-    constexpr char kMagic[4] = {'S', 'N', 'S', 'C'};
-    constexpr uint32_t kVersion = 1;
-
+    static const ContainerRules kRules{
+        kCheckpointFormat, "checkpoint", rules::kCheckpointOpen,
+        rules::kCheckpointMagic, rules::kCheckpointVersion,
+        rules::kCheckpointTruncated, rules::kCheckpointHash,
+        "this is not a training checkpoint",
+        "resume from an older checkpoint in the same directory"};
     Report report;
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        report.error(rules::kCheckpointOpen, path,
-                     "cannot open checkpoint file");
-        return report;
-    }
-
-    char magic[4] = {};
-    in.read(magic, sizeof(magic));
-    if (!in) {
-        report.error(rules::kCheckpointTruncated, atByte(path, 0, "magic"),
-                     "file shorter than the 24-byte SNSC header",
-                     "the checkpoint write was interrupted before the "
-                     "atomic rename; delete the file");
-        return report;
-    }
-    if (!std::equal(magic, magic + 4, kMagic)) {
-        report.error(rules::kCheckpointMagic, atByte(path, 0, "magic"),
-                     "bad container magic (expected \"SNSC\")",
-                     "this is not a training checkpoint");
-        return report;
-    }
-
-    uint32_t version = 0;
-    uint64_t length = 0;
-    uint64_t expected_hash = 0;
-    in.read(reinterpret_cast<char *>(&version), sizeof(version));
-    in.read(reinterpret_cast<char *>(&length), sizeof(length));
-    in.read(reinterpret_cast<char *>(&expected_hash),
-            sizeof(expected_hash));
-    if (!in) {
-        report.error(rules::kCheckpointTruncated, atByte(path, 4, "header"),
-                     "file shorter than the 24-byte SNSC header",
-                     "the checkpoint write was interrupted before the "
-                     "atomic rename; delete the file");
-        return report;
-    }
-    if (version != kVersion) {
-        report.error(rules::kCheckpointVersion, atByte(path, 4, "version"),
-                     "unsupported checkpoint version " +
-                         std::to_string(version) + " (expected " +
-                         std::to_string(kVersion) + ")");
-        return report;
-    }
-
-    std::string payload(length, '\0');
-    if (length > 0)
-        in.read(payload.data(), static_cast<std::streamsize>(length));
-    if (!in || static_cast<uint64_t>(in.gcount()) != length) {
-        report.error(
-            rules::kCheckpointTruncated, atByte(path, 8, "payload length"),
-            "header declares " + std::to_string(length) +
-                " payload bytes but the file ends early",
-            "resume from an older checkpoint in the same directory");
-        return report;
-    }
-    if (in.peek() != std::char_traits<char>::eof()) {
-        report.warning(rules::kCheckpointTruncated,
-                       atByte(path, 24 + length, "payload tail"),
-                       "trailing bytes after the declared payload");
-    }
-
-    if (fnv1a(payload.data(), payload.size()) != expected_hash) {
-        report.error(rules::kCheckpointHash,
-                     atByte(path, 16, "payload hash"),
-                     "payload hash mismatch (file is corrupt)",
-                     "resume from an older checkpoint in the same "
-                     "directory");
-    }
-    if (!report.hasErrors())
-        checkShardPayload(report, payload, path);
+    const Container file = readContainer(path, kCheckpointFormat);
+    if (reportContainer(file, path, kRules, report))
+        checkShardPayload(report, file.payload(), path);
     return report;
 }
 

@@ -26,10 +26,12 @@
 #ifndef SNS_VERIFY_ANALYZER_HH
 #define SNS_VERIFY_ANALYZER_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "graphir/graph.hh"
+#include "util/container.hh"
 #include "verify/diagnostics.hh"
 
 namespace sns::verify {
@@ -120,6 +122,66 @@ Report lintPathDatasetFile(const std::string &path);
 Report checkSynthesisResult(double timing_ps, double area_um2,
                             double power_mw, double gate_count,
                             const std::string &where);
+
+/** @name Rank-shard payload prefix (docs/distributed.md §Checkpoints)
+ * @{
+ */
+
+/** Producer tag every shard payload opens with (a u64-length string);
+ * readers refuse any other producer up front, naming it. */
+inline constexpr const char *kShardProducer = "sns-dist-trainer-v1";
+
+/** Version of the shard payload layout after the producer string. */
+inline constexpr uint32_t kShardLayoutVersion = 1;
+
+/** The shard meta block that follows the layout version. */
+struct ShardMeta
+{
+    uint32_t world = 0;
+    uint32_t rank = 0;
+    uint32_t grad_slices = 0;
+    uint32_t param_count = 0; ///< model parameter tensors
+    uint32_t owned_begin = 0; ///< first owned parameter tensor
+    uint32_t owned_end = 0;   ///< one past the last owned tensor
+    uint64_t config_fp = 0;
+    uint64_t split_fp = 0;
+    int64_t completed_epoch = 0;
+    int64_t total_epochs = 0;
+};
+
+/**
+ * The one decoder of the shard prefix at `in`, for the trainer and
+ * lint. nullopt quietly when the payload does not open with
+ * kShardProducer (`producer` gets what it does), or with a
+ * C-SHARD-TRUNCATED / C-SHARD-META error for a short or unknown meta.
+ */
+std::optional<ShardMeta> decodeShardMeta(ByteReader &in, Report &report,
+                                         const std::string &where,
+                                         std::string *producer = nullptr);
+
+/**
+ * C-SHARD-META for one shard: a power-of-two world, rank inside it,
+ * power-of-two grad_slices divisible by the world, the owned range
+ * inside param_count, and completed_epoch in [0, total_epochs).
+ * Findings are located at `where`, plus each field's byte offset when
+ * `meta_offset` (the file offset of the layout version) is given.
+ */
+void checkShardMeta(const ShardMeta &meta, Report &report,
+                    const std::string &where,
+                    std::optional<uint64_t> meta_offset = std::nullopt);
+
+/** Identity in a shard file name, ckpt-EEEEEE-rRRofWW.ckpt. */
+struct ShardName
+{
+    int epoch = 0;
+    int rank = 0;
+    int world = 0;
+};
+
+/** Parse a shard file name (path or basename); nullopt for anything
+ * else, or for a rank outside its world. */
+std::optional<ShardName> parseShardName(const std::string &file);
+/** @} */
 
 /**
  * Validate a training-checkpoint container ("SNSC", C-* rules) without

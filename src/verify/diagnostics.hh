@@ -34,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/container.hh"
 #include "util/logging.hh"
 
 namespace sns::verify {
@@ -262,6 +263,71 @@ class Report
   private:
     std::vector<Diagnostic> diags_;
 };
+
+/** How one container kind reports: its format, name, rule ids, and the
+ * hints for "not this kind" and for a damaged file. */
+struct ContainerRules
+{
+    const ContainerFormat &format;
+    const char *kind;
+    const char *open, *magic, *version, *truncated, *hash;
+    const char *not_kind_hint, *damaged_hint;
+};
+
+/** Report a container's failed check as an error at its byte offset,
+ * and trailing bytes as a warning; true when the payload is intact. */
+inline bool
+reportContainer(const Container &file, const std::string &path,
+                const ContainerRules &rules, Report &report)
+{
+    const std::string magic(rules.format.magic, 4);
+    const std::string kind = rules.kind;
+    const auto fail = [&](const char *rule, const char *field,
+                          const std::string &message,
+                          const char *hint = "") {
+        report.error(rule, atByte(path, file.offset, field), message, hint);
+        return false;
+    };
+    switch (file.fault) {
+    case ContainerFault::Open:
+        report.error(rules.open, path, "cannot open " + kind + " file");
+        return false;
+    case ContainerFault::Header:
+        return fail(rules.truncated, "header",
+                    "file shorter than the 24-byte " + magic + " header",
+                    rules.damaged_hint);
+    case ContainerFault::Magic:
+        return fail(rules.magic, "magic",
+                    "bad container magic (expected \"" + magic + "\")",
+                    rules.not_kind_hint);
+    case ContainerFault::Version:
+        return fail(rules.version, "version",
+                    "unsupported " + kind + " version " +
+                        std::to_string(file.version) + " (expected " +
+                        std::to_string(rules.format.min_version) + ".." +
+                        std::to_string(rules.format.max_version) + ")");
+    case ContainerFault::Length:
+        return fail(rules.truncated, "payload length",
+                    "header declares " + std::to_string(file.length) +
+                        " payload bytes but only " +
+                        std::to_string(file.present) + " follow",
+                    rules.damaged_hint);
+    case ContainerFault::None:
+    case ContainerFault::Hash:
+        break;
+    }
+    if (file.present > file.length) {
+        report.warning(rules.truncated,
+                       atByte(path, kContainerHeaderBytes + file.length,
+                              "payload tail"),
+                       std::to_string(file.present - file.length) +
+                           " trailing byte(s) after the declared payload");
+    }
+    return file.fault == ContainerFault::None ||
+           fail(rules.hash, "payload hash",
+                "payload hash mismatch (" + kind + " file is corrupt)",
+                rules.damaged_hint);
+}
 
 /** Thrown by enforce() in Fatal mode when a report contains errors. */
 class VerifyError : public std::logic_error

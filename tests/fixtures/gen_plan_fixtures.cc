@@ -18,12 +18,8 @@
  * truncation check can catch it. Regenerate after an IR or container
  * format change:
  *
- *   cc -std=c++20 -I src tests/fixtures/gen_plan_fixtures.cc \
- *      src/plan/*.cc src/verify/diagnostics.cc -o gen && \
- *      ./gen tests/fixtures
- *
- * (or build the `gen_plan_fixtures` helper target and run it with the
- * fixture directory as its only argument).
+ *   cmake --build build --target gen_plan_fixtures
+ *   ./build/tests/gen_plan_fixtures tests/fixtures
  */
 
 #include <cstdio>
@@ -33,7 +29,6 @@
 
 #include "plan/ir.hh"
 #include "plan/snsp.hh"
-#include "util/fnv.hh"
 
 namespace {
 
@@ -91,17 +86,9 @@ main(int argc, char **argv)
         std::vector<unsigned char> payload =
             plan::serializePlanPayload(base);
         payload.resize(payload.size() - payload.size() / 3);
-        std::vector<unsigned char> bytes;
-        bytes.insert(bytes.end(), {'S', 'N', 'S', 'P'});
-        const uint32_t version = plan::kSnspVersion;
-        const uint64_t length = payload.size();
-        const uint64_t hash = fnv1a(payload.data(), payload.size());
-        const auto *v = reinterpret_cast<const unsigned char *>(&version);
-        bytes.insert(bytes.end(), v, v + sizeof(version));
-        const auto *l = reinterpret_cast<const unsigned char *>(&length);
-        bytes.insert(bytes.end(), l, l + sizeof(length));
-        const auto *h = reinterpret_cast<const unsigned char *>(&hash);
-        bytes.insert(bytes.end(), h, h + sizeof(hash));
+        const auto header = containerHeader(kPlanFormat, payload.data(),
+                                            payload.size());
+        std::vector<unsigned char> bytes(header.begin(), header.end());
         bytes.insert(bytes.end(), payload.begin(), payload.end());
         writeBytes(dir + "/plan_truncated.snsp", bytes);
     }
@@ -128,7 +115,7 @@ main(int argc, char **argv)
     // hash was computed.
     {
         std::vector<unsigned char> bytes = plan::serializePlan(base);
-        bytes[plan::kSnspHeaderBytes + 40] ^= 0x10;
+        bytes[kContainerHeaderBytes + 40] ^= 0x10;
         writeBytes(dir + "/plan_hash_flip.snsp", bytes);
     }
 

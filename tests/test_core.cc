@@ -19,6 +19,7 @@
 #include "core/evaluation.hh"
 #include "core/trainer.hh"
 #include "dist/exchange.hh"
+#include "dist/shard.hh"
 #include "nn/serialize.hh"
 #include "obs/metrics.hh"
 #include "par/thread_pool.hh"
@@ -1137,6 +1138,57 @@ TEST(TrainerCheckpointTest, ResumeRejectsMismatchedConfigAndCorruption)
     EXPECT_THROW(trainer_empty.train(dataset, train_idx, oracle()),
                  nn::SerializeError);
 
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * FNV-1a is not cryptographic, so a shard can carry a valid hash and a
+ * loss-curve count of 0xFFFFFFFF (~96 GB of points). The count must be
+ * bounded by the payload bytes that follow it: resume throws
+ * SerializeError naming the file instead of trying the allocation.
+ */
+TEST(TrainerCheckpointTest, ResumeBoundsTheLossCurveCount)
+{
+    const auto &dataset = smokeDataset();
+    const auto [train_idx, test_idx] = dataset.splitByBase(0.5, 3);
+    const std::string dir = freshDir("sns_tr_curve_count");
+
+    TrainerConfig config = checkpointTestConfig();
+    config.circuitformer_epochs = 2;
+    config.mlp.epochs = 200;
+    config.checkpoint_dir = dir;
+    SnsTrainer(config).train(dataset, train_idx, oracle());
+    const auto written = nn::listCheckpoints(dir);
+    ASSERT_FALSE(written.empty());
+
+    // Keep the real meta block and RNG states (so every check before
+    // the curve passes), then claim 0xFFFFFFFF points and stop.
+    const std::string payload = nn::readCheckpointPayload(written.back());
+    nn::CheckpointReader reader(payload, written.back());
+    dist::readShardMeta(reader, written.back());
+    for (int stream = 0; stream < 2; ++stream) {
+        for (size_t w = 0; w < Rng::State{}.words.size(); ++w)
+            reader.u64();
+        reader.u32();
+        reader.f64();
+    }
+    std::string crafted =
+        payload.substr(0, payload.size() - reader.remaining());
+    const uint32_t huge_count = 0xFFFFFFFFu;
+    crafted.append(reinterpret_cast<const char *>(&huge_count),
+                   sizeof(huge_count));
+    const std::string path = dir + "/crafted.ckpt";
+    nn::commitCheckpoint(path, crafted);
+
+    TrainerConfig resume = config;
+    resume.resume_from = path;
+    try {
+        SnsTrainer(resume).train(dataset, train_idx, oracle());
+        FAIL() << "an unbounded loss-curve count must not resume";
+    } catch (const nn::SerializeError &e) {
+        EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+            << e.what();
+    }
     std::filesystem::remove_all(dir);
 }
 

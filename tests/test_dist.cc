@@ -27,6 +27,8 @@
 #include "util/rng.hh"
 #include "verify/analyzer.hh"
 
+#include <sys/resource.h>
+
 namespace sns::dist {
 namespace {
 
@@ -445,8 +447,8 @@ TEST(ShardTest, MetaRoundTripThroughCheckpointPayload)
     std::ostringstream out;
     nn::CheckpointWriter writer(out);
     writeShardMeta(writer, meta);
-    std::istringstream in(out.str());
-    nn::CheckpointReader reader(in, "test payload");
+    const std::string payload = out.str();
+    nn::CheckpointReader reader(payload, "test payload");
     const ShardMeta back = readShardMeta(reader, "test payload");
     EXPECT_EQ(back.world, meta.world);
     EXPECT_EQ(back.rank, meta.rank);
@@ -465,8 +467,8 @@ TEST(ShardTest, ReadShardMetaRefusesWrongProducer)
     std::ostringstream out;
     nn::CheckpointWriter writer(out);
     writer.str("sns-trainer-v1"); // the retired plain format's tag
-    std::istringstream in(out.str());
-    nn::CheckpointReader reader(in, "plain");
+    const std::string payload = out.str();
+    nn::CheckpointReader reader(payload, "plain");
     EXPECT_THROW(readShardMeta(reader, "plain"), nn::SerializeError);
 }
 
@@ -505,6 +507,21 @@ TEST(ShardTest, ValidateShardSetCatchesBrokenSets)
     bad_range[1].owned_end = 11;
     EXPECT_TRUE(validateShardSet(bad_range, "set").hasRule(
         verify::rules::kShardMeta));
+
+    // Corrupt counts size nothing: a 2^27 world is refused against the
+    // set's size, and a 2^27-tensor range is checked without a
+    // per-tensor table (either would be a 512 MiB table otherwise).
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    const long peak_kb = usage.ru_maxrss;
+    std::vector<ShardMeta> huge_world = {makeMeta(1u << 27, 0, 0, 10)};
+    EXPECT_TRUE(validateShardSet(huge_world, "set").hasRule(
+        verify::rules::kShardSet));
+    std::vector<ShardMeta> huge_params = {makeMeta(1, 0, 0, 1u << 27)};
+    huge_params[0].param_count = 1u << 27;
+    EXPECT_FALSE(validateShardSet(huge_params, "set").hasErrors());
+    getrusage(RUSAGE_SELF, &usage);
+    EXPECT_LT(usage.ru_maxrss - peak_kb, 64L << 10); // KiB
 
     EXPECT_TRUE(validateShardSet({}, "set").hasErrors());
 }

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -16,6 +17,8 @@
 #include "nn/layers.hh"
 #include "nn/optim.hh"
 #include "nn/serialize.hh"
+
+#include <sys/resource.h>
 #include "nn/transformer.hh"
 
 namespace sns::nn {
@@ -485,8 +488,8 @@ TEST(CheckpointTest, ContainerRoundTripDetectsCorruption)
     // The atomic commit leaves no temp file behind.
     EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 
-    std::istringstream in(readCheckpointPayload(path));
-    CheckpointReader reader(in, path);
+    const std::string bytes = readCheckpointPayload(path);
+    CheckpointReader reader(bytes, path);
     EXPECT_EQ(reader.u32(), 42u);
     EXPECT_EQ(reader.i64(), -7);
     EXPECT_EQ(reader.f64(), 0.25);
@@ -520,6 +523,42 @@ TEST(CheckpointTest, ContainerRoundTripDetectsCorruption)
         f << "definitely not a checkpoint";
     }
     EXPECT_THROW(readCheckpointPayload(path), SerializeError);
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * A bare 24-byte header claiming a 2^62-byte payload is a structured
+ * error: the length is compared with the file size before anything
+ * is allocated from it.
+ */
+TEST(CheckpointTest, HugeLengthFixtureThrows)
+{
+    EXPECT_THROW(readCheckpointPayload(std::string(SNS_FIXTURE_DIR) +
+                                       "/huge_length.ckpt"),
+                 SerializeError);
+}
+
+/** A 256 MiB length claim in a small file is refused without a
+ * 256 MiB allocation (peak RSS is a high-water mark; ctest runs each
+ * test in its own process). */
+TEST(CheckpointTest, LengthClaimAllocatesNothing)
+{
+    const std::string dir = tempCheckpointDir("sns_ckpt_claim");
+    const std::string path = dir + "/" + worldOneName(1);
+    auto header = containerHeader(kCheckpointFormat, nullptr, 0);
+    const uint64_t claim = uint64_t(256) << 20;
+    std::memcpy(header.data() + 8, &claim, sizeof(claim));
+    {
+        std::ofstream out(path, std::ios::binary);
+        out.write(header.data(), header.size());
+        out << "a short payload";
+    }
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    const long before = usage.ru_maxrss;
+    EXPECT_THROW(readCheckpointPayload(path), SerializeError);
+    getrusage(RUSAGE_SELF, &usage);
+    EXPECT_LT((usage.ru_maxrss - before) * 1024L, 64L << 20);
     std::filesystem::remove_all(dir);
 }
 

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -23,6 +24,8 @@
 #include "plan/snsp.hh"
 #include "verify/analyzer.hh"
 #include "verify/plan_check.hh"
+
+#include <sys/resource.h>
 
 namespace sns::verify {
 namespace {
@@ -498,6 +501,58 @@ TEST(CheckpointCheckTest, TruncatedFixtureIsRejected)
 }
 
 /**
+ * A bare 24-byte SNSC header claiming a 2^62-byte payload: the declared
+ * length is compared with the file size before anything is allocated,
+ * so the verdict is exactly one C-TRUNCATED, not a std::bad_alloc
+ * abort (tests/fixtures/gen_shard_fixtures.cc regenerates it).
+ */
+TEST(CheckpointCheckTest, HugeLengthFixtureIsTruncated)
+{
+    const auto report = checkCheckpointFile(fixture("huge_length.ckpt"));
+    ASSERT_EQ(report.size(), 1u) << report.summary();
+    EXPECT_EQ(report.count(Severity::Error), 1u);
+    EXPECT_TRUE(report.hasRule(rules::kCheckpointTruncated));
+}
+
+/** Peak resident set size of this process, in bytes. It is a
+ * high-water mark, so a difference shows growth past the earlier peak;
+ * ctest runs each test in its own process, which keeps that peak near
+ * the current size. */
+long
+peakRssBytes()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_maxrss * 1024L;
+}
+
+/** A small file whose container header claims a 256 MiB payload. */
+std::string
+writeLengthClaim(const char *name, const ContainerFormat &format)
+{
+    auto header = containerHeader(format, nullptr, 0);
+    const uint64_t claim = uint64_t(256) << 20;
+    std::memcpy(header.data() + 8, &claim, sizeof(claim));
+    const std::string path = tempCkpt(name);
+    std::ofstream out(path, std::ios::binary);
+    out.write(header.data(), header.size());
+    out << "a short payload";
+    return path;
+}
+
+TEST(CheckpointCheckTest, LengthClaimAllocatesNothing)
+{
+    const std::string path =
+        writeLengthClaim("verify_claim.ckpt", kCheckpointFormat);
+    const long before = peakRssBytes();
+    const auto report = checkCheckpointFile(path);
+    EXPECT_LT(peakRssBytes() - before, 64L << 20);
+    EXPECT_TRUE(report.hasRule(rules::kCheckpointTruncated))
+        << report.summary();
+    std::remove(path.c_str());
+}
+
+/**
  * The committed shard fixture is a VALID container (magic, version,
  * length, hash all pass) whose payload announces the sns::dist shard
  * producer and then stops mid-meta — only the C-SHARD-TRUNCATED rule
@@ -514,10 +569,10 @@ TEST(CheckpointCheckTest, TruncatedShardFixtureIsRejected)
 }
 
 /**
- * Drift pin: the checker duplicates the SNSC magic/version constants
- * so sns::verify stays a leaf library; a checkpoint produced by the
- * real writer must pass it, and the writer's own hash must be the one
- * the checker recomputes.
+ * Round trip: the writer and the checker share the container codec
+ * (util/container.hh); a checkpoint produced by the real writer must
+ * pass the checker, and the writer's own hash must be the one the
+ * checker recomputes.
  */
 TEST(CheckpointCheckTest, WriterProducedCheckpointPassesChecker)
 {
@@ -576,6 +631,17 @@ TEST(PlanCheckTest, CorruptedFixturesCarryTheirRuleIds)
         EXPECT_TRUE(report.hasRule(c.rule))
             << c.file << ": " << report.summary();
     }
+}
+
+TEST(PlanCheckTest, LengthClaimIsTruncatedAndAllocatesNothing)
+{
+    const std::string path =
+        writeLengthClaim("verify_claim.snsp", kPlanFormat);
+    const long before = peakRssBytes();
+    const auto report = checkPlanFile(path);
+    EXPECT_LT(peakRssBytes() - before, 64L << 20);
+    EXPECT_TRUE(report.hasRule(rules::kPlanTruncated)) << report.summary();
+    std::remove(path.c_str());
 }
 
 TEST(PlanCheckTest, ContainerDiagnosticsCarryByteOffsets)
@@ -844,7 +910,7 @@ TEST(PlanCheckTest, QuantTableRoundTripsThroughTheContainer)
     Report report;
     plan::Plan reread;
     ASSERT_TRUE(plan::parsePlanPayload(payload.data(), payload.size(),
-                                       plan::kSnspVersion, reread,
+                                       kPlanFormat.max_version, reread,
                                        report, "round trip"))
         << report.summary();
     EXPECT_EQ(reread.quant, quantized.quant);

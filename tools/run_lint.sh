@@ -4,7 +4,8 @@
 #   1. configure + build with AddressSanitizer and UBSan;
 #   2. run the full test suite under the sanitizers;
 #   3. run sns_lint over the bundled example designs and datasets
-#      (must be clean) and the corrupted fixtures (must fail);
+#      (must be clean) and over each corrupted fixture alone (must exit
+#      exactly 1);
 #   4. SNS_SIMD ladder (src/tensor/simd.hh): re-run the kernel,
 #      quantized and plan runtime test suites at every rung (0 scalar,
 #      1 AVX2, 2 AVX-512) under the sanitizers, check fp64 and int8 CLI
@@ -47,12 +48,19 @@ LINT="$BUILD/tools/sns_lint"
 echo "== sns_lint: bundled examples must be clean =="
 "$LINT" --self-check "$REPO"/examples/designs/*
 
-echo "== sns_lint: corrupted fixtures must fail =="
-if "$LINT" "$REPO"/tests/fixtures/*.snl "$REPO"/tests/fixtures/*.paths \
-        "$REPO"/tests/fixtures/*.ckpt "$REPO"/tests/fixtures/*.snsp; then
-    echo "sns_lint failed to reject the corrupted fixtures" >&2
-    exit 1
-fi
+echo "== sns_lint: each corrupted fixture must fail with exit 1 =="
+# One file at a time and exactly status 1, so a crash (an abort exits
+# 134) never counts as a rejection; --werror because width_mismatch.snl
+# is warning-only.
+for fixture in "$REPO"/tests/fixtures/*.snl "$REPO"/tests/fixtures/*.paths \
+        "$REPO"/tests/fixtures/*.ckpt "$REPO"/tests/fixtures/*.snsp; do
+    status=0
+    "$LINT" --werror "$fixture" > /dev/null || status=$?
+    if [ "$status" -ne 1 ]; then
+        echo "sns_lint exited $status on $fixture (expected 1)" >&2
+        exit 1
+    fi
+done
 
 echo "== execution plan: trace, lint, planned-vs-walk bitwise =="
 CLI="$BUILD/tools/sns-cli"
