@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "boom/boom.hh"
 #include "core/circuitformer.hh"
 #include "designs/designs.hh"
 #include "par/thread_pool.hh"
@@ -333,20 +334,36 @@ BENCHMARK(BM_CircuitformerMixedLengths);
 void
 BM_PathSampling(benchmark::State &state)
 {
-    const auto graph = designs::buildSystolicArray(8, 8, 16);
+    // Arg 0: an 8x8 systolic array, at most 768 paths. Arg 1: the
+    // default BOOM Table-10 configuration (~1200 vertices, ~630 paths)
+    // at the fast-training sampler options, one dse_boom design.
+    // Second arg 0: sample() into one SampledPath per path; 1: into a
+    // PathSet reused across iterations, as predictBatch samples.
+    const bool boom_design = state.range(0) == 1;
+    const auto graph = boom_design
+                           ? boom::buildBoomCore(boom::BoomParams{})
+                           : designs::buildSystolicArray(8, 8, 16);
     sampler::SamplerOptions opts;
     opts.max_paths_per_source = 8;
-    opts.max_total_paths = 768;
+    if (!boom_design)
+        opts.max_total_paths = 768;
+    const sampler::PathSampler sampler(opts);
+    sampler::PathSet set;
     size_t paths = 0;
     for (auto _ : state) {
-        const auto sampled = sampler::PathSampler(opts).sample(graph);
-        paths = sampled.size();
+        if (state.range(1) == 0) {
+            paths = sampler.sample(graph).size();
+        } else {
+            sampler.sample(graph, set);
+            paths = set.size();
+        }
         benchmark::DoNotOptimize(paths);
     }
     state.SetItemsProcessed(state.iterations() * paths);
-    state.SetLabel("systolic 8x8");
+    state.SetLabel(std::string(boom_design ? "boom default" : "systolic 8x8") +
+                   (state.range(1) == 0 ? ", SampledPaths" : ", PathSet"));
 }
-BENCHMARK(BM_PathSampling);
+BENCHMARK(BM_PathSampling)->Args({0, 0})->Args({0, 1})->Args({1, 0})->Args({1, 1});
 
 void
 BM_ReferenceSynthesis(benchmark::State &state)

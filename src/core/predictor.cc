@@ -2,10 +2,11 @@
 
 #include "core/design_session.hh"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <unordered_map>
+#include <ranges>
 
 #include "nn/serialize.hh"
 #include "par/thread_pool.hh"
@@ -13,6 +14,7 @@
 #include "plan/snsp.hh"
 #include "tensor/autograd.hh"
 #include "util/fnv.hh"
+#include "util/hash_index.hh"
 #include "util/logging.hh"
 #include "util/string_utils.hh"
 
@@ -96,41 +98,79 @@ SnsPredictor::SnsPredictor(std::shared_ptr<Circuitformer> circuitformer,
         circuitformer_->parameters()));
 }
 
+struct SnsPredictor::DesignScratch
+{
+    sampler::PathSet paths;
+    std::vector<PathPrediction> preds;
+    std::vector<double> activities;
+    std::vector<size_t> lengths;
+    /** Per path: its slot among the distinct misses, or kHit. */
+    std::vector<uint32_t> slot;
+    /** The first path of each distinct missed token sequence. */
+    std::vector<uint32_t> unique;
+    /** Token hash -> slot, for deduplicating the misses. */
+    HashIndex pending;
+};
+
+namespace {
+
+/** DesignScratch::slot of a path the cache answered. */
+constexpr uint32_t kHit = UINT32_MAX;
+
+/** Copies of the token sequences of `paths` at `indices`, the form
+ * Circuitformer::predict takes. */
+template <class Indices>
+std::vector<std::vector<graphir::TokenId>>
+tokenVectors(const sampler::PathSet &paths, const Indices &indices)
+{
+    std::vector<std::vector<graphir::TokenId>> out;
+    out.reserve(indices.size());
+    for (const size_t i : indices) {
+        const auto tokens = paths.tokens(i);
+        out.emplace_back(tokens.begin(), tokens.end());
+    }
+    return out;
+}
+
+} // namespace
+
 SnsPrediction
 SnsPredictor::predictOne(const graphir::Graph &graph,
-                         const PredictOptions &options) const
+                         const PredictOptions &options,
+                         DesignScratch &scratch) const
 {
     SnsPrediction prediction;
 
     // 1. Sample complete circuit paths.
-    const auto paths = sampler::PathSampler(sampler_options_).sample(graph);
+    const sampler::PathSet &paths = scratch.paths;
+    sampler::PathSampler(sampler_options_).sample(graph, scratch.paths);
     prediction.paths_sampled = paths.size();
     if (paths.empty())
         return prediction;
 
     // 2. Path-level inference, memoized when the caller holds a cache.
-    std::vector<std::vector<graphir::TokenId>> token_paths;
-    token_paths.reserve(paths.size());
-    for (const auto &path : paths)
-        token_paths.push_back(path.tokens);
-    const auto path_preds =
-        options.cache != nullptr
-            ? predictPathsCached(token_paths, *options.cache,
-                                 options.batch_size, options.precision)
-            : circuitformer_->predict(token_paths, options.batch_size,
-                                      options.precision);
+    if (options.cache != nullptr) {
+        predictPathsCached(scratch, *options.cache, options.batch_size,
+                           options.precision);
+    } else {
+        scratch.preds = circuitformer_->predict(
+            tokenVectors(paths, std::views::iota(size_t{0}, paths.size())),
+            options.batch_size, options.precision);
+    }
+    const auto &path_preds = scratch.preds;
 
     // 3. Reductions. Per-path activity is the mean of the endpoint
     //    registers' activity coefficients (§3.4.4).
-    std::vector<double> activities;
-    std::vector<size_t> lengths;
-    activities.reserve(paths.size());
-    lengths.reserve(paths.size());
-    for (const auto &path : paths) {
-        const double front = graph.activity(path.nodes.front());
-        const double back = graph.activity(path.nodes.back());
+    auto &activities = scratch.activities;
+    auto &lengths = scratch.lengths;
+    activities.clear();
+    lengths.clear();
+    for (size_t i = 0; i < paths.size(); ++i) {
+        const auto nodes = paths.nodes(i);
+        const double front = graph.activity(nodes.front());
+        const double back = graph.activity(nodes.back());
         activities.push_back(0.5 * (front + back));
-        lengths.push_back(path.nodes.size());
+        lengths.push_back(nodes.size());
     }
     const auto summary =
         reduceAggregates(graph, path_preds, lengths, activities);
@@ -148,18 +188,20 @@ SnsPredictor::predictOne(const graphir::Graph &graph,
             if (path_preds[i].timing_ps > path_preds[argmax].timing_ps)
                 argmax = i;
         }
-        prediction.critical_path = paths[argmax].nodes;
+        const auto nodes = paths.nodes(argmax);
+        prediction.critical_path.assign(nodes.begin(), nodes.end());
     }
     return prediction;
 }
 
-std::vector<PathPrediction>
-SnsPredictor::predictPathsCached(
-    const std::vector<std::vector<graphir::TokenId>> &token_paths,
-    perf::PathPredictionCache &cache, int batch_size,
-    Precision precision) const
+void
+SnsPredictor::predictPathsCached(DesignScratch &scratch,
+                                 perf::PathPredictionCache &cache,
+                                 int batch_size, Precision precision) const
 {
-    std::vector<PathPrediction> preds(token_paths.size());
+    const sampler::PathSet &paths = scratch.paths;
+    auto &preds = scratch.preds;
+    preds.resize(paths.size());
 
     // A shared cache only memoizes soundly under one fixed model *and*
     // numeric tier — int8 predictions deliberately differ from fp64
@@ -174,56 +216,48 @@ SnsPredictor::predictPathsCached(
 
     // Probe phase: resolve hits immediately; dedup the misses so each
     // unique path is forwarded through the Circuitformer exactly once.
-    // `unique` holds the first index of each distinct missed sequence,
-    // `assign[i]` maps every miss back to its unique slot. Hash
-    // buckets are verified by full token comparison, so colliding
-    // sequences never share a slot.
-    std::vector<size_t> unique;
-    std::vector<size_t> assign(token_paths.size());
-    std::vector<char> hit(token_paths.size(), 0);
-    std::unordered_map<uint64_t, std::vector<size_t>> pending;
-    for (size_t i = 0; i < token_paths.size(); ++i) {
-        if (cache.lookup(token_paths[i], preds[i])) {
-            hit[i] = 1;
+    // The probe and the dedup both key on the token hash the sampler
+    // computed, and both compare full token sequences, so colliding
+    // sequences never share a value or a slot.
+    auto &slot = scratch.slot;
+    auto &unique = scratch.unique;
+    slot.resize(paths.size());
+    unique.clear();
+    scratch.pending.clear();
+    for (size_t i = 0; i < paths.size(); ++i) {
+        const auto tokens = paths.tokens(i);
+        if (cache.lookup(tokens, paths.tokenHash(i), preds[i])) {
+            slot[i] = kHit;
             continue;
         }
-        const uint64_t hash = perf::hashTokens(token_paths[i]);
-        auto &slots = pending[hash];
-        size_t slot = unique.size();
-        for (const size_t candidate : slots) {
-            if (token_paths[unique[candidate]] == token_paths[i]) {
-                slot = candidate;
-                break;
-            }
-        }
-        if (slot == unique.size()) {
-            slots.push_back(slot);
-            unique.push_back(i);
-        }
-        assign[i] = slot;
+        const auto [miss, fresh] = scratch.pending.findOrInsert(
+            paths.tokenHash(i), [&](uint32_t other) {
+                return std::ranges::equal(paths.tokens(unique[other]),
+                                          tokens);
+            });
+        if (fresh)
+            unique.push_back(static_cast<uint32_t>(i));
+        slot[i] = miss;
     }
     if (unique.empty())
-        return preds;
+        return;
 
     // Compute phase: one forward pass over the deduplicated misses.
     // Batch padding is key-masked, so each path's row is bitwise
     // independent of its batch mates — regrouping misses never changes
     // a prediction (docs/perf.md).
-    std::vector<std::vector<graphir::TokenId>> miss_paths;
-    miss_paths.reserve(unique.size());
-    for (const size_t index : unique)
-        miss_paths.push_back(token_paths[index]);
-    const auto miss_preds =
-        circuitformer_->predict(miss_paths, batch_size, precision);
+    const auto miss_preds = circuitformer_->predict(
+        tokenVectors(paths, unique), batch_size, precision);
 
     // Scatter phase: memoize and fill every miss in original order.
-    for (size_t u = 0; u < unique.size(); ++u)
-        cache.insert(miss_paths[u], miss_preds[u]);
-    for (size_t i = 0; i < token_paths.size(); ++i) {
-        if (!hit[i])
-            preds[i] = miss_preds[assign[i]];
+    for (size_t u = 0; u < unique.size(); ++u) {
+        cache.insert(paths.tokens(unique[u]), paths.tokenHash(unique[u]),
+                     miss_preds[u]);
     }
-    return preds;
+    for (size_t i = 0; i < paths.size(); ++i) {
+        if (slot[i] != kHit)
+            preds[i] = miss_preds[slot[i]];
+    }
 }
 
 std::vector<SnsPrediction>
@@ -270,10 +304,11 @@ SnsPredictor::predictBatch(std::span<const graphir::Graph *const> graphs,
     // inner parallelism (GEMM tiles, Circuitformer batches) takes over.
     par::parallelFor(graphs.size(), [&](size_t begin, size_t end) {
         tensor::NoGradGuard no_grad;
+        DesignScratch scratch;
         for (size_t i = begin; i < end; ++i) {
             SNS_ASSERT(graphs[i] != nullptr,
                        "predictBatch: null graph at index ", i);
-            predictions[i] = predictOne(*graphs[i], effective);
+            predictions[i] = predictOne(*graphs[i], effective, scratch);
         }
     });
     return predictions;

@@ -232,16 +232,22 @@ class SnsPredictor
     static SnsPredictor load(const std::string &directory);
 
   private:
+    /** Buffers one pool chunk of predictBatch reuses across its
+     * designs: the sampled path set, per-path predictions and
+     * reductions, and the cache probe's miss bookkeeping. */
+    struct DesignScratch;
+
     /** The full single-design pipeline (sample -> infer -> aggregate). */
     SnsPrediction predictOne(const graphir::Graph &graph,
-                             const PredictOptions &options) const;
+                             const PredictOptions &options,
+                             DesignScratch &scratch) const;
 
-    /** Path-level inference through a cache: probe every path, dedup
-     * the misses, forward each unique miss once, scatter in order. */
-    std::vector<PathPrediction> predictPathsCached(
-        const std::vector<std::vector<graphir::TokenId>> &token_paths,
-        perf::PathPredictionCache &cache, int batch_size,
-        Precision precision) const;
+    /** Path-level inference through a cache, into scratch.preds: probe
+     * every sampled path, dedup the misses, forward each unique miss
+     * once, scatter in order. */
+    void predictPathsCached(DesignScratch &scratch,
+                            perf::PathPredictionCache &cache,
+                            int batch_size, Precision precision) const;
 
     /** Resolve the call's numeric tier against this model: emits the
      * model-aware V-OPT-PRECISION diagnostics and returns the tier to

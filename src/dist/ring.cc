@@ -42,10 +42,12 @@ rankAddress(const std::string &rendezvous, int rank)
     } catch (const std::invalid_argument &e) {
         throw DistError(std::string("bad rendezvous: ") + e.what());
     }
-    if (!endpoint.unix_path.empty())
-        endpoint.unix_path += "." + std::to_string(rank);
-    else
+    if (!endpoint.unix_path.empty()) {
+        endpoint.unix_path += '.';
+        endpoint.unix_path += std::to_string(rank);
+    } else {
         endpoint.tcp_port += rank;
+    }
     return endpoint;
 }
 

@@ -130,43 +130,44 @@ Graph::findCombinationalCycle() const
 std::vector<NodeId>
 Graph::combinationalTopoOrder() const
 {
+    std::vector<NodeId> order;
+    std::vector<uint32_t> indegree;
+    combinationalTopoOrder(order, indegree);
+    return order;
+}
+
+void
+Graph::combinationalTopoOrder(std::vector<NodeId> &order,
+                              std::vector<uint32_t> &indegree) const
+{
     // Kahn's algorithm on the combinational view: edges out of
     // sequential vertices still order their combinational consumers, but
     // edges *into* sequential vertices do not constrain the register
-    // (registers only launch, they never wait combinationally).
-    std::vector<int> indegree(nodes_.size(), 0);
-    for (NodeId from = 0; from < nodes_.size(); ++from) {
-        for (NodeId to : out_[from]) {
+    // (registers only launch, they never wait combinationally). Every
+    // vertex enters `order` once: sequential ones and sources up front,
+    // the rest when their last combinational input is placed, so
+    // `order` is also the queue.
+    indegree.assign(nodes_.size(), 0);
+    for (const auto &succs : out_) {
+        for (NodeId to : succs) {
             if (!isSequential(nodes_[to].type))
                 ++indegree[to];
         }
     }
 
-    std::vector<NodeId> order;
-    order.reserve(nodes_.size());
-    std::vector<NodeId> ready;
+    order.clear();
     for (NodeId id = 0; id < nodes_.size(); ++id) {
         if (isSequential(nodes_[id].type) || indegree[id] == 0)
-            ready.push_back(id);
+            order.push_back(id);
     }
-    size_t cursor = 0;
-    std::vector<bool> emitted(nodes_.size(), false);
-    while (cursor < ready.size()) {
-        const NodeId node = ready[cursor++];
-        if (emitted[node])
-            continue;
-        emitted[node] = true;
-        order.push_back(node);
-        for (NodeId next : out_[node]) {
-            if (isSequential(nodes_[next].type))
-                continue;
-            if (--indegree[next] == 0)
-                ready.push_back(next);
+    for (size_t cursor = 0; cursor < order.size(); ++cursor) {
+        for (NodeId next : out_[order[cursor]]) {
+            if (!isSequential(nodes_[next].type) && --indegree[next] == 0)
+                order.push_back(next);
         }
     }
     SNS_ASSERT(order.size() == nodes_.size(),
                "combinational cycle detected in design '", name_, "'");
-    return order;
 }
 
 verify::Report

@@ -174,6 +174,14 @@ class Graph
      */
     std::vector<NodeId> combinationalTopoOrder() const;
 
+    /**
+     * The same order written into `order`, with `indegree` as scratch;
+     * a caller that keeps both across designs allocates nothing once
+     * they have grown to the largest design.
+     */
+    void combinationalTopoOrder(std::vector<NodeId> &order,
+                                std::vector<uint32_t> &indegree) const;
+
     /** Emit Graphviz DOT for debugging / documentation. */
     void writeDot(std::ostream &os) const;
 

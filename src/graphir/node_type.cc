@@ -83,12 +83,6 @@ roundWidth(NodeType type, int raw_width)
     return dist_below < dist_above ? below : above;
 }
 
-bool
-isPathEndpoint(NodeType type)
-{
-    return type == NodeType::Io || type == NodeType::Dff;
-}
-
 std::string
 tokenName(NodeType type, int width)
 {

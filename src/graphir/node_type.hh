@@ -71,7 +71,11 @@ int roundWidth(NodeType type, int raw_width);
  * True for types that can begin or end a complete circuit path (§3.2):
  * registers and I/O ports.
  */
-bool isPathEndpoint(NodeType type);
+inline bool
+isPathEndpoint(NodeType type)
+{
+    return type == NodeType::Io || type == NodeType::Dff;
+}
 
 /** True for the stateful/port types that break combinational cycles. */
 inline bool

@@ -185,7 +185,11 @@ writeSnl(const Graph &graph)
 {
     std::ostringstream out;
     out << "design " << graph.name() << "\n";
-    auto sym = [](NodeId id) { return "n" + std::to_string(id); };
+    auto sym = [](NodeId id) {
+        std::string name = "n";
+        name += std::to_string(id);
+        return name;
+    };
 
     // Declarations in id order; wiring lives on the consumer side, so
     // inputs (no predecessors) need no source list. Module scopes are

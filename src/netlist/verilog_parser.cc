@@ -676,15 +676,26 @@ class Elaborator
         if (node_it != nodes_.end())
             return node_it->second;
 
+        // `context` names the net whose assignment reads the
+        // identifier, so a missing declaration or driver points at
+        // the assignment that needs it.
         const auto net_it = parsed_.nets.find(expr.ident);
         if (net_it == parsed_.nets.end()) {
-            throw VerilogError(expr.line, "use of undeclared '" +
-                                              expr.ident + "'");
+            std::string message = "use of undeclared '";
+            message += expr.ident;
+            message += "' in the assignment to '";
+            message += context;
+            message += "'";
+            throw VerilogError(expr.line, message);
         }
         const Net &net = net_it->second;
         if (net.driver == nullptr) {
-            throw VerilogError(expr.line,
-                               "'" + expr.ident + "' is never assigned");
+            std::string message = "'";
+            message += expr.ident;
+            message += "' is never assigned but the assignment to '";
+            message += context;
+            message += "' reads it";
+            throw VerilogError(expr.line, message);
         }
         if (in_progress_.count(expr.ident)) {
             throw VerilogError(expr.line,

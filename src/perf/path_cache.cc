@@ -46,7 +46,13 @@ bool
 PathPredictionCache::lookup(std::span<const graphir::TokenId> tokens,
                             core::PathPrediction &out) const
 {
-    const uint64_t hash = hashTokens(tokens);
+    return lookup(tokens, hashTokens(tokens), out);
+}
+
+bool
+PathPredictionCache::lookup(std::span<const graphir::TokenId> tokens,
+                            uint64_t hash, core::PathPrediction &out) const
+{
     Shard &shard = shardFor(hash);
     std::lock_guard<std::mutex> lock(shard.mutex);
     const auto it = shard.buckets.find(hash);
@@ -69,7 +75,13 @@ void
 PathPredictionCache::insert(std::span<const graphir::TokenId> tokens,
                             const core::PathPrediction &value)
 {
-    const uint64_t hash = hashTokens(tokens);
+    insert(tokens, hashTokens(tokens), value);
+}
+
+void
+PathPredictionCache::insert(std::span<const graphir::TokenId> tokens,
+                            uint64_t hash, const core::PathPrediction &value)
+{
     Shard &shard = shardFor(hash);
     std::lock_guard<std::mutex> lock(shard.mutex);
 

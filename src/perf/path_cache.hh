@@ -106,6 +106,15 @@ class PathPredictionCache
                 core::PathPrediction &out) const;
 
     /**
+     * lookup() with the key's hash already known: `hash` must be
+     * hashTokens(tokens), as sampler::PathSet::tokenHash carries it.
+     * The hash only picks the shard and bucket; the full token
+     * comparison still decides a hit.
+     */
+    bool lookup(std::span<const graphir::TokenId> tokens, uint64_t hash,
+                core::PathPrediction &out) const;
+
+    /**
      * Memoize a path's prediction. Re-inserting a resident key is a
      * no-op (values are pure functions of the key, so the resident
      * value is already correct — this is what makes concurrent
@@ -113,6 +122,10 @@ class PathPredictionCache
      * oldest-inserted entries first (FIFO).
      */
     void insert(std::span<const graphir::TokenId> tokens,
+                const core::PathPrediction &value);
+
+    /** insert() with `hash` == hashTokens(tokens) already known. */
+    void insert(std::span<const graphir::TokenId> tokens, uint64_t hash,
                 const core::PathPrediction &value);
 
     /**

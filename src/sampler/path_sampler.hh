@@ -15,6 +15,8 @@
 #define SNS_SAMPLER_PATH_SAMPLER_HH
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "graphir/graph.hh"
@@ -62,6 +64,58 @@ struct SamplerOptions
     size_t longest_paths = 8;
 };
 
+/**
+ * One design's sampled paths in flat storage: path i is nodes(i) with
+ * tokens(i), and tokenHash(i) equals perf::hashTokens(tokens(i)). The
+ * hash is computed once, while sampling, so the path cache never
+ * rehashes a path (docs/perf.md). Sampling into a PathSet that held an
+ * earlier design reuses its buffers, the sampler's scratch included:
+ * once they have grown to the largest design, sampling allocates
+ * almost nothing.
+ */
+class PathSet
+{
+  public:
+    PathSet();
+    ~PathSet();
+
+    /** Number of paths. */
+    size_t size() const { return token_hashes_.size(); }
+    bool empty() const { return token_hashes_.empty(); }
+
+    /** Vertices of path i in order, endpoints included. */
+    std::span<const graphir::NodeId>
+    nodes(size_t i) const
+    {
+        return {nodes_.data() + offsets_[i], length(i)};
+    }
+
+    /** Vocabulary tokens of path i, same order. */
+    std::span<const graphir::TokenId>
+    tokens(size_t i) const
+    {
+        return {tokens_.data() + offsets_[i], length(i)};
+    }
+
+    /** Vertex count of path i. */
+    size_t length(size_t i) const { return offsets_[i + 1] - offsets_[i]; }
+
+    /** FNV-1a over the raw bytes of tokens(i) (perf::hashTokens). */
+    uint64_t tokenHash(size_t i) const { return token_hashes_[i]; }
+
+  private:
+    friend class PathSampler;
+
+    /** The sampler's per-design working state (path_sampler.cc). */
+    struct Scratch;
+
+    std::vector<graphir::NodeId> nodes_;
+    std::vector<graphir::TokenId> tokens_;
+    std::vector<size_t> offsets_{0};
+    std::vector<uint64_t> token_hashes_;
+    std::unique_ptr<Scratch> scratch_;
+};
+
 /** Randomized complete-circuit-path sampler (Algorithm 1). */
 class PathSampler
 {
@@ -69,16 +123,24 @@ class PathSampler
     explicit PathSampler(SamplerOptions options = SamplerOptions());
 
     /**
-     * Sample complete circuit paths from every endpoint of the design.
-     * With options.k == 1 and generous caps this enumerates every
-     * complete circuit path exactly once.
+     * Sample complete circuit paths from every endpoint of the design
+     * into `out`, replacing what it held. With options.k == 1 and
+     * generous caps this enumerates every complete circuit path
+     * exactly once.
      */
+    void sample(const graphir::Graph &graph, PathSet &out) const;
+
+    /** The same sample, one SampledPath per path. It samples into a
+     * per-thread PathSet, so repeated calls on one thread reuse the
+     * sampler's scratch too; each call still allocates its result. */
     std::vector<SampledPath> sample(const graphir::Graph &graph) const;
 
     /** The options in effect. */
     const SamplerOptions &options() const { return options_; }
 
   private:
+    class Walk;
+
     SamplerOptions options_;
 };
 

@@ -473,8 +473,10 @@ Synthesizer::runPath(const std::vector<TokenId> &path) const
     // Name the chain by its token content so the heuristic jitter is a
     // function of the path itself (same path => same label).
     std::string name = "path";
-    for (TokenId token : path)
-        name += "_" + std::to_string(token);
+    for (TokenId token : path) {
+        name += '_';
+        name += std::to_string(token);
+    }
     // Paths are characterized in one tool session: never charge the
     // per-invocation setup model to individual chains.
     if (options_.model_setup_cost) {

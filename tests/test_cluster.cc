@@ -160,8 +160,11 @@ TEST(MembershipTest, FailureThresholdAndRecoveryDriveTheRing)
 
     // The ring now only contains worker 1.
     const HashRing ring = table.ring();
-    for (int i = 0; i < 64; ++i)
-        EXPECT_EQ(ring.pick(hashKey("k" + std::to_string(i))), 1u);
+    for (int i = 0; i < 64; ++i) {
+        std::string key = "k";
+        key += std::to_string(i);
+        EXPECT_EQ(ring.pick(hashKey(key)), 1u);
+    }
 
     // A successful probe restores it and resets the failure count.
     table.markReachable(0, /*draining=*/false);

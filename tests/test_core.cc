@@ -883,7 +883,8 @@ TEST(EvaluationTest, SummaryMetricsMatchUtilMetrics)
     std::vector<DesignEval> evals;
     for (int i = 1; i <= 4; ++i) {
         DesignEval eval;
-        eval.name = "d" + std::to_string(i);
+        eval.name = "d";
+        eval.name += std::to_string(i);
         eval.true_timing_ps = i * 100.0;
         eval.pred_timing_ps = i * 100.0 + 10.0;
         eval.true_area_um2 = i * 10.0;

@@ -119,10 +119,12 @@ TEST_P(FloatFormats, QuantizationPreservesOrderAndSign)
         const float b = static_cast<float>(rng.uniform(-8.0, 8.0));
         const float qa = quantizeFloat(a, GetParam());
         const float qb = quantizeFloat(b, GetParam());
-        if (a <= b)
+        if (a <= b) {
             EXPECT_LE(qa, qb);
-        if (a != 0.0f && qa != 0.0f)
+        }
+        if (a != 0.0f && qa != 0.0f) {
             EXPECT_EQ(std::signbit(a), std::signbit(qa));
+        }
     }
 }
 

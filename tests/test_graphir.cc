@@ -243,6 +243,16 @@ TEST(GraphTest, TopoOrderRespectsCombinationalEdges)
     }
 }
 
+TEST(GraphTest, TopoOrderScratchFormOverwritesItsBuffers)
+{
+    // Buffers left over from a larger design give the same order.
+    const Graph g = buildMacGraph();
+    std::vector<NodeId> order(3 * g.numNodes(), 7);
+    std::vector<uint32_t> indegree(3 * g.numNodes(), 9);
+    g.combinationalTopoOrder(order, indegree);
+    EXPECT_EQ(order, g.combinationalTopoOrder());
+}
+
 TEST(GraphTest, ActivityDefaultsAndClamps)
 {
     Graph g("act");

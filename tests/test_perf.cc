@@ -86,6 +86,80 @@ TEST(PathPredictionCache, LookupInsertRoundTripAndAccounting)
     EXPECT_DOUBLE_EQ(stats.hitRate(), 1.0 / 3.0);
 }
 
+TEST(PathPredictionCache, HashedFormsAgreeWithSpanForms)
+{
+    // Two caches fed the same probes, one through the span forms and
+    // one with the hash precomputed: every hit, miss, value and
+    // counter must match.
+    PathPredictionCache by_span;
+    PathPredictionCache by_hash;
+    const auto probe = [&](int seed) {
+        const auto key = keyFor(seed, 3 + seed % 5);
+        core::PathPrediction a;
+        core::PathPrediction b;
+        const bool hit_a = by_span.lookup(key, a);
+        const bool hit_b = by_hash.lookup(key, hashTokens(key), b);
+        EXPECT_EQ(hit_a, hit_b) << "key " << seed;
+        if (hit_a && hit_b) {
+            EXPECT_EQ(a.timing_ps, b.timing_ps) << "key " << seed;
+            EXPECT_EQ(a.area_um2, b.area_um2) << "key " << seed;
+            EXPECT_EQ(a.power_mw, b.power_mw) << "key " << seed;
+        }
+    };
+    for (int seed = 0; seed < 40; ++seed) {
+        probe(seed); // miss
+        const auto key = keyFor(seed, 3 + seed % 5);
+        by_span.insert(key, valueFor(seed));
+        by_hash.insert(key, hashTokens(key), valueFor(seed));
+        probe(seed);     // hit
+        probe(seed / 2); // hit, re-probing an earlier key
+    }
+    // Mixed forms address the same entries.
+    core::PathPrediction out;
+    const auto key = keyFor(7, 3 + 7 % 5);
+    EXPECT_TRUE(by_span.lookup(key, hashTokens(key), out));
+    EXPECT_TRUE(by_hash.lookup(key, out));
+    EXPECT_EQ(out.timing_ps, valueFor(7).timing_ps);
+
+    const CacheStats a = by_span.stats();
+    const CacheStats b = by_hash.stats();
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.inserts, b.inserts);
+    EXPECT_EQ(a.entries, b.entries);
+    EXPECT_EQ(a.bytes, b.bytes);
+    EXPECT_EQ(a.misses, 40u);
+    EXPECT_EQ(a.hits, 81u);
+}
+
+TEST(PathPredictionCache, SequencesForcedUnderOneHashKeepTheirValues)
+{
+    // The hash only picks the shard and bucket; a hit needs the full
+    // token sequence. Two different sequences stored under one forced
+    // hash must each get their own value, and a third one under that
+    // hash must miss.
+    PathPredictionCache cache;
+    const uint64_t hash = 0x5eedull;
+    const auto first = keyFor(1);
+    const auto second = keyFor(2);
+    cache.insert(first, hash, valueFor(1));
+    cache.insert(second, hash, valueFor(2));
+    cache.insert(first, hash, valueFor(9)); // resident: kept as is
+
+    core::PathPrediction out;
+    ASSERT_TRUE(cache.lookup(first, hash, out));
+    EXPECT_EQ(out.timing_ps, valueFor(1).timing_ps);
+    ASSERT_TRUE(cache.lookup(second, hash, out));
+    EXPECT_EQ(out.timing_ps, valueFor(2).timing_ps);
+    EXPECT_FALSE(cache.lookup(keyFor(3), hash, out));
+
+    const CacheStats stats = cache.stats();
+    EXPECT_EQ(stats.inserts, 2u);
+    EXPECT_EQ(stats.entries, 2u);
+    EXPECT_EQ(stats.hits, 2u);
+    EXPECT_EQ(stats.misses, 1u);
+}
+
 TEST(PathPredictionCache, ReinsertKeepsResidentValue)
 {
     PathPredictionCache cache;

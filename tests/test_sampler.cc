@@ -7,8 +7,13 @@
 
 #include <set>
 
+#include "boom/boom.hh"
+#include "core/trainer.hh"
+#include "designs/designs.hh"
 #include "netlist/circuit_builder.hh"
+#include "perf/path_cache.hh"
 #include "sampler/path_sampler.hh"
+#include "util/fnv.hh"
 
 namespace sns::sampler {
 namespace {
@@ -259,6 +264,115 @@ TEST(DeepPathTest, DeepPathsAreValidWalks)
             EXPECT_NE(std::find(succ.begin(), succ.end(),
                                 path.nodes[i + 1]),
                       succ.end());
+        }
+    }
+}
+
+/** `chains` register-bounded adder chains of `depth` stages. Every
+ * stage also reads the neighbouring chain and is tapped into two
+ * registers, so each chain vertex fans out six ways and branch
+ * thinning keeps two; each chain feeds back into its head register. */
+Graph
+buildChains(int chains, int depth)
+{
+    CircuitBuilder cb("chains");
+    std::vector<NodeId> heads;
+    for (int c = 0; c < chains; ++c)
+        heads.push_back(cb.dff(16));
+    std::vector<NodeId> cursor = heads;
+    for (int d = 0; d < depth; ++d) {
+        std::vector<NodeId> next;
+        for (int c = 0; c < chains; ++c) {
+            next.push_back(
+                cb.add(16, cursor[c], cursor[(c + 1) % chains]));
+            for (int tap = 2; tap <= 3; ++tap)
+                cb.reg(cb.add(16, cursor[c], cursor[(c + tap) % chains]));
+        }
+        cursor = next;
+    }
+    std::vector<NodeId> outs;
+    for (int c = 0; c < chains; ++c) {
+        cb.connect(cursor[c], heads[c]);
+        outs.push_back(cb.reg(cursor[c]));
+    }
+    cb.output(16, outs);
+    return cb.build();
+}
+
+/** FNV-1a over every path's length and node ids, in sample order. */
+uint64_t
+nodeFingerprint(const std::vector<SampledPath> &paths)
+{
+    uint64_t hash = kFnvOffsetBasis;
+    for (const auto &path : paths) {
+        const uint64_t length = path.nodes.size();
+        hash = fnv1a(&length, sizeof(length), hash);
+        hash = fnv1a(path.nodes.data(),
+                     path.nodes.size() * sizeof(NodeId), hash);
+    }
+    return hash;
+}
+
+TEST(PathSamplerTest, SampleIsPinned)
+{
+    // Golden output of Algorithm 1: which paths are sampled, in which
+    // order, for BOOM configurations, a chain design and a systolic
+    // array, at the default and the fast-training sampler options.
+    // Every RNG draw, the path order and the dedup rule feed these
+    // values, so a sampler rewrite that changes any of them fails here.
+    struct Case
+    {
+        const char *name;
+        Graph graph;
+        uint64_t default_pin;
+        uint64_t fast_pin;
+    };
+    const auto space = boom::boomDesignSpace();
+    const Case cases[] = {
+        {"boom_0", boom::buildBoomCore(space[0]), 0xb4e0c7b6f939e228ull,
+         0x24fcd04aa56df8cdull},
+        {"boom_777", boom::buildBoomCore(space[777]),
+         0x8df4348e72decc70ull, 0x220863a9f91991f8ull},
+        {"boom_1500", boom::buildBoomCore(space[1500]),
+         0xd892e7a829f2ac5aull, 0x3e266d19241101cbull},
+        {"boom_2591", boom::buildBoomCore(space[2591]),
+         0x2adfe8d61b74a537ull, 0x1aaf99f6b7c74bedull},
+        {"chains", buildChains(8, 20), 0xa8c92561cc325e13ull,
+         0x5033cd484f8af27aull},
+        {"systolic", designs::buildSystolicArray(8, 8, 16),
+         0x0cddcb6e3be31bcdull, 0x0cddcb6e3be31bcdull},
+    };
+    const SamplerOptions fast = core::TrainerConfig::fast().path_data.sampler;
+    PathSet set; // reused across designs, as a predictor's pool chunk does
+    for (const Case &c : cases) {
+        for (const bool is_fast : {false, true}) {
+            const PathSampler sampler(is_fast ? fast : SamplerOptions());
+            const auto paths = sampler.sample(c.graph);
+            EXPECT_EQ(nodeFingerprint(paths),
+                      is_fast ? c.fast_pin : c.default_pin)
+                << c.name << (is_fast ? " fast: " : " default: ")
+                << std::hex << "0x" << nodeFingerprint(paths) << std::dec
+                << ", " << paths.size() << " paths";
+
+            // The flat set holds the same paths, and the token hash it
+            // carries is the cache key hashTokens computes.
+            sampler.sample(c.graph, set);
+            ASSERT_EQ(set.size(), paths.size()) << c.name;
+            for (size_t i = 0; i < set.size(); ++i) {
+                const auto nodes = set.nodes(i);
+                const auto tokens = set.tokens(i);
+                ASSERT_TRUE(std::equal(nodes.begin(), nodes.end(),
+                                       paths[i].nodes.begin(),
+                                       paths[i].nodes.end()))
+                    << c.name << " path " << i;
+                ASSERT_TRUE(std::equal(tokens.begin(), tokens.end(),
+                                       paths[i].tokens.begin(),
+                                       paths[i].tokens.end()))
+                    << c.name << " path " << i;
+                EXPECT_EQ(set.length(i), nodes.size());
+                EXPECT_EQ(set.tokenHash(i), perf::hashTokens(tokens))
+                    << c.name << " path " << i;
+            }
         }
     }
 }

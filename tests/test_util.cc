@@ -30,6 +30,26 @@ TEST(Fnv, PublishedVectorsAndStreaming)
     EXPECT_EQ(fnv1a("b", 1, fnv1a("a", 1)), fnv1a("ab", 2));
 }
 
+TEST(Fnv, WordFormEqualsByteForm)
+{
+    // fnv1aWord reads the word's bytes from its value and folds zero
+    // high bytes; at each range boundary and over a random sweep,
+    // chained as a prefix hash is extended, it must match the bytes.
+    std::vector<uint32_t> words = {0,      1,       0xff,     0x100,
+                                   0x101,  0xffff,  0x10000,  0x10001,
+                                   0xffffff, 0x1000000, 0x7fffffff,
+                                   0xffffffff};
+    Rng rng(17);
+    for (int i = 0; i < 1000; ++i)
+        words.push_back(static_cast<uint32_t>(rng.next() >> (i % 32)));
+    uint64_t seed = kFnvOffsetBasis;
+    for (const uint32_t word : words) {
+        const uint64_t want = fnv1a(&word, sizeof(word), seed);
+        ASSERT_EQ(fnv1aWord(word, seed), want) << "word " << word;
+        seed = want;
+    }
+}
+
 TEST(Rng, DeterministicForEqualSeeds)
 {
     Rng a(42);

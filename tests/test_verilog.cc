@@ -257,6 +257,31 @@ TEST(VerilogErrors, ReportLinesAndReasons)
         "non-blocking assignment to a non-reg");
 }
 
+TEST(VerilogErrors, IdentifierErrorsNameTheReadingAssignment)
+{
+    // An undeclared or undriven identifier is reported together with
+    // the net whose assignment reads it.
+    auto message = [](const char *src) {
+        try {
+            parseVerilog(src);
+        } catch (const VerilogError &e) {
+            return std::string(e.what());
+        }
+        return std::string("no error");
+    };
+    EXPECT_NE(message("module m(input a, output y);\n"
+                      "  assign y = a & b;\nendmodule")
+                  .find("use of undeclared 'b' in the assignment to 'y'"),
+              std::string::npos);
+    // The wire is read while elaborating y through the wire w.
+    EXPECT_NE(message("module m(input a, output y);\n"
+                      "  wire w;\n  wire u;\n"
+                      "  assign w = a + u;\n  assign y = w;\nendmodule")
+                  .find("'u' is never assigned but the assignment to "
+                        "'w' reads it"),
+              std::string::npos);
+}
+
 TEST(VerilogErrors, MalformedInputNeverCrashes)
 {
     // Mutation fuzz: random slices and splices of a valid module must

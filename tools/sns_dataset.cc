@@ -38,10 +38,8 @@ parseFlags(int argc, char **argv)
         if (!startsWith(arg, "--"))
             continue;
         const auto eq = arg.find('=');
-        if (eq == std::string::npos)
-            flags[arg.substr(2)] = "1";
-        else
-            flags[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+        flags[arg.substr(2, eq == std::string::npos ? eq : eq - 2)] =
+            eq == std::string::npos ? std::string("1") : arg.substr(eq + 1);
     }
     return flags;
 }
@@ -128,7 +126,10 @@ dumpPaths(const std::map<std::string, std::string> &flags)
             std::vector<std::string> names;
             for (graphir::TokenId token : path.tokens)
                 names.push_back(vocab.tokenString(token));
-            table.addRow({specs[i].name, "[" + join(names, " ") + "]",
+            std::string tokens = "[";
+            tokens += join(names, " ");
+            tokens += ']';
+            table.addRow({specs[i].name, tokens,
                           formatDouble(label.timing_ps, 2),
                           formatDouble(label.area_um2, 3),
                           formatDouble(label.power_mw, 6)});

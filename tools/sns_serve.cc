@@ -59,10 +59,8 @@ main(int argc, char **argv)
         if (arg.rfind("--", 0) != 0)
             return usage();
         const auto eq = arg.find('=');
-        if (eq == std::string::npos)
-            flags[arg.substr(2)] = "1";
-        else
-            flags[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+        flags[arg.substr(2, eq == std::string::npos ? eq : eq - 2)] =
+            eq == std::string::npos ? std::string("1") : arg.substr(eq + 1);
     }
     const auto get = [&flags](const char *key, const char *fallback) {
         const auto it = flags.find(key);
