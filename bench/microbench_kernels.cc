@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microbenchmarks for the performance-critical
  * kernels: the GEMM primitive under every model, Circuitformer
- * inference per path, complete-circuit-path sampling throughput, and
- * reference-synthesis throughput per gate.
+ * inference per path, complete-circuit-path sampling throughput, one
+ * warm-cache BOOM prediction, and reference-synthesis throughput per
+ * gate.
  *
  * These track the constants behind the Fig.-7 runtime story: SNS
  * inference cost per path and synthesis cost per gate.
@@ -15,7 +16,7 @@
 #include <cmath>
 
 #include "boom/boom.hh"
-#include "core/circuitformer.hh"
+#include "core/predictor.hh"
 #include "designs/designs.hh"
 #include "par/thread_pool.hh"
 #include "plan/runtime.hh"
@@ -364,6 +365,59 @@ BM_PathSampling(benchmark::State &state)
                    (state.range(1) == 0 ? ", SampledPaths" : ", PathSet"));
 }
 BENCHMARK(BM_PathSampling)->Args({0, 0})->Args({0, 1})->Args({1, 0})->Args({1, 1});
+
+void
+BM_PredictBoomWarm(benchmark::State &state)
+{
+    // The default BOOM Table-10 design predicted through a warm path
+    // cache on one thread, as a dse_boom design is: sampling, the cache
+    // probes, the reductions and the three aggregation heads, with the
+    // Circuitformer idle. The model's weights do not change that cost,
+    // so it is untrained, with heads fitted briefly on made-up
+    // summaries. Items are sampled paths.
+    par::setThreads(1);
+    const auto graph = boom::buildBoomCore(boom::BoomParams{});
+    auto model = std::make_shared<core::Circuitformer>(
+        core::CircuitformerConfig::small());
+    const auto &vocab = graphir::Vocabulary::instance();
+    const std::vector<graphir::TokenId> path = {*vocab.parse("dff16"),
+                                                *vocab.parse("add16"),
+                                                *vocab.parse("dff16")};
+    model->fitNormalization({{path, 100.0, 10.0, 0.1},
+                             {path, 200.0, 20.0, 0.2}});
+
+    std::vector<core::AggregateSummary> summaries;
+    std::vector<double> truths;
+    for (int i = 1; i <= 4; ++i) {
+        const std::vector<core::PathPrediction> preds(
+            8, {100.0 * i, 10.0 * i, 0.1 * i});
+        summaries.push_back(core::reduceAggregates(graph, preds));
+        truths.push_back(2.0 * i);
+    }
+    core::MlpTrainConfig mlp_config;
+    mlp_config.epochs = 10;
+    core::AggregationHeads heads = core::AggregationHeads::make();
+    heads.fit(summaries, truths, truths, truths, mlp_config);
+
+    sampler::SamplerOptions opts;
+    opts.max_paths_per_source = 8;
+    const core::SnsPredictor predictor(model, heads, opts);
+    perf::PathPredictionCache cache;
+    core::PredictOptions options;
+    options.threads = 1;
+    options.cache = &cache;
+    options.collect_critical_path = false;
+    const graphir::Graph *graphs[1] = {&graph};
+    size_t paths = predictor.predictBatch(graphs, options)[0].paths_sampled;
+    for (auto _ : state) {
+        paths = predictor.predictBatch(graphs, options)[0].paths_sampled;
+        benchmark::DoNotOptimize(paths);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(paths));
+    state.SetLabel("boom default, warm cache, threads=1, items = paths");
+}
+BENCHMARK(BM_PredictBoomWarm);
 
 void
 BM_ReferenceSynthesis(benchmark::State &state)

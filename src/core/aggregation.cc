@@ -108,6 +108,17 @@ libraryFeatures(const AggregateSummary &summary, double &log_lib_area,
     log_lib_max_delay = safeLog(max_delay);
 }
 
+/** Per-thread buffers of AggregationMlp::predict: the feature row and
+ * Mlp::forwardRow's activations. They grow once, so warm calls
+ * allocate nothing. */
+struct RowScratch
+{
+    std::vector<float> row;
+    std::vector<float> hidden;
+};
+
+thread_local RowScratch t_row_scratch;
+
 } // namespace
 
 AggregationMlp::AggregationMlp(Target target, uint64_t seed)
@@ -142,15 +153,17 @@ AggregationMlp::aggregateLog(const AggregateSummary &summary) const
     panic("unhandled Target");
 }
 
-std::vector<float>
-AggregationMlp::rawFeatures(const AggregateSummary &summary) const
+void
+AggregationMlp::rawFeatures(const AggregateSummary &summary,
+                            std::span<float> features) const
 {
     SNS_ASSERT(summary.token_counts.size() ==
                    static_cast<size_t>(
                        graphir::Vocabulary::instance().circuitSize()),
                "token_counts has wrong length");
-    std::vector<float> features;
-    features.reserve(featureDim());
+    SNS_ASSERT(features.size() == static_cast<size_t>(featureDim()),
+               "feature row has wrong width");
+    float *out = features.data();
 
     double aggregate = 0.0;
     switch (target_) {
@@ -164,30 +177,29 @@ AggregationMlp::rawFeatures(const AggregateSummary &summary) const
         aggregate = summary.sum_power_mw;
         break;
     }
-    features.push_back(static_cast<float>(safeLog(aggregate)));
-    features.push_back(static_cast<float>(
-        std::log1p(static_cast<double>(summary.num_paths))));
-    features.push_back(static_cast<float>(
-        std::log1p(static_cast<double>(summary.num_nodes))));
-    features.push_back(static_cast<float>(
-        std::log1p(static_cast<double>(summary.num_edges))));
-    features.push_back(static_cast<float>(
-        std::log1p(static_cast<double>(summary.sum_path_nodes))));
+    *out++ = static_cast<float>(safeLog(aggregate));
+    *out++ = static_cast<float>(
+        std::log1p(static_cast<double>(summary.num_paths)));
+    *out++ = static_cast<float>(
+        std::log1p(static_cast<double>(summary.num_nodes)));
+    *out++ = static_cast<float>(
+        std::log1p(static_cast<double>(summary.num_edges)));
+    *out++ = static_cast<float>(
+        std::log1p(static_cast<double>(summary.sum_path_nodes)));
     double log_lib_area = 0.0;
     double log_lib_gates = 0.0;
     double log_lib_max_delay = 0.0;
     libraryFeatures(summary, log_lib_area, log_lib_gates,
                     log_lib_max_delay);
-    features.push_back(static_cast<float>(log_lib_area));
-    features.push_back(static_cast<float>(log_lib_gates));
-    features.push_back(static_cast<float>(log_lib_max_delay));
+    *out++ = static_cast<float>(log_lib_area);
+    *out++ = static_cast<float>(log_lib_gates);
+    *out++ = static_cast<float>(log_lib_max_delay);
     for (double count : summary.token_counts)
-        features.push_back(static_cast<float>(std::log1p(count)));
-    return features;
+        *out++ = static_cast<float>(std::log1p(count));
 }
 
 void
-AggregationMlp::standardize(std::vector<float> &features) const
+AggregationMlp::standardize(std::span<float> features) const
 {
     for (size_t i = 0; i < features.size(); ++i) {
         features[i] = static_cast<float>(
@@ -208,8 +220,10 @@ AggregationMlp::fit(const std::vector<AggregateSummary> &summaries,
     // Feature standardization statistics.
     std::vector<std::vector<float>> raw;
     raw.reserve(n);
-    for (const auto &summary : summaries)
-        raw.push_back(rawFeatures(summary));
+    for (const auto &summary : summaries) {
+        raw.emplace_back(dim);
+        rawFeatures(summary, raw.back());
+    }
     feature_mean_.assign(dim, 0.0);
     feature_std_.assign(dim, 0.0);
     for (const auto &row : raw) {
@@ -293,16 +307,13 @@ double
 AggregationMlp::predict(const AggregateSummary &summary) const
 {
     SNS_ASSERT(fitted_, "predict() before fit()");
-    NoGradGuard no_grad;
-    auto row = rawFeatures(summary);
-    standardize(row);
-    Tensor x({1, featureDim()});
-    for (int j = 0; j < featureDim(); ++j)
-        x.at2(0, j) = row[j];
-    const Variable out = mlp_.forward(Variable(x));
-    const double clamped =
-        std::clamp(static_cast<double>(out.value().at2(0, 0)),
-                   -kOutputClamp, kOutputClamp);
+    auto &scratch = t_row_scratch;
+    scratch.row.resize(featureDim());
+    rawFeatures(summary, scratch.row);
+    standardize(scratch.row);
+    const auto out = mlp_.forwardRow(scratch.row, scratch.hidden);
+    const double clamped = std::clamp(static_cast<double>(out[0]),
+                                      -kOutputClamp, kOutputClamp);
     return std::exp(clamped * target_std_ + target_mean_ +
                     aggregateLog(summary));
 }

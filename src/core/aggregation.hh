@@ -16,6 +16,7 @@
 #define SNS_CORE_AGGREGATION_HH
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -126,7 +127,9 @@ class AggregationMlp : public nn::Module
              const std::vector<double> &truths,
              const MlpTrainConfig &config = MlpTrainConfig());
 
-    /** Predict this target for one design. */
+    /** Predict this target for one design: tape-free, through
+     * nn::Mlp::forwardRow on per-thread buffers, so a warm call
+     * allocates nothing. */
     double predict(const AggregateSummary &summary) const;
 
     /** True once fit() has run. */
@@ -146,11 +149,13 @@ class AggregationMlp : public nn::Module
     /** Log of this target's path-level aggregate for a summary. */
     double aggregateLog(const AggregateSummary &summary) const;
 
-    /** Raw (unstandardized) feature vector for a summary. */
-    std::vector<float> rawFeatures(const AggregateSummary &summary) const;
+    /** Fill `features` (featureDim() wide) with the raw
+     * (unstandardized) features of a summary. */
+    void rawFeatures(const AggregateSummary &summary,
+                     std::span<float> features) const;
 
     /** Standardize a raw feature vector in place. */
-    void standardize(std::vector<float> &features) const;
+    void standardize(std::span<float> features) const;
 
     Target target_;
     Rng init_rng_;

@@ -104,18 +104,22 @@ struct SnsPredictor::DesignScratch
     std::vector<PathPrediction> preds;
     std::vector<double> activities;
     std::vector<size_t> lengths;
-    /** Per path: its slot among the distinct misses, or kHit. */
+    /** Per path: the id of its distinct token sequence. */
     std::vector<uint32_t> slot;
-    /** The first path of each distinct missed token sequence. */
+    /** Per distinct sequence: its first path. */
     std::vector<uint32_t> unique;
-    /** Token hash -> slot, for deduplicating the misses. */
+    /** Per distinct sequence: how many paths carry it. */
+    std::vector<uint32_t> uses;
+    /** Per distinct sequence: its prediction. */
+    std::vector<PathPrediction> values;
+    /** The first path of each distinct sequence the cache did not
+     * hold, ascending. */
+    std::vector<uint32_t> missed;
+    /** Token hash -> distinct sequence id. */
     HashIndex pending;
 };
 
 namespace {
-
-/** DesignScratch::slot of a path the cache answered. */
-constexpr uint32_t kHit = UINT32_MAX;
 
 /** Copies of the token sequences of `paths` at `indices`, the form
  * Circuitformer::predict takes. */
@@ -214,50 +218,63 @@ SnsPredictor::predictPathsCached(DesignScratch &scratch,
                ") — a shared cache requires identical Circuitformer "
                "weights and numeric tier; clear() it before switching");
 
-    // Probe phase: resolve hits immediately; dedup the misses so each
-    // unique path is forwarded through the Circuitformer exactly once.
-    // The probe and the dedup both key on the token hash the sampler
-    // computed, and both compare full token sequences, so colliding
-    // sequences never share a value or a slot.
+    // Dedup phase: map every path to its distinct token sequence. The
+    // index keys on the token hash the sampler computed and compares
+    // full token sequences, so colliding sequences never share an id.
     auto &slot = scratch.slot;
     auto &unique = scratch.unique;
+    auto &uses = scratch.uses;
     slot.resize(paths.size());
     unique.clear();
+    uses.clear();
     scratch.pending.clear();
     for (size_t i = 0; i < paths.size(); ++i) {
         const auto tokens = paths.tokens(i);
-        if (cache.lookup(tokens, paths.tokenHash(i), preds[i])) {
-            slot[i] = kHit;
-            continue;
-        }
-        const auto [miss, fresh] = scratch.pending.findOrInsert(
+        const auto [id, fresh] = scratch.pending.findOrInsert(
             paths.tokenHash(i), [&](uint32_t other) {
                 return std::ranges::equal(paths.tokens(unique[other]),
                                           tokens);
             });
-        if (fresh)
+        if (fresh) {
             unique.push_back(static_cast<uint32_t>(i));
-        slot[i] = miss;
+            uses.push_back(0);
+        }
+        ++uses[id];
+        slot[i] = id;
     }
-    if (unique.empty())
-        return;
 
-    // Compute phase: one forward pass over the deduplicated misses.
-    // Batch padding is key-masked, so each path's row is bitwise
-    // independent of its batch mates — regrouping misses never changes
-    // a prediction (docs/perf.md).
-    const auto miss_preds = circuitformer_->predict(
-        tokenVectors(paths, unique), batch_size, precision);
-
-    // Scatter phase: memoize and fill every miss in original order.
+    // Probe phase: one probe per distinct sequence, counted once for
+    // each path it answers, so hits + misses still equals the paths
+    // sampled and the counters read as if every path had probed.
+    auto &values = scratch.values;
+    auto &missed = scratch.missed;
+    values.resize(unique.size());
+    missed.clear();
     for (size_t u = 0; u < unique.size(); ++u) {
-        cache.insert(paths.tokens(unique[u]), paths.tokenHash(unique[u]),
-                     miss_preds[u]);
+        const uint32_t first = unique[u];
+        if (!cache.lookup(paths.tokens(first), paths.tokenHash(first),
+                          values[u], uses[u]))
+            missed.push_back(first);
     }
-    for (size_t i = 0; i < paths.size(); ++i) {
-        if (slot[i] != kHit)
-            preds[i] = miss_preds[slot[i]];
+
+    // Compute phase: one forward pass over the distinct misses, in
+    // first-occurrence order. Each path's row is computed bitwise
+    // independently of its batch mates, so regrouping misses never
+    // changes a prediction (docs/perf.md).
+    if (!missed.empty()) {
+        const auto miss_preds = circuitformer_->predict(
+            tokenVectors(paths, missed), batch_size, precision);
+        for (size_t m = 0; m < missed.size(); ++m) {
+            const uint32_t first = missed[m];
+            cache.insert(paths.tokens(first), paths.tokenHash(first),
+                         miss_preds[m]);
+            values[slot[first]] = miss_preds[m];
+        }
     }
+
+    // Scatter phase: every path takes its sequence's prediction.
+    for (size_t i = 0; i < paths.size(); ++i)
+        preds[i] = values[slot[i]];
 }
 
 std::vector<SnsPrediction>

@@ -73,11 +73,13 @@ struct PredictOptions
 
     /**
      * Optional content-addressed path-prediction cache (not owned).
-     * When set, every sampled path is looked up first and only the
-     * unique misses are forwarded through the Circuitformer — within
-     * one design each unique path runs exactly once, and a cache held
-     * across predictBatch calls (DSE sweeps over design variants that
-     * share most of their paths) extends the reuse across batches.
+     * When set, each distinct token sequence among a design's sampled
+     * paths is looked up once (the counters still count every path)
+     * and only the distinct misses are forwarded through the
+     * Circuitformer — within one design each unique path runs exactly
+     * once, and a cache held across predictBatch calls (DSE sweeps
+     * over design variants that share most of their paths) extends the
+     * reuse across batches.
      * Predictions are bitwise identical cache-on vs cache-off
      * (docs/perf.md).
      *
@@ -234,7 +236,7 @@ class SnsPredictor
   private:
     /** Buffers one pool chunk of predictBatch reuses across its
      * designs: the sampled path set, per-path predictions and
-     * reductions, and the cache probe's miss bookkeeping. */
+     * reductions, and the distinct-sequence and probe bookkeeping. */
     struct DesignScratch;
 
     /** The full single-design pipeline (sample -> infer -> aggregate). */
@@ -242,9 +244,10 @@ class SnsPredictor
                              const PredictOptions &options,
                              DesignScratch &scratch) const;
 
-    /** Path-level inference through a cache, into scratch.preds: probe
-     * every sampled path, dedup the misses, forward each unique miss
-     * once, scatter in order. */
+    /** Path-level inference through a cache, into scratch.preds:
+     * dedup the sampled paths by token sequence, probe the cache once
+     * per distinct sequence, forward each distinct miss once, scatter
+     * in path order. */
     void predictPathsCached(DesignScratch &scratch,
                             perf::PathPredictionCache &cache,
                             int batch_size, Precision precision) const;

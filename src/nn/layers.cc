@@ -1,7 +1,10 @@
 #include "nn/layers.hh"
 
+#include <algorithm>
 #include <cmath>
 
+#include "tensor/gemm.hh"
+#include "tensor/tanh.hh"
 #include "util/logging.hh"
 
 namespace sns::nn {
@@ -53,6 +56,16 @@ Linear::forward(const Variable &x) const
     return reshape(addBias(matmul(reshape(x, {b * t, in_}), weight_),
                            bias_),
                    {b, t, out_});
+}
+
+void
+Linear::forwardRow(const float *x, float *y) const
+{
+    std::fill(y, y + out_, 0.0f);
+    gemmAcc(x, weight_.value().data(), y, 1, out_, in_, false, false);
+    const Tensor &bias = bias_.value();
+    for (int j = 0; j < out_; ++j)
+        y[j] += bias[j];
 }
 
 std::vector<Variable>
@@ -169,6 +182,42 @@ Mlp::forward(const Variable &x) const
         }
     }
     return h;
+}
+
+std::span<const float>
+Mlp::forwardRow(std::span<const float> x, std::vector<float> &buffer) const
+{
+    SNS_ASSERT(x.size() == static_cast<size_t>(layers_.front().inFeatures()),
+               "Mlp::forwardRow input width mismatch: got ", x.size(),
+               ", expected ", layers_.front().inFeatures());
+    size_t widest = 0;
+    for (const auto &layer : layers_)
+        widest = std::max(widest, static_cast<size_t>(layer.outFeatures()));
+    if (buffer.size() < 2 * widest)
+        buffer.resize(2 * widest);
+
+    const float *in = x.data();
+    float *out = nullptr;
+    for (size_t i = 0; i < layers_.size(); ++i) {
+        out = buffer.data() + (i % 2) * widest;
+        layers_[i].forwardRow(in, out);
+        const size_t width = layers_[i].outFeatures();
+        if (i + 1 < layers_.size()) {
+            switch (activation_) {
+              case Activation::Relu:
+                reluInPlace(out, width);
+                break;
+              case Activation::Gelu:
+                geluInPlace(out, width);
+                break;
+              case Activation::Tanh:
+                tanhArray(out, out, width);
+                break;
+            }
+        }
+        in = out;
+    }
+    return {out, static_cast<size_t>(layers_.back().outFeatures())};
 }
 
 std::vector<int>

@@ -10,6 +10,7 @@
 #ifndef SNS_NN_LAYERS_HH
 #define SNS_NN_LAYERS_HH
 
+#include <span>
 #include <vector>
 
 #include "tensor/autograd.hh"
@@ -41,6 +42,11 @@ class Linear : public Module
 
     /** Apply to a 2-D [N, in] or 3-D [B, T, in] input. */
     Variable forward(const Variable &x) const;
+
+    /** Inference-only forward of one row: y[0, out) = x[0, in) W + b
+     * with forward()'s gemmAcc and bias loop, so bitwise equal to
+     * forward() on a [1, in] input; records no tape. */
+    void forwardRow(const float *x, float *y) const;
 
     std::vector<Variable> parameters() const override;
 
@@ -140,6 +146,17 @@ class Mlp : public Module
         Activation activation = Activation::Relu);
 
     Variable forward(const Variable &x) const;
+
+    /**
+     * Inference-only forward of one input row: the layers' gemmAcc,
+     * bias loop and in-place activation of forward(), so the result is
+     * bitwise equal to forward() on a [1, in] input, without a tape or
+     * a Tensor. The activations ping-pong through `buffer`, which a
+     * caller reuses across rows to make the call allocation-free; the
+     * returned out-wide row lives in it.
+     */
+    std::span<const float> forwardRow(std::span<const float> x,
+                                      std::vector<float> &buffer) const;
 
     std::vector<Variable> parameters() const override;
 

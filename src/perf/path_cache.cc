@@ -51,7 +51,8 @@ PathPredictionCache::lookup(std::span<const graphir::TokenId> tokens,
 
 bool
 PathPredictionCache::lookup(std::span<const graphir::TokenId> tokens,
-                            uint64_t hash, core::PathPrediction &out) const
+                            uint64_t hash, core::PathPrediction &out,
+                            uint64_t uses) const
 {
     Shard &shard = shardFor(hash);
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -62,12 +63,12 @@ PathPredictionCache::lookup(std::span<const graphir::TokenId> tokens,
                 std::equal(tokens.begin(), tokens.end(),
                            entry.tokens.begin())) {
                 out = entry.value;
-                ++shard.hits;
+                shard.hits += uses;
                 return true;
             }
         }
     }
-    ++shard.misses;
+    shard.misses += uses;
     return false;
 }
 

@@ -59,8 +59,8 @@ uint64_t hashTokens(std::span<const graphir::TokenId> tokens);
 /** Monotonic + instantaneous counters of one cache (a snapshot). */
 struct CacheStats
 {
-    uint64_t hits = 0;       ///< lookups that returned a value
-    uint64_t misses = 0;     ///< lookups that found nothing
+    uint64_t hits = 0;       ///< paths whose lookup returned a value
+    uint64_t misses = 0;     ///< paths whose lookup found nothing
     uint64_t inserts = 0;    ///< entries added (re-inserts excluded)
     uint64_t evictions = 0;  ///< entries displaced at capacity
     size_t entries = 0;      ///< resident entries right now
@@ -110,9 +110,15 @@ class PathPredictionCache
      * hashTokens(tokens), as sampler::PathSet::tokenHash carries it.
      * The hash only picks the shard and bucket; the full token
      * comparison still decides a hit.
+     *
+     * `uses` is the number of sampled paths this one probe answers
+     * for: the predictor probes once per distinct token sequence of a
+     * design, and adds the sequence's path count to `hits` or
+     * `misses`, so the counters stay per path (hits + misses equals
+     * the paths probed) and `uses` = 1 counts like the span form.
      */
     bool lookup(std::span<const graphir::TokenId> tokens, uint64_t hash,
-                core::PathPrediction &out) const;
+                core::PathPrediction &out, uint64_t uses = 1) const;
 
     /**
      * Memoize a path's prediction. Re-inserting a resident key is a

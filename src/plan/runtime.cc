@@ -340,8 +340,7 @@ CompiledPlan::run(const std::vector<int> &ids,
                 if (op.epilogue == Epilogue::BiasGelu) {
                     tensor::geluInPlace(out, count);
                 } else if (op.epilogue == Epilogue::BiasRelu) {
-                    for (size_t i = 0; i < count; ++i)
-                        out[i] = std::max(out[i], 0.0f);
+                    tensor::reluInPlace(out, count);
                 }
                 break;
             }
@@ -363,8 +362,7 @@ CompiledPlan::run(const std::vector<int> &ids,
             if (op.epilogue == Epilogue::BiasGelu) {
                 tensor::geluInPlace(out, count);
             } else if (op.epilogue == Epilogue::BiasRelu) {
-                for (size_t i = 0; i < count; ++i)
-                    out[i] = std::max(out[i], 0.0f);
+                tensor::reluInPlace(out, count);
             }
             break;
           }

@@ -421,12 +421,18 @@ addScalar(const Variable &x, double value)
     });
 }
 
+void
+reluInPlace(float *x, size_t count)
+{
+    for (size_t i = 0; i < count; ++i)
+        x[i] = std::max(x[i], 0.0f);
+}
+
 Variable
 relu(const Variable &x)
 {
     Tensor out = x.value();
-    for (size_t i = 0; i < out.numel(); ++i)
-        out[i] = std::max(out[i], 0.0f);
+    reluInPlace(out.data(), out.numel());
     return makeNode(std::move(out), {x}, [](VarImpl &self) {
         auto &px = *self.parents[0];
         if (!wantsGrad(px))

@@ -166,6 +166,11 @@ Variable softmaxLastDim(const Variable &x);
  * two agree bit for bit by construction.
  */
 void geluInPlace(float *x, size_t count);
+
+/** relu's forward on a raw buffer, in place (max(v, 0)); shared like
+ * geluInPlace by the module walk, the plan's BiasRelu epilogue and
+ * nn::Mlp::forwardRow. */
+void reluInPlace(float *x, size_t count);
 /** @} */
 
 /** Layer normalization over the last dimension. */

@@ -325,16 +325,17 @@ tanhArrayAvx2(const float *in, float *out, size_t count)
     }
 }
 
-// GCC 12 seeds these intrinsics' results with _mm512_undefined_*(),
-// which -Wmaybe-uninitialized misreports once they are inlined (GCC
-// bug 105593, fixed in GCC 13).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-
 // The AVX-512 rung is the AVX2 rung above, line for line, on sixteen
 // lanes: every comparison yields a lane mask and every blendv becomes
 // _mm512_mask_blend_ps(mask, else, then). Only AVX-512F instructions
 // are used; the float bitwise ops go through the integer forms.
+//
+// Shifts, conversions and andnot use their zero-masking (maskz) forms
+// under kAllLanes: the same instruction on every lane, but with a zero
+// pass-through source. GCC 12 expands the unmasked forms with an
+// _mm512_undefined_*() source, which -Wuninitialized reports once
+// inlined (GCC bug 105593, fixed in GCC 13).
+constexpr __mmask16 kAllLanes = 0xffff;
 
 __attribute__((target("avx512f"))) inline __m512
 xorBits(__m512 a, __m512i bits)
@@ -346,7 +347,8 @@ __attribute__((target("avx512f"))) inline __m512
 addExponent16(__m512 y, __m512i k)
 {
     return _mm512_castsi512_ps(
-        _mm512_add_epi32(_mm512_castps_si512(y), _mm512_slli_epi32(k, 23)));
+        _mm512_add_epi32(_mm512_castps_si512(y),
+                         _mm512_maskz_slli_epi32(kAllLanes, k, 23)));
 }
 
 /** expm1Scalar for sixteen lanes. */
@@ -356,7 +358,8 @@ expm1Lanes16(__m512 x)
     const __m512i xi = _mm512_castps_si512(x);
     const __m512i hx = _mm512_and_si512(xi, _mm512_set1_epi32(0x7fffffff));
     const __m512i sign =
-        _mm512_andnot_si512(_mm512_set1_epi32(0x7fffffff), xi);
+        _mm512_maskz_andnot_epi32(kAllLanes, _mm512_set1_epi32(0x7fffffff),
+                                  xi);
     const __m512 one = _mm512_set1_ps(1.0f);
     const __m512 half = _mm512_set1_ps(0.5f);
 
@@ -365,15 +368,17 @@ expm1Lanes16(__m512 x)
         _mm512_cmpgt_epi32_mask(hx, _mm512_set1_epi32(kHalfLn2));
     const __mmask16 wide =
         _mm512_cmpgt_epi32_mask(hx, _mm512_set1_epi32(kThreeHalfLn2 - 1));
-    const __m512i k_wide = _mm512_cvttps_epi32(_mm512_add_ps(
-        _mm512_mul_ps(_mm512_set1_ps(kInvLn2), x),
-        _mm512_castsi512_ps(
-            _mm512_or_si512(_mm512_castps_si512(half), sign))));
+    const __m512i k_wide = _mm512_maskz_cvttps_epi32(
+        kAllLanes,
+        _mm512_add_ps(_mm512_mul_ps(_mm512_set1_ps(kInvLn2), x),
+                      _mm512_castsi512_ps(_mm512_or_si512(
+                          _mm512_castps_si512(half), sign))));
     const __m512i k_unit =
-        _mm512_or_si512(_mm512_srai_epi32(xi, 31), _mm512_set1_epi32(1));
+        _mm512_or_si512(_mm512_maskz_srai_epi32(kAllLanes, xi, 31),
+                        _mm512_set1_epi32(1));
     const __m512i k = _mm512_maskz_mov_epi32(
         reduce, _mm512_mask_blend_epi32(wide, k_unit, k_wide));
-    const __m512 kf = _mm512_cvtepi32_ps(k);
+    const __m512 kf = _mm512_maskz_cvtepi32_ps(kAllLanes, k);
     const __m512 hi =
         _mm512_sub_ps(x, _mm512_mul_ps(kf, _mm512_set1_ps(kLn2Hi)));
     const __m512 lo = _mm512_mul_ps(kf, _mm512_set1_ps(kLn2Lo));
@@ -413,10 +418,11 @@ expm1Lanes16(__m512 x)
         addExponent16(_mm512_sub_ps(one, e_minus_r), k), one);
     const __m512 t_low = _mm512_castsi512_ps(_mm512_sub_epi32(
         _mm512_set1_epi32(0x3f800000),
-        _mm512_srlv_epi32(_mm512_set1_epi32(0x1000000), k)));
+        _mm512_maskz_srlv_epi32(kAllLanes, _mm512_set1_epi32(0x1000000),
+                                k)));
     const __m512 res_low = addExponent16(_mm512_sub_ps(t_low, e_minus_r), k);
-    const __m512 t_high = _mm512_castsi512_ps(_mm512_slli_epi32(
-        _mm512_sub_epi32(_mm512_set1_epi32(0x7f), k), 23));
+    const __m512 t_high = _mm512_castsi512_ps(_mm512_maskz_slli_epi32(
+        kAllLanes, _mm512_sub_epi32(_mm512_set1_epi32(0x7f), k), 23));
     const __m512 res_high = addExponent16(
         _mm512_add_ps(_mm512_sub_ps(r, _mm512_add_ps(e, t_high)), one), k);
 
@@ -444,7 +450,8 @@ tanhLanes16(__m512 x)
     const __m512i xi = _mm512_castps_si512(x);
     const __m512i ix = _mm512_and_si512(xi, _mm512_set1_epi32(0x7fffffff));
     const __m512i sign =
-        _mm512_andnot_si512(_mm512_set1_epi32(0x7fffffff), xi);
+        _mm512_maskz_andnot_epi32(kAllLanes, _mm512_set1_epi32(0x7fffffff),
+                                  xi);
     const __m512i sign_bit = _mm512_set1_epi32(INT32_MIN);
     const __m512 one = _mm512_set1_ps(1.0f);
     const __m512 two = _mm512_set1_ps(2.0f);
@@ -491,8 +498,6 @@ tanhArrayAvx512(const float *in, float *out, size_t count)
             out + i, live, tanhLanes16(_mm512_maskz_loadu_ps(live, in + i)));
     }
 }
-
-#pragma GCC diagnostic pop
 
 #endif // SNS_SIMD_X86
 

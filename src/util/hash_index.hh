@@ -2,7 +2,7 @@
  * @file
  * An open-addressing index from 64-bit content hashes to dense ids,
  * for deduplicating sequences whose hash is already known (the path
- * sampler's node-sequence set, the predictor's missed token paths).
+ * sampler's node-sequence set, the predictor's distinct token paths).
  */
 
 #ifndef SNS_UTIL_HASH_INDEX_HH

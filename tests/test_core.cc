@@ -16,6 +16,7 @@
 #include <sstream>
 #include <thread>
 
+#include "boom/boom.hh"
 #include "core/evaluation.hh"
 #include "core/trainer.hh"
 #include "dist/exchange.hh"
@@ -25,6 +26,7 @@
 #include "par/thread_pool.hh"
 #include "perf/path_cache.hh"
 #include "plan/runtime.hh"
+#include "tensor/simd.hh"
 #include "util/stats.hh"
 #include "verify/analyzer.hh"
 
@@ -315,6 +317,71 @@ TEST(AggregationTest, PredictBeforeFitPanics)
     summary.token_counts.assign(
         Vocabulary::instance().circuitSize(), 0.0);
     EXPECT_THROW(mlp.predict(summary), std::logic_error);
+}
+
+/** Remove the SNS_SIMD ladder cap however a test exits. */
+struct SimdCapGuard
+{
+    ~SimdCapGuard() { tensor::setSimdLevelCap(-1); }
+};
+
+TEST(AggregationTest, PredictIsRungInvariantAndStateless)
+{
+    // AggregationMlp::predict runs nn::Mlp::forwardRow (pinned bitwise
+    // to the autograd forward by MlpTest.RowForwardEqualsForwardBitwise)
+    // on per-thread buffers. Interleaving the three heads, repeating a
+    // design, or predicting on a fresh thread must not change a bit,
+    // and neither may any SIMD rung.
+    std::vector<AggregateSummary> summaries;
+    std::vector<double> timing;
+    std::vector<double> area;
+    std::vector<double> power;
+    Rng rng(43);
+    for (const auto &record : smokeDataset().records()) {
+        std::vector<PathPrediction> preds;
+        std::vector<size_t> lengths;
+        for (int p = 0; p < 5; ++p) {
+            preds.push_back({rng.uniform(50, 500), rng.uniform(1, 50),
+                             rng.uniform(0.01, 1.0)});
+            lengths.push_back(3 + p);
+        }
+        auto summary = reduceAggregates(record.graph, preds, lengths);
+        timing.push_back(1.5 * summary.max_timing_ps);
+        area.push_back(2.0 * summary.sum_area_um2);
+        power.push_back(0.5 * summary.sum_power_mw);
+        summaries.push_back(std::move(summary));
+    }
+    AggregationHeads heads = AggregationHeads::make(1, 2, 3);
+    MlpTrainConfig config;
+    config.epochs = 100;
+    heads.fit(summaries, timing, area, power, config);
+
+    const AggregationMlp *mlps[3] = {heads.timing.get(), heads.area.get(),
+                                     heads.power.get()};
+    const auto predictAll = [&] {
+        std::vector<double> values;
+        for (const auto &summary : summaries) {
+            for (const AggregationMlp *mlp : mlps)
+                values.push_back(mlp->predict(summary));
+        }
+        return values;
+    };
+    SimdCapGuard guard;
+    tensor::setSimdLevelCap(0);
+    const auto reference = predictAll();
+    for (const double value : reference)
+        EXPECT_TRUE(std::isfinite(value) && value > 0.0);
+
+    tensor::setSimdLevelCap(-1);
+    const int ceiling = tensor::simdLevel();
+    for (int level = 0; level <= ceiling; ++level) {
+        tensor::setSimdLevelCap(level);
+        EXPECT_EQ(predictAll(), reference) << "rung " << level;
+    }
+    tensor::setSimdLevelCap(-1);
+    std::vector<double> on_thread;
+    std::thread([&] { on_thread = predictAll(); }).join();
+    EXPECT_EQ(on_thread, reference);
 }
 
 TEST(TrainerTest, EndToEndTrainingAndPrediction)
@@ -670,6 +737,87 @@ TEST(PredictBatchTest, CacheAccountingAcrossRepeatedBatches)
         EXPECT_EQ(first[i].timing_ps, second[i].timing_ps);
         EXPECT_EQ(first[i].area_um2, second[i].area_um2);
         EXPECT_EQ(first[i].power_mw, second[i].power_mw);
+    }
+    par::setThreads(1);
+}
+
+TEST(PredictBatchTest, BoomProbesOncePerDistinctSequence)
+{
+    // A BOOM core samples the same token sequence on many paths. The
+    // cached predictor probes once per distinct sequence and counts
+    // every path it answers for, so at one thread the counters must
+    // equal a per-path replay of the sampled paths: a path misses when
+    // no earlier design carried its sequence, each distinct missed
+    // sequence is inserted once, and the warm pass never misses.
+    const auto &dataset = smokeDataset();
+    std::vector<size_t> train_idx = {0, 1, 2, 3, 4};
+    SnsTrainer trainer(TrainerConfig::fast());
+    const auto predictor = trainer.train(dataset, train_idx, oracle());
+
+    const auto space = boom::boomDesignSpace();
+    std::vector<graphir::Graph> cores;
+    for (const size_t index : {size_t(0), size_t(777), size_t(2591)})
+        cores.push_back(boom::buildBoomCore(space[index]));
+    std::vector<const graphir::Graph *> graphs;
+    for (const auto &core : cores)
+        graphs.push_back(&core);
+
+    std::set<std::vector<TokenId>> seen;
+    uint64_t expected_misses = 0;
+    uint64_t total_paths = 0;
+    sampler::PathSet paths;
+    for (const auto *graph : graphs) {
+        sampler::PathSampler(predictor.samplerOptions()).sample(*graph,
+                                                                paths);
+        std::set<std::vector<TokenId>> design;
+        for (size_t i = 0; i < paths.size(); ++i) {
+            const auto tokens = paths.tokens(i);
+            std::vector<TokenId> sequence(tokens.begin(), tokens.end());
+            if (!seen.contains(sequence))
+                ++expected_misses;
+            design.insert(std::move(sequence));
+        }
+        total_paths += paths.size();
+        seen.insert(design.begin(), design.end());
+    }
+    ASSERT_LT(seen.size() * 2, total_paths)
+        << "the BOOM cores should repeat their token sequences";
+
+    PredictOptions plain;
+    plain.threads = 1;
+    const auto base = predictor.predictBatch(graphs, plain);
+
+    perf::PathPredictionCache cache;
+    PredictOptions cached = plain;
+    cached.cache = &cache;
+    perf::CacheStats cold;
+    for (const bool warm : {false, true}) {
+        const auto preds = predictor.predictBatch(graphs, cached);
+        uint64_t sampled = 0;
+        for (size_t i = 0; i < preds.size(); ++i) {
+            EXPECT_EQ(preds[i].timing_ps, base[i].timing_ps)
+                << "design " << i << " warm " << warm;
+            EXPECT_EQ(preds[i].area_um2, base[i].area_um2)
+                << "design " << i << " warm " << warm;
+            EXPECT_EQ(preds[i].power_mw, base[i].power_mw)
+                << "design " << i << " warm " << warm;
+            EXPECT_EQ(preds[i].critical_path, base[i].critical_path)
+                << "design " << i << " warm " << warm;
+            sampled += preds[i].paths_sampled;
+        }
+        EXPECT_EQ(sampled, total_paths);
+        const auto stats = cache.stats();
+        if (!warm) {
+            EXPECT_EQ(stats.hits + stats.misses, total_paths);
+            EXPECT_EQ(stats.misses, expected_misses);
+            EXPECT_EQ(stats.inserts, seen.size());
+            EXPECT_EQ(stats.entries, seen.size());
+            cold = stats;
+        } else {
+            EXPECT_EQ(stats.misses, cold.misses) << "warm pass missed";
+            EXPECT_EQ(stats.hits, cold.hits + total_paths);
+            EXPECT_EQ(stats.inserts, cold.inserts);
+        }
     }
     par::setThreads(1);
 }

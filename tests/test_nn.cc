@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -17,6 +18,7 @@
 #include "nn/layers.hh"
 #include "nn/optim.hh"
 #include "nn/serialize.hh"
+#include "tensor/simd.hh"
 
 #include <sys/resource.h>
 #include "nn/transformer.hh"
@@ -110,6 +112,64 @@ TEST(MlpTest, LearnsTinyRegression)
         last_loss = loss.value()[0];
     }
     EXPECT_LT(last_loss, first_loss * 0.02);
+}
+
+/** Remove the SNS_SIMD ladder cap however a test exits. */
+struct SimdCapGuard
+{
+    ~SimdCapGuard() { setSimdLevelCap(-1); }
+};
+
+TEST(MlpTest, RowForwardEqualsForwardBitwise)
+{
+    // forwardRow runs forward()'s gemmAcc, bias loop and activation
+    // without the tape, so each row of a batched forward() must come
+    // back bit for bit, for every activation at every SIMD rung. The
+    // widths leave remainders in every GEMM tile and SIMD lane count.
+    SimdCapGuard guard;
+    setSimdLevelCap(-1);
+    const int ceiling = simdLevel();
+    for (const Activation activation :
+         {Activation::Relu, Activation::Gelu, Activation::Tanh}) {
+        Rng rng(11 + static_cast<int>(activation));
+        const Mlp mlp({87, 32, 33, 17, 1}, rng, activation);
+        const Mlp wide({5, 40, 3}, rng, activation);
+        Rng data_rng(12);
+        const Tensor x = Tensor::randn({3, 87}, data_rng, 2.0f);
+        const Tensor x_wide = Tensor::randn({4, 5}, data_rng, 2.0f);
+        for (int level = 0; level <= ceiling; ++level) {
+            setSimdLevelCap(level);
+            std::vector<float> buffer;
+            for (const auto &[model, input] :
+                 {std::pair{&mlp, &x}, std::pair{&wide, &x_wide}}) {
+                const Tensor y = model->forward(Variable(*input)).value();
+                const int in = input->dim(1);
+                const int out = y.dim(1);
+                for (int r = 0; r < input->dim(0); ++r) {
+                    const auto row = model->forwardRow(
+                        std::span<const float>(input->data() + r * in, in),
+                        buffer);
+                    ASSERT_EQ(row.size(), static_cast<size_t>(out));
+                    for (int j = 0; j < out; ++j) {
+                        EXPECT_EQ(std::bit_cast<uint32_t>(row[j]),
+                                  std::bit_cast<uint32_t>(y.at2(r, j)))
+                            << "activation "
+                            << static_cast<int>(activation) << " rung "
+                            << level << " row " << r << " col " << j;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(MlpTest, RowForwardRejectsWidthMismatch)
+{
+    Rng rng(13);
+    const Mlp mlp({4, 8, 1}, rng);
+    std::vector<float> buffer;
+    const std::vector<float> x(5, 0.0f);
+    EXPECT_THROW(mlp.forwardRow(x, buffer), std::logic_error);
 }
 
 TEST(LayerNormTest, NormalizesRows)

@@ -132,6 +132,39 @@ TEST(PathPredictionCache, HashedFormsAgreeWithSpanForms)
     EXPECT_EQ(a.hits, 81u);
 }
 
+TEST(PathPredictionCache, HashedLookupCountsEveryPathItAnswers)
+{
+    // One hashed probe answering for n paths adds exactly n to hits on
+    // a hit and n to misses on a miss.
+    PathPredictionCache cache;
+    const auto key = keyFor(4);
+    const uint64_t hash = hashTokens(key);
+    core::PathPrediction out;
+    EXPECT_FALSE(cache.lookup(key, hash, out, 5));
+    EXPECT_EQ(cache.stats().misses, 5u);
+    EXPECT_EQ(cache.stats().hits, 0u);
+    cache.insert(key, hash, valueFor(4));
+    ASSERT_TRUE(cache.lookup(key, hash, out, 7));
+    EXPECT_EQ(out.timing_ps, valueFor(4).timing_ps);
+    EXPECT_EQ(cache.stats().misses, 5u);
+    EXPECT_EQ(cache.stats().hits, 7u);
+
+    // uses = 1 counts like the span form, on a hit and on a miss.
+    PathPredictionCache by_hash;
+    PathPredictionCache by_span;
+    by_hash.insert(key, hash, valueFor(4));
+    by_span.insert(key, valueFor(4));
+    const auto other = keyFor(5);
+    EXPECT_TRUE(by_hash.lookup(key, hash, out, 1));
+    EXPECT_TRUE(by_span.lookup(key, out));
+    EXPECT_FALSE(by_hash.lookup(other, hashTokens(other), out, 1));
+    EXPECT_FALSE(by_span.lookup(other, out));
+    EXPECT_EQ(by_hash.stats().hits, 1u);
+    EXPECT_EQ(by_hash.stats().misses, 1u);
+    EXPECT_EQ(by_span.stats().hits, 1u);
+    EXPECT_EQ(by_span.stats().misses, 1u);
+}
+
 TEST(PathPredictionCache, SequencesForcedUnderOneHashKeepTheirValues)
 {
     // The hash only picks the shard and bucket; a hit needs the full
