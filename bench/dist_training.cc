@@ -46,6 +46,9 @@ struct WorldRun
     std::vector<core::SnsPrediction> preds;   ///< rank 0's test preds
     double train_seconds = 0.0;               ///< rank 0 train() wall
     uint64_t allreduce_us = 0;                ///< rank 0, sum
+    uint64_t forward_us = 0;                  ///< rank 0, sum
+    uint64_t backward_us = 0;                 ///< rank 0, sum
+    uint64_t step_us = 0;                     ///< rank 0, sum
     uint64_t bytes_sent = 0;                  ///< rank 0
     bool ok = false;
 };
@@ -99,6 +102,11 @@ runWorld(int world, const core::TrainerConfig &base,
     const auto reduce_snap =
         registries[0].histogram("dist.allreduce_us").snapshot();
     run.allreduce_us = reduce_snap.sum;
+    run.forward_us =
+        registries[0].histogram("train.forward_us").snapshot().sum;
+    run.backward_us =
+        registries[0].histogram("train.backward_us").snapshot().sum;
+    run.step_us = registries[0].histogram("train.step_us").snapshot().sum;
     run.bytes_sent = registries[0].counter("dist.bytes_sent").value();
     return run;
 }
@@ -165,7 +173,8 @@ main(int argc, char **argv)
     const int epochs = config.circuitformer_epochs;
 
     Table table("Distributed training (ring allreduce, in-process)");
-    table.setHeader({"world", "epochs/s", "allreduce ms", "overhead %",
+    table.setHeader({"world", "epochs/s", "forward ms", "backward ms",
+                     "step ms", "allreduce ms", "overhead %",
                      "ring MB sent"});
     for (int i = 0; i < 3; ++i) {
         const WorldRun &run = runs[i];
@@ -178,8 +187,12 @@ main(int argc, char **argv)
                 ? 100.0 * (static_cast<double>(run.allreduce_us) / 1e6) /
                       run.train_seconds
                 : 0.0;
+        const auto ms = [](uint64_t us) {
+            return formatDouble(static_cast<double>(us) / 1e3, 1);
+        };
         table.addRow({std::to_string(worlds[i]), formatDouble(eps, 3),
-                      formatDouble(reduce_ms, 1),
+                      ms(run.forward_us), ms(run.backward_us),
+                      ms(run.step_us), formatDouble(reduce_ms, 1),
                       formatDouble(overhead, 2),
                       formatDouble(static_cast<double>(run.bytes_sent) /
                                        (1024.0 * 1024.0),
@@ -190,6 +203,10 @@ main(int argc, char **argv)
                   << " " << formatDouble(overhead, 3) << "\n";
         std::cout << "BENCH dist_bytes_sent_w" << worlds[i] << " "
                   << run.bytes_sent << "\n";
+        std::cout << "BENCH train_forward_ms_w" << worlds[i] << " "
+                  << ms(run.forward_us) << "\n";
+        std::cout << "BENCH train_backward_ms_w" << worlds[i] << " "
+                  << ms(run.backward_us) << "\n";
     }
     table.print(std::cout);
     args.maybeCsv(table, "dist_training");

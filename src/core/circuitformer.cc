@@ -9,6 +9,7 @@
 #include "par/thread_pool.hh"
 #include "util/fnv.hh"
 #include "util/logging.hh"
+#include "util/timer.hh"
 
 namespace sns::core {
 
@@ -110,10 +111,26 @@ Circuitformer::normalizedTargets(const PathRecord &record) const
     return out;
 }
 
+RaggedLayout
+Circuitformer::packRagged(const PathPtrs &paths,
+                          std::vector<int> &ids) const
+{
+    const int cap = config_.encoder.max_positions;
+    std::vector<int> lengths(paths.size());
+    for (size_t b = 0; b < paths.size(); ++b)
+        lengths[b] = std::min<int>(cap, paths[b]->size());
+    RaggedLayout layout(std::move(lengths));
+    ids.assign(layout.rows(), Vocabulary::instance().padId());
+    for (int b = 0; b < layout.batch(); ++b) {
+        std::copy_n(paths[b]->begin(), layout.lengths[b],
+                    ids.begin() + layout.offsets[b]);
+    }
+    return layout;
+}
+
 void
-Circuitformer::pack(
-    const std::vector<const std::vector<TokenId> *> &paths,
-    std::vector<int> &ids, int &time, std::vector<int> &lengths) const
+Circuitformer::pack(const PathPtrs &paths, std::vector<int> &ids,
+                    int &time, std::vector<int> &lengths) const
 {
     const int batch = static_cast<int>(paths.size());
     const int cap = config_.encoder.max_positions;
@@ -132,18 +149,18 @@ Circuitformer::pack(
 }
 
 Variable
-Circuitformer::forwardBatch(const std::vector<int> &ids, int batch,
-                            int time,
-                            const std::vector<int> &lengths) const
+Circuitformer::forwardBatch(const std::vector<int> &ids,
+                            const RaggedLayout &layout) const
 {
-    const Variable pooled = encoder_.encode(ids, batch, time, lengths);
+    const Variable pooled = encoder_.encode(ids, layout);
     return head_.forward(pooled); // [B, 3] normalized log targets
 }
 
 double
 Circuitformer::trainEpoch(const std::vector<PathRecord> &records,
                           nn::Adam &optimizer, Rng &rng, int batch_size,
-                          dist::GradientExchange &exchange)
+                          dist::GradientExchange &exchange,
+                          TrainPhaseTimes *phases)
 {
     SNS_ASSERT(normalized_, "fitNormalization() before trainEpoch()");
     const int slices = exchange.gradSlices();
@@ -163,6 +180,14 @@ Circuitformer::trainEpoch(const std::vector<PathRecord> &records,
         order[i] = i;
     rng.shuffle(order);
 
+    TrainPhaseTimes times;
+    WallTimer timer;
+    // Seconds since the previous lap, a couple of clock reads a slice.
+    const auto lap = [&timer] {
+        const double seconds = timer.seconds();
+        timer.reset();
+        return seconds;
+    };
     double total = 0.0;
     int batches = 0;
     for (size_t start = 0; start < order.size(); start += batch_size) {
@@ -179,7 +204,8 @@ Circuitformer::trainEpoch(const std::vector<PathRecord> &records,
                 dist::sliceRange(b, slices, rank * owned + s);
             if (lo == hi)
                 continue; // empty slice: identity at every world size
-            std::vector<const std::vector<TokenId> *> batch_paths;
+            timer.reset();
+            PathPtrs batch_paths;
             Tensor targets({static_cast<int>(hi - lo), 3});
             for (size_t i = lo; i < hi; ++i) {
                 const auto &record = records[order[start + i]];
@@ -189,21 +215,18 @@ Circuitformer::trainEpoch(const std::vector<PathRecord> &records,
                     targets.at2(static_cast<int>(i - lo), t) = y[t];
             }
             std::vector<int> ids;
-            std::vector<int> lengths;
-            int time = 0;
-            pack(batch_paths, ids, time, lengths);
+            const RaggedLayout layout = packRagged(batch_paths, ids);
+            Variable loss = mseLoss(forwardBatch(ids, layout), targets);
+            times.forward_s += lap();
 
             optimizer.zeroGrad();
-            Variable loss = mseLoss(
-                forwardBatch(ids, static_cast<int>(batch_paths.size()),
-                             time, lengths),
-                targets);
             loss.backward();
             // w·(slice-mean gradient) is the slice's share of the
             // batch-mean gradient; w depends only on (b, slices).
             const float w = static_cast<float>(hi - lo) /
                             static_cast<float>(b);
             grad_slots[s] = dist::flattenGrads(params, w);
+            times.backward_s += lap();
             dist::ScalarPartial part;
             part.sum = static_cast<double>(loss.value()[0]) *
                        static_cast<double>(hi - lo);
@@ -217,9 +240,11 @@ Circuitformer::trainEpoch(const std::vector<PathRecord> &records,
             present ? std::move(*partial)
                     : std::vector<float>(flat_elems, 0.0f);
         exchange.allreduceGrad(flat, present);
+        timer.reset();
         dist::scatterGrads(params, flat);
         nn::clipGradNorm(params, 5.0);
         optimizer.step();
+        times.step_s += lap();
         exchange.allgatherWeights(params);
 
         const dist::ScalarPartial batch_loss =
@@ -230,6 +255,8 @@ Circuitformer::trainEpoch(const std::vector<PathRecord> &records,
                            static_cast<double>(batch_loss.count);
         ++batches;
     }
+    if (phases != nullptr)
+        *phases = times;
     return batches == 0 ? 0.0 : total / batches;
 }
 
@@ -244,7 +271,7 @@ Circuitformer::evaluateLoss(const std::vector<PathRecord> &records,
     for (size_t start = 0; start < records.size(); start += batch_size) {
         const size_t end = std::min(records.size(),
                                     start + static_cast<size_t>(batch_size));
-        std::vector<const std::vector<TokenId> *> batch_paths;
+        PathPtrs batch_paths;
         Tensor targets({static_cast<int>(end - start), 3});
         for (size_t i = start; i < end; ++i) {
             batch_paths.push_back(&records[i].tokens);
@@ -253,13 +280,8 @@ Circuitformer::evaluateLoss(const std::vector<PathRecord> &records,
                 targets.at2(static_cast<int>(i - start), t) = y[t];
         }
         std::vector<int> ids;
-        std::vector<int> lengths;
-        int time = 0;
-        pack(batch_paths, ids, time, lengths);
-        const Variable loss = mseLoss(
-            forwardBatch(ids, static_cast<int>(batch_paths.size()), time,
-                         lengths),
-            targets);
+        const RaggedLayout layout = packRagged(batch_paths, ids);
+        const Variable loss = mseLoss(forwardBatch(ids, layout), targets);
         total += loss.value()[0] * static_cast<double>(end - start);
         weight += static_cast<double>(end - start);
     }
@@ -298,24 +320,27 @@ Circuitformer::predict(const std::vector<std::vector<TokenId>> &paths,
         for (size_t b = bbegin; b < bend; ++b) {
             const size_t start = b * stride;
             const size_t end = std::min(paths.size(), start + stride);
-            std::vector<const std::vector<TokenId> *> batch_paths;
+            PathPtrs batch_paths;
             for (size_t i = start; i < end; ++i)
                 batch_paths.push_back(&paths[i]);
-            std::vector<int> ids;
-            std::vector<int> lengths;
-            int time = 0;
-            pack(batch_paths, ids, time, lengths);
             const int rows = static_cast<int>(batch_paths.size());
+            std::vector<int> ids;
             // Planned execution when a verified plan is bound and the
             // batch fits it; bitwise-identical to the module walk
             // (docs/plan.md), so mixing the two paths is sound.
             const float *planned = nullptr;
             if (active != nullptr && plan::planEnabled() &&
-                rows <= active->batchMax())
+                rows <= active->batchMax()) {
+                std::vector<int> lengths;
+                int time = 0;
+                pack(batch_paths, ids, time, lengths);
                 planned = active->run(ids, lengths, rows, time);
+            }
             Variable pred;
-            if (planned == nullptr)
-                pred = forwardBatch(ids, rows, time, lengths);
+            if (planned == nullptr) {
+                const RaggedLayout layout = packRagged(batch_paths, ids);
+                pred = forwardBatch(ids, layout);
+            }
             const auto logit = [&](size_t row, int t) {
                 return planned != nullptr
                            ? planned[row * 3 + t]

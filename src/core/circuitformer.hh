@@ -59,6 +59,16 @@ struct PathPrediction
     double power_mw = 0.0;
 };
 
+/** Wall seconds one trainEpoch() spent per phase, summed over its
+ * slices and batches; gradient exchange and the loss reduction are in
+ * none of them. */
+struct TrainPhaseTimes
+{
+    double forward_s = 0.0;  ///< batch packing, encoder, head and loss
+    double backward_s = 0.0; ///< zeroGrad, backward() and slice flattening
+    double step_s = 0.0;     ///< gradient scatter, clipping, optimizer step
+};
+
 /** Circuitformer hyper-parameters (defaults follow Table 2). */
 struct CircuitformerConfig
 {
@@ -96,12 +106,15 @@ class Circuitformer : public nn::Module
      * single-process training is a dist::LocalExchange(1). The
      * optimizer may be moment-sharded; after its step the exchange
      * allgathers the owned weight ranges. All ranks must call this in
-     * lockstep with identical records/rng/batch_size.
+     * lockstep with identical records/rng/batch_size. Batches run
+     * ragged (docs/training.md#ragged-training).
+     * @param phases if set, receives where the epoch's time went
      * @return mean batch loss (identical on every rank)
      */
     double trainEpoch(const std::vector<PathRecord> &records,
                       nn::Adam &optimizer, Rng &rng, int batch_size,
-                      dist::GradientExchange &exchange);
+                      dist::GradientExchange &exchange,
+                      TrainPhaseTimes *phases = nullptr);
 
     /** Mean loss without updating weights (validation). */
     double evaluateLoss(const std::vector<PathRecord> &records,
@@ -212,15 +225,21 @@ class Circuitformer : public nn::Module
     const CircuitformerConfig &config() const { return config_; }
 
   private:
-    /** Forward a padded batch to normalized [B, 3] predictions. */
-    tensor::Variable forwardBatch(const std::vector<int> &ids, int batch,
-                                  int time,
-                                  const std::vector<int> &lengths) const;
+    using PathPtrs = std::vector<const std::vector<graphir::TokenId> *>;
 
-    /** Pack a list of token paths into padded ids + lengths. */
-    void pack(const std::vector<const std::vector<graphir::TokenId> *>
-                  &paths,
-              std::vector<int> &ids, int &time,
+    /** Forward a ragged batch to normalized [B, 3] predictions. */
+    tensor::Variable forwardBatch(const std::vector<int> &ids,
+                                  const tensor::RaggedLayout &layout) const;
+
+    /** Lay paths (capped at max_positions) out as a ragged batch:
+     * their tokens sequence after sequence into `ids`, pad ids on the
+     * span of an empty path. */
+    tensor::RaggedLayout packRagged(const PathPtrs &paths,
+                                    std::vector<int> &ids) const;
+
+    /** Pack paths into padded [B, T] ids + lengths, the input
+     * plan::CompiledPlan::run takes. */
+    void pack(const PathPtrs &paths, std::vector<int> &ids, int &time,
               std::vector<int> &lengths) const;
 
     /** Normalized log-target triple for a record. */

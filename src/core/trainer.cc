@@ -285,6 +285,9 @@ SnsTrainer::train(const HardwareDesignDataset &designs,
     obs::Counter &resumes_total = registry.counter("train.resumes_total");
     obs::Histogram &epoch_latency =
         registry.histogram("train.epoch_latency_us");
+    obs::Histogram &forward_us = registry.histogram("train.forward_us");
+    obs::Histogram &backward_us = registry.histogram("train.backward_us");
+    obs::Histogram &step_us = registry.histogram("train.step_us");
     obs::Histogram &checkpoint_latency =
         registry.histogram("train.checkpoint_write_us");
 
@@ -586,9 +589,13 @@ SnsTrainer::train(const HardwareDesignDataset &designs,
         WallTimer epoch_timer;
         LossPoint point;
         point.epoch = epoch;
+        TrainPhaseTimes phases;
         point.train_loss = circuitformer->trainEpoch(
             train_paths, optimizer, epoch_rng, config_.circuitformer_batch,
-            *exchange);
+            *exchange, &phases);
+        forward_us.record(static_cast<uint64_t>(phases.forward_s * 1e6));
+        backward_us.record(static_cast<uint64_t>(phases.backward_s * 1e6));
+        step_us.record(static_cast<uint64_t>(phases.step_s * 1e6));
         point.validation_loss = circuitformer->evaluateLoss(val_paths);
         // A NaN/Inf loss means training has diverged; later epochs
         // cannot recover, so flag it the moment it appears.

@@ -21,19 +21,19 @@ MultiHeadAttention::MultiHeadAttention(int d_model, int heads, Rng &rng)
 
 Variable
 MultiHeadAttention::forward(const Variable &x,
-                            const std::vector<int> &lengths) const
+                            const RaggedLayout &layout) const
 {
     const int dh = d_model_ / heads_;
-    const Variable q = splitHeads(wq_.forward(x), heads_); // [B*H, T, dh]
-    const Variable k = splitHeads(wk_.forward(x), heads_);
-    const Variable v = splitHeads(wv_.forward(x), heads_);
+    // Per-head [s_b, dh] blocks; one s_b x s_b score block each.
+    const Variable q = splitHeads(wq_.forward(x), layout, heads_);
+    const Variable k = splitHeads(wk_.forward(x), layout, heads_);
+    const Variable v = splitHeads(wv_.forward(x), layout, heads_);
 
-    Variable scores = bmmTransB(q, k); // [B*H, T, T]
+    Variable scores = bmmTransB(q, k, layout, heads_);
     scores = scale(scores, 1.0 / std::sqrt(static_cast<double>(dh)));
-    scores = addKeyPaddingMask(scores, lengths, heads_);
-    const Variable attn = softmaxLastDim(scores);
-    const Variable ctx = bmm(attn, v);             // [B*H, T, dh]
-    return wo_.forward(mergeHeads(ctx, heads_));   // [B, T, D]
+    const Variable attn = maskedSoftmax(scores, layout, heads_);
+    const Variable ctx = bmm(attn, v, layout, heads_);
+    return wo_.forward(mergeHeads(ctx, layout, heads_)); // [1, rows, D]
 }
 
 std::vector<Variable>
@@ -78,10 +78,10 @@ TransformerEncoderLayer::TransformerEncoderLayer(int d_model, int heads,
 
 Variable
 TransformerEncoderLayer::forward(const Variable &x,
-                                 const std::vector<int> &lengths) const
+                                 const RaggedLayout &layout) const
 {
     const Variable attended =
-        norm1_.forward(add(x, attention_.forward(x, lengths)));
+        norm1_.forward(add(x, attention_.forward(x, layout)));
     return norm2_.forward(add(attended, feed_forward_.forward(attended)));
 }
 
@@ -112,26 +112,31 @@ TransformerEncoder::TransformerEncoder(const TransformerConfig &config,
 }
 
 Variable
-TransformerEncoder::encode(const std::vector<int> &ids, int batch,
-                           int time, const std::vector<int> &lengths) const
+TransformerEncoder::encode(const std::vector<int> &ids,
+                           const RaggedLayout &layout) const
 {
-    SNS_ASSERT(ids.size() == static_cast<size_t>(batch) * time,
-               "ids size must be batch * time");
-    SNS_ASSERT(time <= config_.max_positions,
-               "sequence longer than max_positions: ", time);
+    const size_t rows = layout.rows();
+    SNS_ASSERT(ids.size() == rows, "ids size must be the layout's rows");
+    SNS_ASSERT(layout.time <= config_.max_positions,
+               "sequence longer than max_positions: ", layout.time);
 
-    std::vector<int> positions(ids.size());
-    for (int b = 0; b < batch; ++b) {
-        for (int t = 0; t < time; ++t)
-            positions[static_cast<size_t>(b) * time + t] = t;
+    std::vector<int> positions(rows);
+    for (int b = 0; b < layout.batch(); ++b) {
+        for (int t = 0; t < layout.spans[b]; ++t)
+            positions[layout.offsets[b] + t] = t;
     }
 
-    Variable h = add(token_embedding_.forward(ids, {batch, time}),
-                     position_embedding_.forward(positions, {batch, time}));
+    // Token rows form one [1, rows, D] block, so every Linear takes its
+    // reshape path, which hands the input a separately rounded
+    // gradient; the pinned training numerics depend on that rounding
+    // (docs/training.md).
+    const std::vector<int> shape = {1, static_cast<int>(rows)};
+    Variable h = add(token_embedding_.forward(ids, shape),
+                     position_embedding_.forward(positions, shape));
     h = input_norm_.forward(h);
     for (const auto &layer : layers_)
-        h = layer.forward(h, lengths);
-    return meanPoolMasked(h, lengths); // [B, d_model]
+        h = layer.forward(h, layout);
+    return meanPoolMasked(h, layout); // [B, d_model]
 }
 
 std::vector<Variable>

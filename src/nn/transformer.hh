@@ -5,9 +5,9 @@
  * paper: 2 hidden layers, 2 attention heads, 128-wide embeddings).
  *
  * Layers are post-norm (residual then LayerNorm), matching the
- * HuggingFace/BERT encoder the paper augments. Padding is handled with
- * per-sequence valid lengths: attention masks padded keys and pooling
- * averages only valid positions.
+ * HuggingFace/BERT encoder the paper augments. Batches are ragged
+ * (tensor::RaggedLayout): every sequence runs over its own rows, with
+ * no padding, and pooling averages each sequence's valid positions.
  */
 
 #ifndef SNS_NN_TRANSFORMER_HH
@@ -20,18 +20,15 @@
 
 namespace sns::nn {
 
-/** Multi-head self-attention with key-padding masking. */
+/** Multi-head self-attention within each sequence of a ragged batch. */
 class MultiHeadAttention : public Module
 {
   public:
     MultiHeadAttention(int d_model, int heads, Rng &rng);
 
-    /**
-     * Self-attention over x [B, T, D].
-     * @param lengths valid prefix length per batch element
-     */
+    /** Self-attention over the ragged rows x [1, layout.rows(), D]. */
     Variable forward(const Variable &x,
-                     const std::vector<int> &lengths) const;
+                     const tensor::RaggedLayout &layout) const;
 
     std::vector<Variable> parameters() const override;
 
@@ -66,7 +63,7 @@ class TransformerEncoderLayer : public Module
     TransformerEncoderLayer(int d_model, int heads, int d_ff, Rng &rng);
 
     Variable forward(const Variable &x,
-                     const std::vector<int> &lengths) const;
+                     const tensor::RaggedLayout &layout) const;
 
     std::vector<Variable> parameters() const override;
 
@@ -99,15 +96,14 @@ class TransformerEncoder : public Module
     TransformerEncoder(const TransformerConfig &config, Rng &rng);
 
     /**
-     * Encode a padded batch.
-     * @param ids flattened [B * T] token ids (pad ids beyond lengths)
-     * @param batch number of sequences B
-     * @param time padded length T
-     * @param lengths valid length per sequence
+     * Encode a ragged batch.
+     * @param ids layout.rows() token ids, sequence after sequence
+     *        (layout.spans[b] of them for sequence b; a zero-length
+     *        sequence's span holds pad ids)
      * @return pooled sequence embeddings [B, d_model]
      */
-    Variable encode(const std::vector<int> &ids, int batch, int time,
-                    const std::vector<int> &lengths) const;
+    Variable encode(const std::vector<int> &ids,
+                    const tensor::RaggedLayout &layout) const;
 
     std::vector<Variable> parameters() const override;
 

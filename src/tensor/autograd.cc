@@ -1,6 +1,7 @@
 #include "tensor/autograd.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <unordered_set>
 
@@ -249,74 +250,6 @@ matmul(const Variable &a, const Variable &b)
     });
 }
 
-namespace {
-
-Variable
-bmmImpl(const Variable &a, const Variable &b, bool trans_b)
-{
-    const Tensor &av = a.value();
-    const Tensor &bv = b.value();
-    SNS_ASSERT(av.ndim() == 3 && bv.ndim() == 3 && av.dim(0) == bv.dim(0),
-               "bmm batch mismatch");
-    const int batches = av.dim(0);
-    const int m = av.dim(1);
-    const int k = av.dim(2);
-    const int n = trans_b ? bv.dim(1) : bv.dim(2);
-    SNS_ASSERT(trans_b ? bv.dim(2) == k : bv.dim(1) == k,
-               "bmm inner-dimension mismatch");
-
-    Tensor out({batches, m, n});
-    const size_t a_stride = static_cast<size_t>(m) * k;
-    const size_t b_stride = static_cast<size_t>(bv.dim(1)) * bv.dim(2);
-    const size_t c_stride = static_cast<size_t>(m) * n;
-    for (int i = 0; i < batches; ++i) {
-        gemmAcc(av.data() + i * a_stride, bv.data() + i * b_stride,
-                out.data() + i * c_stride, m, n, k, false, trans_b);
-    }
-
-    return makeNode(
-        std::move(out), {a, b},
-        [batches, m, n, k, a_stride, b_stride, c_stride,
-         trans_b](VarImpl &self) {
-            auto &pa = *self.parents[0];
-            auto &pb = *self.parents[1];
-            for (int i = 0; i < batches; ++i) {
-                const float *dc = self.grad.data() + i * c_stride;
-                if (wantsGrad(pa)) {
-                    float *da = pa.ensureGrad().data() + i * a_stride;
-                    const float *bvp = pb.value.data() + i * b_stride;
-                    // !trans_b: dA = dC * B^T; trans_b: dA = dC * B.
-                    gemmAcc(dc, bvp, da, m, k, n, false, !trans_b);
-                }
-                if (wantsGrad(pb)) {
-                    float *db = pb.ensureGrad().data() + i * b_stride;
-                    const float *avp = pa.value.data() + i * a_stride;
-                    if (!trans_b) {
-                        // dB = A^T * dC : [k,n].
-                        gemmAcc(avp, dc, db, k, n, m, true, false);
-                    } else {
-                        // B is [n,k]; dB = dC^T * A : [n,m] x [m,k].
-                        gemmAcc(dc, avp, db, n, k, m, true, false);
-                    }
-                }
-            }
-        });
-}
-
-} // namespace
-
-Variable
-bmm(const Variable &a, const Variable &b)
-{
-    return bmmImpl(a, b, false);
-}
-
-Variable
-bmmTransB(const Variable &a, const Variable &b)
-{
-    return bmmImpl(a, b, true);
-}
-
 Variable
 add(const Variable &a, const Variable &b)
 {
@@ -551,6 +484,51 @@ sigmoidOp(const Variable &x)
     });
 }
 
+namespace {
+
+/** Softmax of one row of d logits, in place. */
+void
+softmaxRow(float *row_data, int d)
+{
+    float max_val = row_data[0];
+    for (int j = 1; j < d; ++j)
+        max_val = std::max(max_val, row_data[j]);
+    float total = 0.0f;
+    for (int j = 0; j < d; ++j) {
+        row_data[j] = std::exp(row_data[j] - max_val);
+        total += row_data[j];
+    }
+    const float inv = 1.0f / total;
+    for (int j = 0; j < d; ++j)
+        row_data[j] *= inv;
+}
+
+/**
+ * sum_j y[j] * dy[j] over j < d, the softmax backward's reduction.
+ * GCC vectorizes it in order with unfused vector products and a fused
+ * scalar tail (src/CMakeLists.txt), so with FMA its bits depend on d
+ * and not only on the nonzero terms.
+ */
+float
+softmaxDot(const float *y, const float *dy, int d)
+{
+    float dot = 0.0f;
+    for (int j = 0; j < d; ++j)
+        dot += y[j] * dy[j];
+    return dot;
+}
+
+/** dst += softmax Jacobian^T dy for one row of d columns. */
+void
+softmaxRowBackward(const float *y, const float *dy, float dot, float *dst,
+                   int d)
+{
+    for (int j = 0; j < d; ++j)
+        dst[j] += y[j] * (dy[j] - dot);
+}
+
+} // namespace
+
 Variable
 softmaxLastDim(const Variable &x)
 {
@@ -559,20 +537,8 @@ softmaxLastDim(const Variable &x)
     const size_t rows = xv.numel() / d;
 
     Tensor out = xv;
-    for (size_t r = 0; r < rows; ++r) {
-        float *row_data = out.data() + r * d;
-        float max_val = row_data[0];
-        for (int j = 1; j < d; ++j)
-            max_val = std::max(max_val, row_data[j]);
-        float total = 0.0f;
-        for (int j = 0; j < d; ++j) {
-            row_data[j] = std::exp(row_data[j] - max_val);
-            total += row_data[j];
-        }
-        const float inv = 1.0f / total;
-        for (int j = 0; j < d; ++j)
-            row_data[j] *= inv;
-    }
+    for (size_t r = 0; r < rows; ++r)
+        softmaxRow(out.data() + r * d, d);
     return makeNode(std::move(out), {x}, [rows, d](VarImpl &self) {
         auto &px = *self.parents[0];
         if (!wantsGrad(px))
@@ -581,12 +547,8 @@ softmaxLastDim(const Variable &x)
         for (size_t r = 0; r < rows; ++r) {
             const float *y = self.value.data() + r * d;
             const float *dy = self.grad.data() + r * d;
-            float dot = 0.0f;
-            for (int j = 0; j < d; ++j)
-                dot += y[j] * dy[j];
-            float *dst = dx.data() + r * d;
-            for (int j = 0; j < d; ++j)
-                dst[j] += y[j] * (dy[j] - dot);
+            softmaxRowBackward(y, dy, softmaxDot(y, dy, d),
+                               dx.data() + r * d, d);
         }
     });
 }
@@ -711,163 +673,269 @@ embedding(const Variable &weight, const std::vector<int> &ids,
     });
 }
 
+RaggedLayout::RaggedLayout(std::vector<int> lengths_in)
+    : lengths(std::move(lengths_in))
+{
+    // A negative length would index rows before its sequence's span.
+    for (const int len : lengths) {
+        SNS_ASSERT(len >= 0, "sequence length must be non-negative: ", len);
+        time = std::max(time, len);
+    }
+    spans.resize(lengths.size());
+    offsets.assign(lengths.size() + 1, 0);
+    for (size_t b = 0; b < lengths.size(); ++b) {
+        spans[b] = lengths[b] == 0 ? time : lengths[b];
+        offsets[b + 1] = offsets[b] + static_cast<size_t>(spans[b]);
+    }
+}
+
+namespace {
+
+/**
+ * Calls f(b, s, head_offset, score_offset) for every (sequence, head)
+ * block of a ragged batch, in storage order: s = spans[b], the block's
+ * first float in a per-head tensor of width dh, and in the scores.
+ */
+template <typename Fn>
+void
+forEachBlock(const RaggedLayout &layout, int heads, int dh, Fn &&f)
+{
+    size_t head_offset = 0;
+    size_t score_offset = 0;
+    for (int b = 0; b < layout.batch(); ++b) {
+        const int s = layout.spans[b];
+        for (int h = 0; h < heads; ++h) {
+            f(b, s, head_offset, score_offset);
+            head_offset += static_cast<size_t>(s) * dh;
+            score_offset += static_cast<size_t>(s) * s;
+        }
+    }
+}
+
+/** Floats of the score blocks of a ragged batch. */
+size_t
+scoreFloats(const RaggedLayout &layout, int heads)
+{
+    size_t total = 0;
+    for (const int s : layout.spans)
+        total += static_cast<size_t>(heads) * s * s;
+    return total;
+}
+
+/**
+ * Calls f(row, head) for every (token row, head) pair of a ragged
+ * batch: token row t of sequence b holds head h's dh floats at `row` =
+ * ((offsets[b] + t) * heads + h) * dh, and the per-head layout holds
+ * them at `head` = (offsets[b] * heads + h * s + t) * dh.
+ */
+template <typename Fn>
+void
+forEachHeadRow(const RaggedLayout &layout, int heads, int dh, Fn &&f)
+{
+    for (int b = 0; b < layout.batch(); ++b) {
+        const size_t first = layout.offsets[b];
+        const int s = layout.spans[b];
+        for (int t = 0; t < s; ++t) {
+            for (int h = 0; h < heads; ++h) {
+                f(((first + t) * heads + h) * dh,
+                  (first * heads + static_cast<size_t>(h) * s + t) * dh);
+            }
+        }
+    }
+}
+
+/** splitHeads (split) or mergeHeads. */
 Variable
-splitHeads(const Variable &x, int heads)
+permuteHeads(const Variable &x, const RaggedLayout &layout, int heads,
+             bool split)
 {
     const Tensor &xv = x.value();
-    SNS_ASSERT(xv.ndim() == 3, "splitHeads input must be [B, T, D]");
-    const int b = xv.dim(0);
-    const int t = xv.dim(1);
-    const int d = xv.dim(2);
+    const int last = xv.dim(xv.ndim() - 1);
+    const int d = split ? last : last * heads;
     SNS_ASSERT(d % heads == 0, "model width not divisible by heads");
     const int dh = d / heads;
+    const int rows = static_cast<int>(layout.rows());
+    SNS_ASSERT(xv.numel() == static_cast<size_t>(rows) * d,
+               "head permutation rows do not match the layout");
 
-    Tensor out({b * heads, t, dh});
-    for (int bi = 0; bi < b; ++bi) {
-        for (int ti = 0; ti < t; ++ti) {
-            const float *src = xv.data() +
-                               (static_cast<size_t>(bi) * t + ti) * d;
-            for (int h = 0; h < heads; ++h) {
-                float *dst =
-                    out.data() +
-                    ((static_cast<size_t>(bi) * heads + h) * t + ti) * dh;
-                std::copy(src + h * dh, src + (h + 1) * dh, dst);
-            }
-        }
-    }
-    return makeNode(std::move(out), {x}, [b, t, d, dh,
-                                          heads](VarImpl &self) {
+    Tensor out(split ? std::vector<int>{rows * heads, dh}
+                     : std::vector<int>{1, rows, d});
+    forEachHeadRow(layout, heads, dh, [&](size_t row, size_t head) {
+        const float *src = xv.data() + (split ? row : head);
+        std::copy(src, src + dh, out.data() + (split ? head : row));
+    });
+    return makeNode(std::move(out), {x},
+                    [layout, heads, dh, split](VarImpl &self) {
         auto &px = *self.parents[0];
         if (!wantsGrad(px))
             return;
         Tensor &dx = px.ensureGrad();
-        for (int bi = 0; bi < b; ++bi) {
-            for (int ti = 0; ti < t; ++ti) {
-                float *dst = dx.data() +
-                             (static_cast<size_t>(bi) * t + ti) * d;
-                for (int h = 0; h < heads; ++h) {
-                    const float *src =
-                        self.grad.data() +
-                        ((static_cast<size_t>(bi) * heads + h) * t + ti) *
-                            dh;
-                    for (int j = 0; j < dh; ++j)
-                        dst[h * dh + j] += src[j];
-                }
-            }
-        }
+        forEachHeadRow(layout, heads, dh, [&](size_t row, size_t head) {
+            const float *src = self.grad.data() + (split ? head : row);
+            float *dst = dx.data() + (split ? row : head);
+            for (int j = 0; j < dh; ++j)
+                dst[j] += src[j];
+        });
     });
 }
 
-Variable
-mergeHeads(const Variable &x, int heads)
-{
-    const Tensor &xv = x.value();
-    SNS_ASSERT(xv.ndim() == 3, "mergeHeads input must be [B*H, T, dh]");
-    SNS_ASSERT(xv.dim(0) % heads == 0, "batch not divisible by heads");
-    const int b = xv.dim(0) / heads;
-    const int t = xv.dim(1);
-    const int dh = xv.dim(2);
-    const int d = dh * heads;
+} // namespace
 
-    Tensor out({b, t, d});
-    for (int bi = 0; bi < b; ++bi) {
-        for (int ti = 0; ti < t; ++ti) {
-            float *dst = out.data() +
-                         (static_cast<size_t>(bi) * t + ti) * d;
-            for (int h = 0; h < heads; ++h) {
-                const float *src =
-                    xv.data() +
-                    ((static_cast<size_t>(bi) * heads + h) * t + ti) * dh;
-                std::copy(src, src + dh, dst + h * dh);
-            }
-        }
-    }
-    return makeNode(std::move(out), {x}, [b, t, d, dh,
-                                          heads](VarImpl &self) {
-        auto &px = *self.parents[0];
-        if (!wantsGrad(px))
-            return;
-        Tensor &dx = px.ensureGrad();
-        for (int bi = 0; bi < b; ++bi) {
-            for (int ti = 0; ti < t; ++ti) {
-                const float *src = self.grad.data() +
-                                   (static_cast<size_t>(bi) * t + ti) * d;
-                for (int h = 0; h < heads; ++h) {
-                    float *dst =
-                        dx.data() +
-                        ((static_cast<size_t>(bi) * heads + h) * t + ti) *
-                            dh;
-                    for (int j = 0; j < dh; ++j)
-                        dst[j] += src[h * dh + j];
-                }
-            }
-        }
-    });
+Variable
+splitHeads(const Variable &x, const RaggedLayout &layout, int heads)
+{
+    return permuteHeads(x, layout, heads, true);
 }
 
 Variable
-addKeyPaddingMask(const Variable &scores, const std::vector<int> &lengths,
-                  int heads)
+mergeHeads(const Variable &x, const RaggedLayout &layout, int heads)
 {
-    const Tensor &sv = scores.value();
-    SNS_ASSERT(sv.ndim() == 3, "scores must be [B*H, Tq, Tk]");
-    const int bh = sv.dim(0);
-    const int tq = sv.dim(1);
-    const int tk = sv.dim(2);
-    SNS_ASSERT(bh % heads == 0 &&
-                   lengths.size() == static_cast<size_t>(bh / heads),
-               "mask length batch mismatch");
-    for (const int len : lengths)
-        SNS_ASSERT(len >= 0, "mask length must be non-negative: ", len);
+    return permuteHeads(x, layout, heads, false);
+}
+
+namespace {
+
+/**
+ * One gemmAcc per (sequence, head) block: scores = q k^T when trans_b
+ * (q and k per-head), else context = a v (a score blocks, v per-head).
+ */
+Variable
+blockProduct(const Variable &a, const Variable &b,
+             const RaggedLayout &layout, int heads, bool trans_b)
+{
+    const Tensor &bv = b.value();
+    SNS_ASSERT(bv.ndim() == 2 &&
+                   bv.dim(0) == static_cast<int>(layout.rows()) * heads,
+               "block product: right operand must be per-head [rows*H, dh]");
+    const int dh = bv.dim(1);
+    const size_t scores = scoreFloats(layout, heads);
+    SNS_ASSERT(a.value().numel() == (trans_b ? bv.numel() : scores),
+               "block product: left operand does not match the layout");
+    // A, B and C block offsets: each operand is per-head or scores.
+    const auto offsets = [trans_b](size_t head, size_t score) {
+        return std::array<size_t, 3>{trans_b ? head : score, head,
+                                     trans_b ? score : head};
+    };
+
+    Tensor out(trans_b ? std::vector<int>{static_cast<int>(scores)}
+                       : bv.shape());
+    forEachBlock(layout, heads, dh,
+                 [&](int, int s, size_t head, size_t score) {
+        const auto [ao, bo, co] = offsets(head, score);
+        gemmAcc(a.value().data() + ao, bv.data() + bo, out.data() + co, s,
+                trans_b ? s : dh, trans_b ? dh : s, false, trans_b);
+    });
+    return makeNode(std::move(out), {a, b},
+                    [layout, heads, dh, trans_b, offsets](VarImpl &self) {
+        auto &pa = *self.parents[0];
+        auto &pb = *self.parents[1];
+        forEachBlock(layout, heads, dh,
+                     [&](int, int m, size_t head, size_t score) {
+            const auto [ao, bo, co] = offsets(head, score);
+            const int n = trans_b ? m : dh;
+            const int k = trans_b ? dh : m;
+            const float *dc = self.grad.data() + co;
+            if (wantsGrad(pa)) {
+                // !trans_b: dA = dC * B^T; trans_b: dA = dC * B.
+                gemmAcc(dc, pb.value.data() + bo,
+                        pa.ensureGrad().data() + ao, m, k, n, false,
+                        !trans_b);
+            }
+            if (wantsGrad(pb)) {
+                float *db = pb.ensureGrad().data() + bo;
+                const float *avp = pa.value.data() + ao;
+                if (!trans_b) {
+                    // dB = A^T * dC : [k,n].
+                    gemmAcc(avp, dc, db, k, n, m, true, false);
+                } else {
+                    // B is [n,k]; dB = dC^T * A : [n,m] x [m,k].
+                    gemmAcc(dc, avp, db, n, k, m, true, false);
+                }
+            }
+        });
+    });
+}
+
+} // namespace
+
+Variable
+bmmTransB(const Variable &q, const Variable &k, const RaggedLayout &layout,
+          int heads)
+{
+    return blockProduct(q, k, layout, heads, true);
+}
+
+Variable
+bmm(const Variable &a, const Variable &v, const RaggedLayout &layout,
+    int heads)
+{
+    return blockProduct(a, v, layout, heads, false);
+}
+
+Variable
+maskedSoftmax(const Variable &scores, const RaggedLayout &layout, int heads)
+{
+    SNS_ASSERT(scores.value().numel() == scoreFloats(layout, heads),
+               "maskedSoftmax: scores do not match the layout");
     constexpr float kNegInf = -1e9f;
-
-    Tensor out = sv;
-    for (int i = 0; i < bh; ++i) {
-        const int len = lengths[i / heads];
-        for (int q = 0; q < tq; ++q) {
-            float *row_data = out.data() +
-                              (static_cast<size_t>(i) * tq + q) * tk;
-            for (int j = len; j < tk; ++j)
+    Tensor out = scores.value();
+    forEachBlock(layout, heads, 0, [&](int b, int s, size_t, size_t score) {
+        for (int q = 0; q < s; ++q) {
+            float *row_data = out.data() + score + static_cast<size_t>(q) * s;
+            for (int j = layout.lengths[b]; j < s; ++j)
                 row_data[j] = kNegInf;
+            softmaxRow(row_data, s);
         }
-    }
-    // The mask is constant; grads flow through unmasked entries only.
+    });
     return makeNode(std::move(out), {scores},
-                    [bh, tq, tk, heads, lengths](VarImpl &self) {
-                        auto &ps = *self.parents[0];
-                        if (!wantsGrad(ps))
-                            return;
-                        Tensor &dx = ps.ensureGrad();
-                        for (int i = 0; i < bh; ++i) {
-                            const int len = lengths[i / heads];
-                            for (int q = 0; q < tq; ++q) {
-                                const size_t base =
-                                    (static_cast<size_t>(i) * tq + q) * tk;
-                                for (int j = 0; j < len; ++j)
-                                    dx[base + j] += self.grad[base + j];
-                            }
-                        }
-                    });
+                    [layout, heads](VarImpl &self) {
+        auto &ps = *self.parents[0];
+        if (!wantsGrad(ps))
+            return;
+        Tensor &dx = ps.ensureGrad();
+        // The pinned training numerics reduce each row over the batch's
+        // padded width `time`, masked columns holding y = 0, and the
+        // reduction's bits depend on its length (softmaxDot): so rows
+        // are zero-extended to `time` (docs/training.md).
+        const int time = layout.time;
+        std::vector<float> padded(2 * static_cast<size_t>(time), 0.0f);
+        float *y_pad = padded.data();
+        float *dy_pad = padded.data() + time;
+        forEachBlock(layout, heads, 0,
+                     [&](int b, int s, size_t, size_t score) {
+            const int len = layout.lengths[b];
+            if (len == 0)
+                return; // every key masked: no gradient reaches scores
+            std::fill(y_pad + s, y_pad + time, 0.0f);
+            std::fill(dy_pad + s, dy_pad + time, 0.0f);
+            for (int q = 0; q < s; ++q) {
+                const size_t row = score + static_cast<size_t>(q) * s;
+                const float *y = self.value.data() + row;
+                const float *dy = self.grad.data() + row;
+                std::copy(y, y + s, y_pad);
+                std::copy(dy, dy + s, dy_pad);
+                softmaxRowBackward(y, dy, softmaxDot(y_pad, dy_pad, time),
+                                   dx.data() + row, len);
+            }
+        });
+    });
 }
 
 Variable
-meanPoolMasked(const Variable &x, const std::vector<int> &lengths)
+meanPoolMasked(const Variable &x, const RaggedLayout &layout)
 {
     const Tensor &xv = x.value();
-    SNS_ASSERT(xv.ndim() == 3, "meanPoolMasked input must be [B, T, D]");
-    const int b = xv.dim(0);
-    const int t = xv.dim(1);
-    const int d = xv.dim(2);
-    SNS_ASSERT(lengths.size() == static_cast<size_t>(b),
-               "lengths batch mismatch");
+    const int batch = layout.batch();
+    const int d = xv.dim(xv.ndim() - 1);
+    SNS_ASSERT(xv.numel() == layout.rows() * d,
+               "meanPoolMasked input must hold the layout's rows");
 
-    Tensor out({b, d});
-    for (int bi = 0; bi < b; ++bi) {
-        const int len = std::max(1, std::min(lengths[bi], t));
+    Tensor out({batch, d});
+    for (int bi = 0; bi < batch; ++bi) {
+        const int len = std::max(1, layout.lengths[bi]);
         float *dst = out.data() + static_cast<size_t>(bi) * d;
         for (int ti = 0; ti < len; ++ti) {
-            const float *src = xv.data() +
-                               (static_cast<size_t>(bi) * t + ti) * d;
+            const float *src = xv.data() + (layout.offsets[bi] + ti) * d;
             for (int j = 0; j < d; ++j)
                 dst[j] += src[j];
         }
@@ -875,18 +943,17 @@ meanPoolMasked(const Variable &x, const std::vector<int> &lengths)
         for (int j = 0; j < d; ++j)
             dst[j] *= inv;
     }
-    return makeNode(std::move(out), {x}, [b, t, d, lengths](VarImpl &self) {
+    return makeNode(std::move(out), {x}, [layout, d](VarImpl &self) {
         auto &px = *self.parents[0];
         if (!wantsGrad(px))
             return;
         Tensor &dx = px.ensureGrad();
-        for (int bi = 0; bi < b; ++bi) {
-            const int len = std::max(1, std::min(lengths[bi], t));
+        for (int bi = 0; bi < layout.batch(); ++bi) {
+            const int len = std::max(1, layout.lengths[bi]);
             const float inv = 1.0f / len;
             const float *dy = self.grad.data() + static_cast<size_t>(bi) * d;
             for (int ti = 0; ti < len; ++ti) {
-                float *dst = dx.data() +
-                             (static_cast<size_t>(bi) * t + ti) * d;
+                float *dst = dx.data() + (layout.offsets[bi] + ti) * d;
                 for (int j = 0; j < d; ++j)
                     dst[j] += dy[j] * inv;
             }

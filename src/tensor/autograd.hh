@@ -128,16 +128,8 @@ class NoGradGuard
     bool previous_;
 };
 
-/** @name Linear algebra
- * @{
- */
 /** Matrix product: [m,k] x [k,n] -> [m,n]. */
 Variable matmul(const Variable &a, const Variable &b);
-/** Batched matrix product: [B,m,k] x [B,k,n] -> [B,m,n]. */
-Variable bmm(const Variable &a, const Variable &b);
-/** Batched product with transposed RHS: [B,m,k] x [B,n,k] -> [B,m,n]. */
-Variable bmmTransB(const Variable &a, const Variable &b);
-/** @} */
 
 /** @name Elementwise and broadcast arithmetic
  * @{
@@ -184,22 +176,63 @@ Variable layerNorm(const Variable &x, const Variable &gamma,
 Variable embedding(const Variable &weight, const std::vector<int> &ids,
                    std::vector<int> out_shape);
 
-/** @name Attention plumbing
+/**
+ * Row layout of a ragged batch (docs/training.md#ragged-training):
+ * sequence b owns the spans[b] token rows from offsets[b], sequence
+ * after sequence, the layout plan::CompiledPlan::run uses.
+ * spans[b] = lengths[b], except that a zero-length sequence spans the
+ * padded width `time`: all of its keys are masked, so it attends
+ * uniformly over `time` padded positions, exactly as in a padded batch.
+ */
+struct RaggedLayout
+{
+    /** Lay out sequences of the given valid lengths; `time` is the
+     * longest length (at least 1). Throws std::logic_error on a
+     * negative length. */
+    explicit RaggedLayout(std::vector<int> lengths);
+
+    int batch() const { return static_cast<int>(lengths.size()); }
+
+    /** Total rows, the sum of spans. */
+    size_t rows() const { return offsets.back(); }
+
+    std::vector<int> lengths;
+    std::vector<int> spans;
+    std::vector<size_t> offsets; ///< batch() + 1 prefix sums of spans
+    int time = 1;
+};
+
+/** @name Ragged attention
+ * Per-head tensors hold sequence b's rows as `heads` contiguous
+ * [spans[b], dh] blocks, head after head, from row offsets[b] * heads;
+ * attention scores hold one spans[b] x spans[b] block per (sequence,
+ * head) in the same order, flattened.
  * @{
  */
-/** [B, T, H*dh] -> [B*H, T, dh]. */
-Variable splitHeads(const Variable &x, int heads);
-/** [B*H, T, dh] -> [B, T, H*dh]. */
-Variable mergeHeads(const Variable &x, int heads);
+/** Token rows [..., H*dh] (layout.rows() of them) -> per-head blocks
+ * [rows*H, dh]. */
+Variable splitHeads(const Variable &x, const RaggedLayout &layout,
+                    int heads);
+/** Per-head blocks [rows*H, dh] -> token rows [1, rows, H*dh]. */
+Variable mergeHeads(const Variable &x, const RaggedLayout &layout,
+                    int heads);
+/** Scores q k^T per (sequence, head) block, from per-head q and k. */
+Variable bmmTransB(const Variable &q, const Variable &k,
+                   const RaggedLayout &layout, int heads);
+/** Context a v per (sequence, head) block, from scores-shaped a and
+ * per-head v; the result is per-head like v. */
+Variable bmm(const Variable &a, const Variable &v,
+             const RaggedLayout &layout, int heads);
 /**
- * Add -inf (approximately) to attention scores of padded key columns:
- * scores is [B*H, Tq, Tk], lengths[b] gives the valid prefix of batch
- * element b and must be non-negative.
+ * Row softmax of every score block after masking keys j >= lengths[b]
+ * (only a zero-length sequence has any). Gradients reach unmasked
+ * scores only.
  */
-Variable addKeyPaddingMask(const Variable &scores,
-                           const std::vector<int> &lengths, int heads);
-/** Mean over valid time steps: [B, T, D] with lengths -> [B, D]. */
-Variable meanPoolMasked(const Variable &x, const std::vector<int> &lengths);
+Variable maskedSoftmax(const Variable &scores, const RaggedLayout &layout,
+                       int heads);
+/** Mean over each sequence's valid rows: token rows [..., D] ->
+ * [B, D]; a zero-length sequence takes its first row. */
+Variable meanPoolMasked(const Variable &x, const RaggedLayout &layout);
 /** @} */
 
 /** Inverted-dropout regularization (identity when !train or p == 0). */

@@ -437,6 +437,32 @@ TEST(TrainerTest, PredictionsCorrelateWithTruth)
     EXPECT_GT(sns::pearson(pred_log, true_log), 0.6);
 }
 
+/** Train TrainerConfig::fast() at seed 7 on the whole smoke set with
+ * one rank and `grad_slices` gradient slices per batch; return the
+ * model fingerprint and the loss curve printed as hex floats. */
+std::pair<uint64_t, std::string>
+pinnedTrainingRun(int grad_slices)
+{
+    const auto &dataset = smokeDataset();
+    std::vector<size_t> all_idx(dataset.size());
+    for (size_t i = 0; i < all_idx.size(); ++i)
+        all_idx[i] = i;
+    TrainerConfig config = TrainerConfig::fast();
+    config.seed = 7;
+    config.dist.grad_slices = grad_slices;
+    SnsTrainer trainer(config);
+    const auto predictor = trainer.train(dataset, all_idx, oracle());
+
+    std::string curve;
+    for (const LossPoint &point : trainer.lossCurve()) {
+        char line[96];
+        std::snprintf(line, sizeof(line), "%a %a\n", point.train_loss,
+                      point.validation_loss);
+        curve += line;
+    }
+    return {predictor.modelFingerprint(), curve};
+}
+
 TEST(TrainerTest, PlainTrainingFingerprintIsPinned)
 {
     // Golden numerics of default training: TrainerConfig::fast() at
@@ -471,25 +497,43 @@ TEST(TrainerTest, PlainTrainingFingerprintIsPinned)
                                "0x1.b09590ccccccdp-5 0x1.82c1d2p-4\n"
                                "0x1.3e010a999999ap-5 0x1.5b363cp-4\n";
 #endif
-    const auto &dataset = smokeDataset();
-    std::vector<size_t> all_idx(dataset.size());
-    for (size_t i = 0; i < all_idx.size(); ++i)
-        all_idx[i] = i;
-    TrainerConfig config = TrainerConfig::fast();
-    config.seed = 7;
-    SnsTrainer trainer(config);
-    const auto predictor = trainer.train(dataset, all_idx, oracle());
-
-    std::string curve;
-    for (const LossPoint &point : trainer.lossCurve()) {
-        char line[96];
-        std::snprintf(line, sizeof(line), "%a %a\n", point.train_loss,
-                      point.validation_loss);
-        curve += line;
-    }
-    EXPECT_EQ(predictor.modelFingerprint(), kFingerprint);
+    const auto [fingerprint, curve] = pinnedTrainingRun(1);
+    EXPECT_EQ(fingerprint, kFingerprint);
     EXPECT_EQ(curve, kCurve);
 }
+
+TEST(TrainerTest, SlicedTrainingFingerprintIsPinned)
+{
+    // The same run at grad_slices = 8: every batch trains as eight
+    // small slices (four paths each at the fast batch size), each
+    // padded or packed on its own, so short-slice numerics are pinned
+    // too. Same two-pin rule as PlainTrainingFingerprintIsPinned.
+#ifdef __FMA__
+    constexpr uint64_t kFingerprint = 0x58ef158d0b4f09d5ull;
+    const char *const kCurve = "0x1.1d198ff8e38e3p+0 0x1.1776acp-1\n"
+                               "0x1.0dc08c5918a6ep-1 0x1.6b3cd4p-2\n"
+                               "0x1.260946c5b05bp-2 0x1.d4a7f8p-3\n"
+                               "0x1.763eb17b05b06p-3 0x1.45504cp-3\n"
+                               "0x1.aa89cefbbbbbbp-4 0x1.c5f33cp-4\n"
+                               "0x1.2358201795cebp-4 0x1.9e0a8ap-4\n"
+                               "0x1.b0958dac71c72p-5 0x1.82c1cep-4\n"
+                               "0x1.3e010e3518a6ep-5 0x1.5b363ep-4\n";
+#else
+    constexpr uint64_t kFingerprint = 0x6b4d5aad500b5ad9ull;
+    const char *const kCurve = "0x1.1d199005b05bp+0 0x1.1776acp-1\n"
+                               "0x1.0dc08b99f49f5p-1 0x1.6b3ccep-2\n"
+                               "0x1.2609471888889p-2 0x1.d4a7f8p-3\n"
+                               "0x1.763eb1225ed0ap-3 0x1.45504ap-3\n"
+                               "0x1.aa89cfe6eeeeep-4 0x1.c5f33ep-4\n"
+                               "0x1.235820714dbf8p-4 0x1.9e0a8ap-4\n"
+                               "0x1.b095908097b43p-5 0x1.82c1ccp-4\n"
+                               "0x1.3e0109f573ac9p-5 0x1.5b3638p-4\n";
+#endif
+    const auto [fingerprint, curve] = pinnedTrainingRun(8);
+    EXPECT_EQ(fingerprint, kFingerprint) << std::hex << fingerprint;
+    EXPECT_EQ(curve, kCurve);
+}
+
 
 TEST(AggregationTest, SaveLoadRoundTrip)
 {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -199,53 +200,75 @@ TEST(AttentionTest, OutputShape)
     Rng rng(9);
     const MultiHeadAttention mha(16, 2, rng);
     Rng data_rng(10);
-    const Tensor x0 = Tensor::randn({3, 5, 16}, data_rng);
-    const Variable y = mha.forward(Variable(x0), {5, 3, 1});
-    EXPECT_EQ(y.value().shape(), (std::vector<int>{3, 5, 16}));
+    const Tensor x0 = Tensor::randn({1, 9, 16}, data_rng);
+    const Variable y = mha.forward(Variable(x0), RaggedLayout({5, 3, 1}));
+    EXPECT_EQ(y.value().shape(), (std::vector<int>{1, 9, 16}));
+}
+
+TransformerConfig
+tinyEncoderConfig(int layers)
+{
+    TransformerConfig config;
+    config.vocab_size = 20;
+    config.max_positions = 8;
+    config.d_model = 16;
+    config.heads = 2;
+    config.layers = layers;
+    config.d_ff = 32;
+    return config;
+}
+
+/** Encode token sequences as one ragged batch; an empty sequence's
+ * span holds pad id 0. */
+Variable
+encodeRagged(const TransformerEncoder &encoder,
+             const std::vector<std::vector<int>> &seqs)
+{
+    std::vector<int> lengths;
+    for (const auto &seq : seqs)
+        lengths.push_back(static_cast<int>(seq.size()));
+    const RaggedLayout layout(lengths);
+    std::vector<int> ids(layout.rows(), 0);
+    for (size_t b = 0; b < seqs.size(); ++b) {
+        std::copy(seqs[b].begin(), seqs[b].end(),
+                  ids.begin() + layout.offsets[b]);
+    }
+    return encoder.encode(ids, layout);
 }
 
 TEST(TransformerTest, PaddingInvariance)
 {
-    // Changing tokens beyond the valid length must not change the
-    // pooled encoding.
+    // An empty sequence spans its batch's padded width in pad ids, so
+    // its encoding depends on that width and on nothing else.
     Rng rng(11);
-    TransformerConfig config;
-    config.vocab_size = 20;
-    config.max_positions = 8;
-    config.d_model = 16;
-    config.heads = 2;
-    config.layers = 2;
-    config.d_ff = 32;
-    const TransformerEncoder encoder(config, rng);
-
-    const std::vector<int> ids_a = {3, 7, 2, 0, 0, 0};
-    const std::vector<int> ids_b = {3, 7, 2, 9, 9, 9};
-    const Variable ya = encoder.encode(ids_a, 1, 6, {3});
-    const Variable yb = encoder.encode(ids_b, 1, 6, {3});
-    for (size_t i = 0; i < ya.value().numel(); ++i)
-        EXPECT_NEAR(ya.value()[i], yb.value()[i], 1e-5f);
+    const TransformerEncoder encoder(tinyEncoderConfig(2), rng);
+    const Variable a = encodeRagged(encoder, {{}, {3, 7, 2}});
+    const Variable b = encodeRagged(encoder, {{9, 9, 9}, {}});
+    const Variable wider = encodeRagged(encoder, {{}, {3, 7, 2, 4, 5}});
+    bool width_matters = false;
+    for (int j = 0; j < 16; ++j) {
+        EXPECT_EQ(a.value().at2(0, j), b.value().at2(1, j));
+        width_matters |= a.value().at2(0, j) != wider.value().at2(0, j);
+    }
+    EXPECT_TRUE(width_matters);
 }
 
 TEST(TransformerTest, BatchingMatchesSingle)
 {
+    // Each row of a ragged batch equals that row encoded alone, bit for
+    // bit, whatever the lengths around it.
     Rng rng(12);
-    TransformerConfig config;
-    config.vocab_size = 20;
-    config.max_positions = 8;
-    config.d_model = 16;
-    config.heads = 2;
-    config.layers = 1;
-    config.d_ff = 32;
-    const TransformerEncoder encoder(config, rng);
-
-    const std::vector<int> batch_ids = {1, 2, 3, 4, 5, 6, 7, 0};
-    const Variable both = encoder.encode(batch_ids, 2, 4, {4, 3});
-    const Variable first = encoder.encode({1, 2, 3, 4}, 1, 4, {4});
-    const Variable second = encoder.encode({5, 6, 7, 0}, 1, 4, {3});
-    for (int j = 0; j < 16; ++j) {
-        EXPECT_NEAR(both.value().at2(0, j), first.value().at2(0, j), 1e-4f);
-        EXPECT_NEAR(both.value().at2(1, j), second.value().at2(0, j),
-                    1e-4f);
+    const TransformerEncoder encoder(tinyEncoderConfig(1), rng);
+    const std::vector<std::vector<int>> seqs = {
+        {1, 2, 3, 4}, {5, 6, 7}, {8}, {1, 3, 5, 7, 9, 11, 13, 15}, {2, 4}};
+    const Variable batch = encodeRagged(encoder, seqs);
+    for (size_t b = 0; b < seqs.size(); ++b) {
+        const Variable alone = encodeRagged(encoder, {seqs[b]});
+        for (int j = 0; j < 16; ++j) {
+            EXPECT_EQ(batch.value().at2(static_cast<int>(b), j),
+                      alone.value().at2(0, j))
+                << "row " << b << " column " << j;
+        }
     }
 }
 
@@ -284,17 +307,13 @@ TEST(TransformerTest, CanOverfitTinyRegression)
         {2, 2, 2, 1}, {1, 3, 1, 4}, {2, 1, 2, 3}, {4, 2, 4, 4}};
     const std::vector<float> targets = {3.0f, 0.0f, 2.0f, 1.0f};
 
-    std::vector<int> flat;
-    for (const auto &s : seqs)
-        flat.insert(flat.end(), s.begin(), s.end());
     Tensor target_tensor =
         Tensor::fromValues({4, 1}, std::vector<float>(targets));
 
     double last_loss = 1e9;
     for (int epoch = 0; epoch < 150; ++epoch) {
         opt.zeroGrad();
-        const Variable pooled =
-            encoder.encode(flat, 4, 4, {4, 4, 4, 4});
+        const Variable pooled = encodeRagged(encoder, seqs);
         Variable loss =
             mseLoss(head.forward(pooled), target_tensor);
         loss.backward();

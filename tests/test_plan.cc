@@ -352,6 +352,36 @@ TEST(PlanRuntimeTest, RejectsLengthsOutsideTheBatch)
     EXPECT_NO_THROW(compiled->run(ids, {0, time}, 2, time));
 }
 
+TEST(PlanRuntimeTest, EmptyPathsMatchTheWalk)
+{
+    // An empty path spans the batch's padded width in both the plan
+    // and the ragged walk, so its prediction depends on that width but
+    // must be the same bits through either. The last batch holds only
+    // empty paths (width 1).
+    PlanToggleGuard guard;
+    Circuitformer model = normalizedModel();
+    model.bindPlan(
+        plan::compilePlan(model.tracePlan(8), model.parameters()));
+    auto paths = testPaths(model.config().encoder.vocab_size);
+    paths[0].clear();
+    paths[4].clear();
+    paths[8].clear();
+    const std::vector<std::vector<std::vector<TokenId>>> batches = {
+        paths, {paths[3], paths[4]}, {paths[4], paths[3], paths[8]},
+        {paths[0], paths[4]}};
+    for (size_t b = 0; b < batches.size(); ++b) {
+        plan::setPlanEnabled(false);
+        const auto walk = model.predict(batches[b], 8);
+        plan::setPlanEnabled(true);
+        EXPECT_TRUE(bitwiseEqual(model.predict(batches[b], 8), walk))
+            << "batch " << b;
+    }
+    // The width matters: an empty path alone is not the same row as
+    // one padded to a long neighbour.
+    EXPECT_FALSE(bitwiseEqual(model.predict({paths[4]}, 8),
+                              {model.predict(batches[1], 8)[1]}));
+}
+
 TEST(PlanPredictorTest, EndToEndPlannedServingIsBitwiseAndReloadable)
 {
     PlanToggleGuard guard;
@@ -467,10 +497,10 @@ calibratedQuantPlan(Circuitformer &model, int batch_max = 8)
 TEST(PlanRuntimeTest, RaggedRowsMatchTheWalkAndRunAlone)
 {
     // Each row of a mixed-length batch runs over its own length. Its
-    // output must equal the same row computed over the padded batch
-    // (the walk for fp64; the plan with a calibration observer
-    // attached, which keeps padded spans, for int8, which has no walk)
-    // and the same path run alone, at every rung and pool width.
+    // output must equal the same row through the reference (the ragged
+    // walk for fp64; for int8, which has no walk, the plan with a
+    // calibration observer attached, which keeps padded spans) and the
+    // same path run alone, at every rung and pool width.
     PlanToggleGuard plan_guard;
     SimdCapGuard simd_guard;
     plan::setPlanEnabled(true);
@@ -496,7 +526,7 @@ TEST(PlanRuntimeTest, RaggedRowsMatchTheWalkAndRunAlone)
                 const bool int8 = precision == Precision::Int8;
                 const plan::CompiledPlan &compiled =
                     int8 ? *model.boundQuantPlan() : *model.boundPlan();
-                const auto padded = [&](const auto &batch) {
+                const auto reference = [&](const auto &batch) {
                     if (!int8) {
                         plan::setPlanEnabled(false);
                         const auto walk = model.predict(batch, 32);
@@ -514,7 +544,7 @@ TEST(PlanRuntimeTest, RaggedRowsMatchTheWalkAndRunAlone)
                     std::to_string(threads);
 
                 const auto ragged = model.predict(paths, 32, precision);
-                EXPECT_TRUE(bitwiseEqual(ragged, padded(paths))) << where;
+                EXPECT_TRUE(bitwiseEqual(ragged, reference(paths))) << where;
                 for (size_t i = 0; i < paths.size(); ++i) {
                     const auto alone =
                         model.predict({paths[i]}, 1, precision);
@@ -524,7 +554,7 @@ TEST(PlanRuntimeTest, RaggedRowsMatchTheWalkAndRunAlone)
                 }
                 EXPECT_TRUE(bitwiseEqual(
                     model.predict(with_empty, 32, precision),
-                    padded(with_empty)))
+                    reference(with_empty)))
                     << where << " with a zero-length row";
             }
         }

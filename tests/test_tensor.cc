@@ -349,27 +349,43 @@ TEST(Autograd, MatmulGradients)
     });
 }
 
+/** Three sequences, one empty (it spans the padded width 3): 8 rows,
+ * two heads. */
+const RaggedLayout &
+raggedLayout()
+{
+    static const RaggedLayout layout({2, 0, 3});
+    return layout;
+}
+
+/** Floats of raggedLayout()'s score blocks at two heads. */
+constexpr int kRaggedScores = 2 * (2 * 2 + 3 * 3 + 3 * 3);
+
 TEST(Autograd, BmmGradients)
 {
-    const Tensor a0 = randomTensor({2, 3, 4}, 3);
-    const Tensor b0 = randomTensor({2, 4, 2}, 4);
+    const Tensor a0 = randomTensor({kRaggedScores}, 3);
+    const Tensor v0 = randomTensor({16, 2}, 4);
     gradCheck(a0, [&](const Variable &a) {
-        return sumAll(bmm(a, constant(b0)));
+        return sumAll(mul(bmm(a, constant(v0), raggedLayout(), 2),
+                          constant(v0)));
     });
-    gradCheck(b0, [&](const Variable &b) {
-        return sumAll(bmm(constant(a0), b));
+    gradCheck(v0, [&](const Variable &v) {
+        return sumAll(bmm(constant(a0), v, raggedLayout(), 2));
     });
 }
 
 TEST(Autograd, BmmTransBGradients)
 {
-    const Tensor a0 = randomTensor({2, 3, 4}, 5);
-    const Tensor b0 = randomTensor({2, 5, 4}, 6);
-    gradCheck(a0, [&](const Variable &a) {
-        return sumAll(bmmTransB(a, constant(b0)));
+    const Tensor q0 = randomTensor({16, 2}, 5);
+    const Tensor k0 = randomTensor({16, 2}, 6);
+    const Tensor w0 = randomTensor({kRaggedScores}, 7);
+    gradCheck(q0, [&](const Variable &q) {
+        return sumAll(mul(bmmTransB(q, constant(k0), raggedLayout(), 2),
+                          constant(w0)));
     });
-    gradCheck(b0, [&](const Variable &b) {
-        return sumAll(bmmTransB(constant(a0), b));
+    gradCheck(k0, [&](const Variable &k) {
+        return sumAll(mul(bmmTransB(constant(q0), k, raggedLayout(), 2),
+                          constant(w0)));
     });
 }
 
@@ -462,56 +478,108 @@ TEST(Autograd, EmbeddingGradients)
 
 TEST(Autograd, SplitMergeHeadsRoundTripAndGradients)
 {
-    const Tensor x0 = randomTensor({2, 3, 4}, 20);
+    const Tensor x0 = randomTensor({1, 8, 4}, 20);
     // Round trip reproduces the input exactly.
     const Variable x(x0);
-    const Variable rt = mergeHeads(splitHeads(x, 2), 2);
+    const Variable heads = splitHeads(x, raggedLayout(), 2);
+    EXPECT_EQ(heads.value().shape(), (std::vector<int>{16, 2}));
+    const Variable rt = mergeHeads(heads, raggedLayout(), 2);
+    EXPECT_EQ(rt.value().shape(), x0.shape());
     for (size_t i = 0; i < x0.numel(); ++i)
-        EXPECT_FLOAT_EQ(rt.value()[i], x0[i]);
+        EXPECT_EQ(rt.value()[i], x0[i]);
+    // Sequence 2's rows start at row 5; head 1 of its row 1 is the
+    // second float pair of token row 6, at per-head row 5*2 + 3 + 1.
+    EXPECT_EQ(heads.value().at2(14, 0), x0[6 * 4 + 2]);
 
-    const Tensor w0 = randomTensor({4, 3, 2}, 21);
+    const Tensor w0 = randomTensor({16, 2}, 21);
     gradCheck(x0, [&](const Variable &v) {
-        return sumAll(mul(splitHeads(v, 2), constant(w0)));
+        return sumAll(mul(splitHeads(v, raggedLayout(), 2), constant(w0)));
+    });
+    const Tensor m0 = randomTensor({1, 8, 4}, 22);
+    gradCheck(w0, [&](const Variable &v) {
+        return sumAll(mul(mergeHeads(v, raggedLayout(), 2), constant(m0)));
     });
 }
 
 TEST(Autograd, KeyPaddingMaskGradients)
 {
-    const Tensor s0 = randomTensor({4, 3, 3}, 22); // B=2, H=2
-    const std::vector<int> lengths = {2, 3};
-    const Tensor w0 = randomTensor({4, 3, 3}, 23);
+    // maskedSoftmax masks the empty sequence's keys: its blocks attend
+    // uniformly and pass no gradient back.
+    const Tensor s0 = randomTensor({kRaggedScores}, 22);
+    const Tensor w0 = randomTensor({kRaggedScores}, 23);
+    const Variable y = maskedSoftmax(Variable(s0), raggedLayout(), 2);
+    for (int i = 0; i < 9; ++i)
+        EXPECT_EQ(y.value()[8 + i], 1.0f / 3.0f);
     gradCheck(s0, [&](const Variable &s) {
-        return sumAll(mul(softmaxLastDim(addKeyPaddingMask(s, lengths, 2)),
+        return sumAll(mul(maskedSoftmax(s, raggedLayout(), 2),
                           constant(w0)));
     });
 }
 
 TEST(Autograd, KeyPaddingMaskRejectsNegativeLengths)
 {
-    // A negative length would start the mask loop before the row.
-    const Variable scores(Tensor::zeros({4, 3, 3})); // B=2, H=2
-    EXPECT_THROW(addKeyPaddingMask(scores, {2, -1}, 2), std::logic_error);
-    EXPECT_NO_THROW(addKeyPaddingMask(scores, {0, 3}, 2));
+    // A negative length would index rows before its sequence's span.
+    EXPECT_THROW(RaggedLayout({2, -1}), std::logic_error);
+    const RaggedLayout layout({0, 3});
+    EXPECT_EQ(layout.spans, (std::vector<int>{3, 3}));
+    EXPECT_EQ(layout.offsets, (std::vector<size_t>{0, 3, 6}));
+    EXPECT_EQ(RaggedLayout({0, 0}).time, 1);
+}
+
+TEST(Autograd, MaskedSoftmaxBackwardMatchesThePaddedRow)
+{
+    // A ragged row of s = 6 scores must get the gradient bits of the
+    // same row padded to the batch's width 13 with masked keys, the
+    // row the padded walk backpropagated. With FMA contraction the
+    // reduction in the backward pass rounds differently at 6 and 13
+    // columns, so the ragged op reduces over the padded width.
+    const RaggedLayout layout({6, 13});
+    const int heads = 1;
+    const Tensor s0 = randomTensor({6 * 6 + 13 * 13}, 26);
+    const Tensor w0 = randomTensor({6 * 6 + 13 * 13}, 27);
+    Variable ragged(s0, true);
+    sumAll(mul(maskedSoftmax(ragged, layout, heads), constant(w0)))
+        .backward();
+
+    Tensor p0({6, 13});
+    Tensor pw({6, 13});
+    for (int q = 0; q < 6; ++q) {
+        for (int j = 0; j < 13; ++j) {
+            // Masked keys upstream still get arbitrary gradients.
+            p0.at2(q, j) = j < 6 ? s0[q * 6 + j] : -1e9f;
+            pw.at2(q, j) = j < 6 ? w0[q * 6 + j] : 0.5f + q + j;
+        }
+    }
+    Variable padded(p0, true);
+    sumAll(mul(softmaxLastDim(padded), constant(pw))).backward();
+    for (int q = 0; q < 6; ++q) {
+        for (int j = 0; j < 6; ++j) {
+            EXPECT_EQ(ragged.grad()[q * 6 + j], padded.grad().at2(q, j))
+                << "row " << q << " column " << j;
+        }
+    }
 }
 
 TEST(Autograd, MeanPoolMaskedGradients)
 {
-    const Tensor x0 = randomTensor({2, 4, 3}, 24);
-    const std::vector<int> lengths = {2, 4};
-    const Tensor w0 = randomTensor({2, 3}, 25);
+    const Tensor x0 = randomTensor({1, 8, 3}, 24);
+    const Tensor w0 = randomTensor({3, 3}, 25);
     gradCheck(x0, [&](const Variable &x) {
-        return sumAll(mul(meanPoolMasked(x, lengths), constant(w0)));
+        return sumAll(mul(meanPoolMasked(x, raggedLayout()), constant(w0)));
     });
 }
 
 TEST(Autograd, MeanPoolMaskedIgnoresPaddedSteps)
 {
-    Tensor x0 = Tensor::zeros({1, 3, 2});
-    x0.at3(0, 0, 0) = 2.0f;
-    x0.at3(0, 1, 0) = 4.0f;
-    x0.at3(0, 2, 0) = 100.0f; // padded, must not contribute
-    const Variable pooled = meanPoolMasked(Variable(x0), {2});
-    EXPECT_FLOAT_EQ(pooled.value().at2(0, 0), 3.0f);
+    // Each sequence pools its own valid rows; the empty one takes the
+    // first row of its span and ignores the rest.
+    Tensor x0 = Tensor::zeros({1, 8, 1});
+    for (int r = 0; r < 8; ++r)
+        x0[r] = static_cast<float>(1 << r);
+    const Variable pooled = meanPoolMasked(Variable(x0), raggedLayout());
+    EXPECT_EQ(pooled.value().at2(0, 0), 1.5f); // rows 0, 1
+    EXPECT_EQ(pooled.value().at2(1, 0), 4.0f); // row 2 of 2..4
+    EXPECT_FLOAT_EQ(pooled.value().at2(2, 0), 224.0f / 3.0f); // rows 5..7
 }
 
 TEST(Autograd, GatherMeanRowsGradients)

@@ -8,7 +8,8 @@
 #      (must be clean) and over each corrupted fixture alone (must exit
 #      exactly 1);
 #   4. SNS_SIMD ladder (src/tensor/simd.hh): re-run the kernel,
-#      quantized and plan runtime test suites at every rung (0 scalar,
+#      quantized, plan runtime and ragged training tests (autograd
+#      ops, encoder, both training pins) at every rung (0 scalar,
 #      1 AVX2, 2 AVX-512) under the sanitizers, check fp64 and int8 CLI
 #      predictions are bitwise stable across rungs, lint a freshly
 #      calibrated plan_int8.snsp (must be clean) and the
@@ -142,12 +143,21 @@ echo "== SNS_SIMD ladder sweep under ASan+UBSan =="
 # promise is sanitizer-checked on the scalar, AVX2, and (when the CPU
 # allows) AVX-512 paths alike. The plan runtime suite rides along: its
 # ragged executor packs per-row spans into arena offsets, and ASan
-# catches any span or offset overrun at every rung.
+# catches any span or offset overrun at every rung. So does the ragged
+# training walk (docs/training.md#ragged-training): its autograd ops,
+# the encoder tests and both training pins, whose values must not
+# depend on the rung.
+KERNEL_TESTS='Qgemm.*:GemmSimd.*:TanhKernel.*:GeluKernel.*:SimdLadder.*'
+RAGGED_OP_TESTS='Autograd.Bmm*:Autograd.SplitMerge*:Autograd.KeyPaddingMask*'
+RAGGED_OP_TESTS="$RAGGED_OP_TESTS:Autograd.MaskedSoftmax*:Autograd.MeanPool*"
 for level in 0 1 2; do
     echo "-- SNS_SIMD=$level --"
     SNS_SIMD=$level "$BUILD/tests/test_tensor" \
-        --gtest_filter='Qgemm.*:GemmSimd.*:TanhKernel.*:GeluKernel.*:SimdLadder.*' \
-        > /dev/null
+        --gtest_filter="$KERNEL_TESTS:$RAGGED_OP_TESTS" > /dev/null
+    SNS_SIMD=$level "$BUILD/tests/test_nn" \
+        --gtest_filter='TransformerTest.*' > /dev/null
+    SNS_SIMD=$level "$BUILD/tests/test_core" \
+        --gtest_filter='TrainerTest.*FingerprintIsPinned' > /dev/null
     SNS_SIMD=$level "$BUILD/tests/test_plan" \
         --gtest_filter='PlanQuantTest.*:PlanRuntimeTest.*' > /dev/null
     SNS_SIMD=$level "$BUILD/tests/test_verify" \
