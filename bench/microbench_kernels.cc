@@ -76,14 +76,6 @@ forceSimdLevel(benchmark::State &state, int level)
     return false;
 }
 
-const char *
-rungName(int level)
-{
-    return level == tensor::kSimdScalar ? "scalar"
-           : level == tensor::kSimdAvx2 ? "avx2"
-                                        : "avx512";
-}
-
 /**
  * The fp32 GEMM ladder head to head: the same shape forced to each
  * rung (0 scalar fma chains, 1 AVX2 4x16/1x16, 2 AVX-512 12x32 blocks).
@@ -120,7 +112,8 @@ BM_GemmSimdDispatch(benchmark::State &state)
     tensor::setSimdLevelCap(-1);
     state.SetItemsProcessed(state.iterations() * 2ll * m * n * k);
     state.SetLabel(std::string(trans_a ? "T" : "N") +
-                   (trans_b ? "T" : "N") + " " + rungName(level));
+                   (trans_b ? "T" : "N") + " " +
+                   tensor::simdLevelName(level));
 }
 
 /** {m, n, k, trans_a, trans_b} at every rung. */
@@ -151,11 +144,12 @@ BENCHMARK(BM_GemmSimdDispatch)->Apply(gemmLadderArgs);
 /**
  * The quantized-tier GEMM ladder head to head: the same u7 x s8
  * contraction forced to each SNS_SIMD dispatch level (0 scalar,
- * 1 AVX2 maddubs, 2 AVX-512 VNNI vpdpbusd). All levels return the
- * same int32 bits; only throughput differs. items/s is integer
- * multiply-add op/s (2*m*n*k per iteration) — tools/run_bench.sh
- * divides by 1e9 for the BENCH_pr8.json GOP/s columns and gates the
- * int8-vs-fp32 ratio against BM_GemmSimdDispatch on the same shape.
+ * 1 AVX2 maddubs, 2 AVX-512 VNNI vpdpbusd, 3 AMX-INT8 tdpbusd). All
+ * levels return the same int32 bits; only throughput differs. items/s
+ * is integer multiply-add op/s (2*m*n*k per iteration) —
+ * tools/run_bench.sh divides by 1e9 for the BENCH_pr8.json GOP/s
+ * columns and gates the int8-vs-fp32 ratio against
+ * BM_GemmSimdDispatch on the same shape.
  */
 void
 BM_QgemmDispatch(benchmark::State &state)
@@ -196,7 +190,8 @@ BM_QgemmDispatch(benchmark::State &state)
     state.SetLabel("level=" + std::to_string(cap) +
                    (cap == 0   ? " scalar"
                     : cap == 1 ? " avx2"
-                               : " vnni"));
+                    : cap == 2 ? " vnni"
+                               : " amx"));
 }
 BENCHMARK(BM_QgemmDispatch)
     // {m, n, k, forced dispatch level}
@@ -208,7 +203,16 @@ BENCHMARK(BM_QgemmDispatch)
     ->Args({128, 256, 64, 2})
     ->Args({96, 107, 130, 0}) // ragged tails: partial panels + k pad
     ->Args({96, 107, 130, 1})
-    ->Args({96, 107, 130, 2});
+    ->Args({96, 107, 130, 2})
+    // The int8 plan's shapes at its 403-row batch: the attention and
+    // output projections (k 128 -> n 128), FFN up (128 -> 512) and
+    // FFN down (512 -> 128), on the VNNI and AMX rungs.
+    ->Args({403, 128, 128, 2})
+    ->Args({403, 128, 128, 3})
+    ->Args({403, 512, 128, 2})
+    ->Args({403, 512, 128, 3})
+    ->Args({403, 128, 512, 2})
+    ->Args({403, 128, 512, 3});
 
 /**
  * The GELU epilogue of the FFN up-projection (128 rows x d_ff 512 at
@@ -256,7 +260,7 @@ BM_Gelu(benchmark::State &state)
     }
     tensor::setSimdLevelCap(-1);
     state.SetItemsProcessed(state.iterations() * kGeluCount);
-    state.SetLabel(rungName(level));
+    state.SetLabel(tensor::simdLevelName(level));
 }
 BENCHMARK(BM_Gelu)->Arg(0)->Arg(1)->Arg(2);
 

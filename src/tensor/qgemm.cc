@@ -20,6 +20,12 @@ constexpr int kPanelWidth = 16;
 constexpr int kKGroup = 4;
 constexpr int kRowBlock = 4;
 
+// AMX tile geometry: a tile holds up to 16 rows of 64 bytes, and the
+// level-3 kernel blocks C in 2 x 2 tiles (32 rows x 32 columns).
+constexpr int kTileRows = 16;
+constexpr int kTileBytes = 64;
+constexpr int kAmxBlock = 2 * kTileRows;
+
 // Multi-threading threshold, mirroring gemm.cc: below ~2M multiply-adds
 // the fork/join overhead of an idle pool beats the arithmetic. Integer
 // accumulation is exact, so tiling over rows never changes a bit.
@@ -229,6 +235,185 @@ qgemmRowsVnni(const uint8_t *a, const QuantPanels &b, int32_t *c,
     }
 }
 
+// ---------------------------------------------------------------------
+// Level 3: AMX-INT8. tdpbusd is vpdpbusd on tiles: u8 x s8 products
+// summed in groups of 4 into exact int32 lanes, so the sums equal the
+// scalar reference. Nothing is repacked:
+//   A tile  up to 16 rows x `depth` bytes of k, straight from `a`
+//           (stride k_padded);
+//   B tile  depth / 4 consecutive 64-byte blocks of one panel (stride
+//           64): block g is row g of the tile, 16 columns x 4 k, the
+//           VNNI tile layout;
+//   C tile  up to 16 rows x 16 int32 columns of `c` (stride 4n).
+// A 2 x 2 block of C tiles (32 rows x 32 columns: two panels) shares
+// each A and B tile load: tmm0-3 hold C[r][col] as tmm(2r + col),
+// tmm4-5 the two A row tiles, tmm6-7 the two B panel tiles. Partial
+// row and column blocks get their own tile config with shorter tiles,
+// so every load and store stays inside the m rows of `a` and `c`, the
+// n columns of `c` and the panel bytes.
+// ---------------------------------------------------------------------
+
+/** The ldtilecfg operand (palette 1). */
+struct alignas(64) TileConfig {
+    uint8_t palette = 1;
+    uint8_t start_row = 0;
+    uint8_t reserved[14] = {};
+    uint16_t colsb[16] = {};
+    uint8_t rows[16] = {};
+};
+static_assert(sizeof(TileConfig) == 64);
+
+/**
+ * Bytes of k per tile step: the largest multiple of 4 up to 64 that
+ * divides k_padded, so the steps cover k exactly, with no tail.
+ */
+int
+tileDepth(int k_padded)
+{
+    int depth = kTileBytes;
+    while (k_padded % depth != 0)
+        depth -= kKGroup;
+    return depth;
+}
+
+/**
+ * Configure the tiles for blocks of `rows` (1..32) rows by `cols`
+ * (1..32) columns, `depth` bytes of k per step. A tile a block of
+ * that shape does not use stays unconfigured (0 rows).
+ */
+__attribute__((target("amx-tile"))) void
+loadTileConfig(int rows, int cols, int depth)
+{
+    const int r[2] = {std::min(rows, kTileRows),
+                      std::max(rows - kTileRows, 0)};
+    const int w[2] = {std::min(cols, kPanelWidth),
+                      std::max(cols - kPanelWidth, 0)};
+    TileConfig cfg;
+    for (int t = 0; t < 2; ++t) {
+        if (r[t] > 0) { // A row tile t and the C tiles of its row
+            cfg.rows[4 + t] = static_cast<uint8_t>(r[t]);
+            cfg.colsb[4 + t] = static_cast<uint16_t>(depth);
+            for (int ct = 0; ct < 2; ++ct) {
+                if (w[ct] > 0) {
+                    cfg.rows[2 * t + ct] = static_cast<uint8_t>(r[t]);
+                    cfg.colsb[2 * t + ct] =
+                        static_cast<uint16_t>(w[ct] * sizeof(int32_t));
+                }
+            }
+        }
+        if (w[t] > 0) { // B panel tile t
+            cfg.rows[6 + t] = static_cast<uint8_t>(depth / kKGroup);
+            cfg.colsb[6 + t] =
+                static_cast<uint16_t>(w[t] * sizeof(int32_t));
+        }
+    }
+    // _tile_loadconfig's asm names only the first 8 bytes of its
+    // operand; handing the whole struct to an opaque asm first keeps
+    // the compiler from dropping the other stores.
+    __asm__ volatile("" : : "r"(&cfg) : "memory");
+    _tile_loadconfig(&cfg);
+}
+
+/**
+ * One block of C: rows [i, i + rows) by the columns of panels q and
+ * q + 1 (`two_cols`) or q alone, with rows > 16 when `two_rows`. The
+ * tile config in force matches the block's shape.
+ */
+__attribute__((target("amx-tile,amx-int8"))) inline void
+amxBlock(const uint8_t *a, const QuantPanels &b, int32_t *c, int i,
+         int q, bool two_rows, bool two_cols, int depth)
+{
+    const size_t lda = static_cast<size_t>(b.k_padded);
+    const size_t ldc = static_cast<size_t>(b.n) * sizeof(int32_t);
+    const uint8_t *a0 = a + static_cast<size_t>(i) * lda;
+    const uint8_t *a1 = a0 + kTileRows * lda;
+    const int8_t *b0 = b.data.data() + q * panelBytes(b);
+    const int8_t *b1 = b0 + panelBytes(b);
+    int32_t *c00 = c + static_cast<size_t>(i) * b.n + q * kPanelWidth;
+    int32_t *c10 = c00 + static_cast<size_t>(kTileRows) * b.n;
+
+    _tile_zero(0);
+    if (two_cols)
+        _tile_zero(1);
+    if (two_rows) {
+        _tile_zero(2);
+        if (two_cols)
+            _tile_zero(3);
+    }
+    // k bytes [p, p + depth) are panel blocks p / 4 onwards, 64 bytes
+    // each: byte offset p * 16.
+    for (int p = 0; p < b.k_padded; p += depth) {
+        const size_t boff = static_cast<size_t>(p) * kPanelWidth;
+        _tile_loadd(4, a0 + p, lda);
+        _tile_loadd(6, b0 + boff, kTileBytes);
+        _tile_dpbusd(0, 4, 6);
+        if (two_cols) {
+            _tile_loadd(7, b1 + boff, kTileBytes);
+            _tile_dpbusd(1, 4, 7);
+        }
+        if (two_rows) {
+            _tile_loadd(5, a1 + p, lda);
+            _tile_dpbusd(2, 5, 6);
+            if (two_cols)
+                _tile_dpbusd(3, 5, 7);
+        }
+    }
+    _tile_stored(0, c00, ldc);
+    if (two_cols)
+        _tile_stored(1, c00 + kPanelWidth, ldc);
+    if (two_rows) {
+        _tile_stored(2, c10, ldc);
+        if (two_cols)
+            _tile_stored(3, c10 + kPanelWidth, ldc);
+    }
+}
+
+/** Rows [i0, i0 + row_blocks * rows) by columns [j0, j0 + col_blocks
+ * * cols), in blocks of rows x cols under one tile config. */
+__attribute__((target("amx-tile,amx-int8"))) void
+amxRegion(const uint8_t *a, const QuantPanels &b, int32_t *c, int i0,
+          int row_blocks, int rows, int j0, int col_blocks, int cols,
+          int depth)
+{
+    if (row_blocks == 0 || col_blocks == 0)
+        return;
+    loadTileConfig(rows, cols, depth);
+    for (int rb = 0; rb < row_blocks; ++rb)
+        for (int cb = 0; cb < col_blocks; ++cb)
+            amxBlock(a, b, c, i0 + rb * rows,
+                     (j0 + cb * cols) / kPanelWidth, rows > kTileRows,
+                     cols > kPanelWidth, depth);
+}
+
+/**
+ * Rows [i0, i1) on the tiles: full 32 x 32 blocks, then the column
+ * tail (n % 32), the row tail ((i1 - i0) % 32) and their corner, each
+ * under its own config. The call loads its own config and releases
+ * the tiles before returning, so no thread carries tile state between
+ * calls.
+ */
+__attribute__((target("amx-tile,amx-int8"))) void
+qgemmRowsAmx(const uint8_t *a, const QuantPanels &b, int32_t *c, int i0,
+             int i1)
+{
+    const int depth = tileDepth(b.k_padded);
+    const int full_rows = (i1 - i0) / kAmxBlock;
+    const int tail_rows = (i1 - i0) % kAmxBlock;
+    const int full_cols = b.n / kAmxBlock;
+    const int tail_cols = b.n % kAmxBlock;
+    const int i_tail = i0 + full_rows * kAmxBlock;
+    const int j_tail = full_cols * kAmxBlock;
+    amxRegion(a, b, c, i0, full_rows, kAmxBlock, 0, full_cols, kAmxBlock,
+              depth);
+    amxRegion(a, b, c, i0, full_rows, kAmxBlock, j_tail,
+              tail_cols > 0 ? 1 : 0, tail_cols, depth);
+    amxRegion(a, b, c, i_tail, tail_rows > 0 ? 1 : 0, tail_rows, 0,
+              full_cols, kAmxBlock, depth);
+    amxRegion(a, b, c, i_tail, tail_rows > 0 ? 1 : 0, tail_rows, j_tail,
+              tail_cols > 0 ? 1 : 0, tail_cols, depth);
+    _tile_release();
+}
+
 #endif // SNS_SIMD_X86
 
 } // namespace
@@ -285,7 +470,11 @@ qgemmI32(const uint8_t *a, const QuantPanels &panels, int32_t *c, int m)
     const int level = qgemmLevel();
     auto rows = [&](int i0, int i1) {
 #if SNS_SIMD_X86
-        if (level >= kSimdAvx512) {
+        if (level >= kSimdAmx) {
+            qgemmRowsAmx(a, panels, c, i0, i1);
+            return;
+        }
+        if (level == kSimdAvx512) {
             qgemmRowsVnni(a, panels, c, i0, i1);
             return;
         }
@@ -306,11 +495,14 @@ qgemmI32(const uint8_t *a, const QuantPanels &panels, int32_t *c, int m)
                           ops >= kParallelOps &&
                           m >= 2 * pool.threads();
     if (parallel) {
-        pool.parallelFor(static_cast<size_t>(m), kRowBlock,
-                         [&](size_t i0, size_t i1) {
-                             rows(static_cast<int>(i0),
-                                  static_cast<int>(i1));
-                         });
+        // Split on whole row blocks of the rung (4 rows, or 32 on the
+        // tiles), so no chunk starts a partial block mid-matrix.
+        const int unit = level >= kSimdAmx ? kAmxBlock : kRowBlock;
+        const size_t units = static_cast<size_t>((m + unit - 1) / unit);
+        pool.parallelFor(units, 1, [&](size_t u0, size_t u1) {
+            rows(static_cast<int>(u0) * unit,
+                 std::min(m, static_cast<int>(u1) * unit));
+        });
     } else {
         rows(0, m);
     }

@@ -10,18 +10,21 @@
  * Every product term fits |a*b| <= 127*127 = 16129 and every adjacent
  * pair sum fits 2*127*127 = 32258 < 32767, so the AVX2 `maddubs`
  * widening path never saturates its intermediate int16 lanes and all
- * three dispatch levels — scalar reference, AVX2
- * (`_mm256_maddubs_epi16`), AVX-512 VNNI (`_mm512_dpbusd_epi32`) —
- * produce the *same exact integer* for every element. Integer
- * addition is associative, so unlike the float kernels in gemm.hh no
- * accumulation-order contract is needed: quantized SIMD == quantized
- * scalar bitwise at every level, by construction.
+ * four dispatch levels — scalar reference, AVX2
+ * (`_mm256_maddubs_epi16`), AVX-512 VNNI (`_mm512_dpbusd_epi32`) and
+ * AMX-INT8 tiles (`tdpbusd`) — produce the *same exact integer* for
+ * every element. Integer addition is associative, so unlike the float
+ * kernels in gemm.hh no accumulation-order contract is needed:
+ * quantized SIMD == quantized scalar bitwise at every level, by
+ * construction.
  *
- * The three levels are the rungs of the shared SNS_SIMD ladder
+ * The four levels are the rungs of the shared SNS_SIMD ladder
  * (simd.hh): SNS_SIMD=0 forces level 0 (scalar), SNS_SIMD=1 caps at
- * level 1 (AVX2), anything else (including unset) allows level 2
- * (AVX-512 VNNI) when the CPU does. The fp32 GEMM and the tanh kernel
- * run on the same ladder at the same level.
+ * level 1 (AVX2), SNS_SIMD=2 at level 2 (AVX-512 VNNI), and anything
+ * else (including unset) allows level 3 (AMX-INT8) when the CPU has it
+ * and the kernel grants the tile state. The fp32 GEMM and the tanh
+ * kernel run on the same ladder at the same level, except that they
+ * stay on AVX-512 at level 3.
  */
 
 #ifndef SNS_TENSOR_QGEMM_HH

@@ -7,13 +7,18 @@
  *   0  scalar reference;
  *   1  AVX2 + FMA;
  *   2  AVX-512 (F, BW, VL and VNNI, so one probe serves all three
- *      kernels).
+ *      kernels);
+ *   3  AMX-INT8 tiles for the integer GEMM; the fp32 GEMM and the tanh
+ *      kernel keep running their AVX-512 rungs.
  *
- * The level in force is the minimum of three bounds: what this build
- * and CPU can run (simdMaxLevel), the SNS_SIMD environment variable
+ * The level in force is the minimum of three bounds: what this build,
+ * CPU and kernel can run, the SNS_SIMD environment variable
  * (parseSimdLevel, read once) and the test cap (setSimdLevelCap).
- * Every kernel returns the same bits at every level, so the ladder
- * changes throughput only (docs/perf.md, "Dispatch rules").
+ * Level 3 needs the kernel's permission to use AMX tile data: the
+ * first simdLevel() call asks for it once, unless SNS_SIMD caps the
+ * ladder lower, and a refusal leaves the ladder at level 2. Every
+ * kernel returns the same bits at every level, so the ladder changes
+ * throughput only (docs/perf.md, "Dispatch rules").
  */
 
 #ifndef SNS_TENSOR_SIMD_HH
@@ -34,19 +39,24 @@ namespace sns::tensor {
 constexpr int kSimdScalar = 0;
 constexpr int kSimdAvx2 = 1;
 constexpr int kSimdAvx512 = 2;
+constexpr int kSimdAmx = 3;
 
 /**
  * The level an SNS_SIMD value allows: exactly "0" caps at scalar,
- * exactly "1" at AVX2; anything else, including an unset (null) or
- * empty value, leaves the ladder uncapped (kSimdAvx512).
+ * exactly "1" at AVX2, exactly "2" at AVX-512; anything else,
+ * including an unset (null) or empty value, leaves the ladder
+ * uncapped (kSimdAmx).
  */
 int parseSimdLevel(const char *value);
 
-/** Highest level this build and CPU can run. */
+/** Highest level this build and CPU support. Level 3 also needs the
+ * kernel's tile-data permission (amxTileData), so simdLevel() may stop
+ * below it. */
 int simdMaxLevel();
 
-/** The level every kernel dispatches to now: min of simdMaxLevel,
- * the SNS_SIMD environment variable and the test cap. */
+/** The level every kernel dispatches to now: min of the ceiling this
+ * process was granted, the SNS_SIMD environment variable and the test
+ * cap. */
 int simdLevel();
 
 /**
@@ -55,6 +65,19 @@ int simdLevel();
  * removes it; a cap above the ceiling clamps to the ceiling.
  */
 void setSimdLevelCap(int cap);
+
+/** "scalar", "avx2", "avx512" or "amx": the rung a level names. */
+const char *simdLevelName(int level);
+
+/** What became of this process's one request for AMX tile data. */
+enum class AmxTileData {
+    NotRequested, ///< the CPU lacks AMX-INT8, or SNS_SIMD caps below it
+    Granted,      ///< the kernel allowed it: level 3 is available
+    Refused,      ///< the kernel said no: the ladder stops at level 2
+};
+
+/** The outcome of the tile-data request, making it if it is due. */
+AmxTileData amxTileData();
 
 } // namespace sns::tensor
 

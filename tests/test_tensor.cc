@@ -7,14 +7,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
+
+#include <signal.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #if defined(__GLIBC__)
 #include <gnu/libc-version.h>
@@ -156,13 +164,15 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SimdLadder, ParseKnowsExactlyZeroAndOne)
 {
-    EXPECT_EQ(parseSimdLevel(nullptr), kSimdAvx512);
-    EXPECT_EQ(parseSimdLevel(""), kSimdAvx512);
+    // Exactly "0", "1" and "2" cap; everything else is uncapped.
+    EXPECT_EQ(parseSimdLevel(nullptr), kSimdAmx);
+    EXPECT_EQ(parseSimdLevel(""), kSimdAmx);
     EXPECT_EQ(parseSimdLevel("0"), kSimdScalar);
     EXPECT_EQ(parseSimdLevel("1"), kSimdAvx2);
     EXPECT_EQ(parseSimdLevel("2"), kSimdAvx512);
-    EXPECT_EQ(parseSimdLevel("00"), kSimdAvx512);
-    EXPECT_EQ(parseSimdLevel("off"), kSimdAvx512);
+    EXPECT_EQ(parseSimdLevel("3"), kSimdAmx);
+    EXPECT_EQ(parseSimdLevel("00"), kSimdAmx);
+    EXPECT_EQ(parseSimdLevel("off"), kSimdAmx);
 }
 
 /** Remove the ladder cap however a test exits. */
@@ -190,6 +200,9 @@ TEST(SimdLadder, OneLevelForEveryKernel)
         EXPECT_EQ(simdLevel(), level);
         EXPECT_EQ(qgemmLevel(), level);
         EXPECT_EQ(gemmSimdActive(), level >= kSimdAvx2);
+        if (level == kSimdAmx) { // the float kernels stay on AVX-512
+            EXPECT_TRUE(gemmSimdActive());
+        }
     }
     setQgemmLevelCap(0); // the quantized tier's name caps the float kernels
     EXPECT_FALSE(gemmSimdActive());
@@ -823,6 +836,56 @@ struct QgemmProblem
     }
 };
 
+/**
+ * `bytes` of zeroed memory that end flush against an inaccessible
+ * page, so an access past the end faults. ASan does not instrument
+ * AMX tile loads and stores; this guard does not need it to.
+ */
+class GuardedBytes
+{
+  public:
+    explicit GuardedBytes(size_t bytes)
+    {
+        const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+        span_ = (bytes + page - 1) / page * page + page;
+        void *base = mmap(nullptr, span_, PROT_READ | PROT_WRITE,
+                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (base == MAP_FAILED)
+            throw std::runtime_error("mmap failed");
+        base_ = static_cast<char *>(base);
+        if (mprotect(base_ + span_ - page, page, PROT_NONE) != 0)
+            throw std::runtime_error("mprotect failed");
+        data_ = base_ + span_ - page - bytes;
+    }
+    ~GuardedBytes() { munmap(base_, span_); }
+    GuardedBytes(const GuardedBytes &) = delete;
+    GuardedBytes &operator=(const GuardedBytes &) = delete;
+
+    char *data() { return data_; }
+
+  private:
+    char *base_ = nullptr;
+    char *data_ = nullptr;
+    size_t span_ = 0;
+};
+
+/** qgemmI32 on `prob` at the level in force, with `a` and C each
+ * ending at a guard page. */
+std::vector<int32_t>
+qgemmGuarded(const QgemmProblem &prob)
+{
+    const size_t cells = static_cast<size_t>(prob.m) * prob.n;
+    GuardedBytes a(prob.a.size());
+    GuardedBytes c(cells * sizeof(int32_t));
+    std::memcpy(a.data(), prob.a.data(), prob.a.size());
+    std::memset(c.data(), 0xff, cells * sizeof(int32_t));
+    qgemmI32(reinterpret_cast<const uint8_t *>(a.data()), prob.panels,
+             reinterpret_cast<int32_t *>(c.data()), prob.m);
+    std::vector<int32_t> out(cells);
+    std::memcpy(out.data(), c.data(), cells * sizeof(int32_t));
+    return out;
+}
+
 } // namespace
 
 TEST(Qgemm, PackLayoutAndColsums)
@@ -886,23 +949,26 @@ TEST(Qgemm, EveryDispatchLevelIsBitwiseIdentical)
     // scalar reference exactly — including forced downlevels (the
     // AVX2 kernel exercised on a VNNI machine). The ceiling honours a
     // forced SNS_SIMD so the lint sweep can re-run this at every rung.
+    std::vector<std::tuple<int, int, int>> shapes = {
+        {5, 16, 12}, {8, 64, 48}, {2, 31, 130}, {96, 107, 33}};
+    // The tile rung's edges: rows around its 16-row tiles and 32-row
+    // blocks (403 is the plan's batch), k around its 64-byte steps,
+    // and columns around its 16-column tiles and 32-column blocks.
+    for (const int m : {1, 15, 16, 17, 31, 32, 33, 403})
+        for (const int k : {4, 60, 64, 68, 128, 132, 512})
+            for (const int n : {3, 15, 16, 17, 31, 32, 33, 128, 512})
+                shapes.emplace_back(m, n, k);
     setQgemmLevelCap(-1);
     const int ceiling = qgemmLevel();
-    for (const auto &[m, n, k] : {std::tuple{5, 16, 12},
-                                  std::tuple{8, 64, 48},
-                                  std::tuple{2, 31, 130},
-                                  std::tuple{96, 107, 33}}) {
+    for (const auto &[m, n, k] : shapes) {
         QgemmProblem prob(m, n, k, 23);
         setQgemmLevelCap(0);
         ASSERT_EQ(qgemmLevel(), 0);
-        std::vector<int32_t> reference(static_cast<size_t>(m) * n, -1);
-        qgemmI32(prob.a.data(), prob.panels, reference.data(), m);
+        const std::vector<int32_t> reference = qgemmGuarded(prob);
         for (int cap = 1; cap <= ceiling; ++cap) {
             setQgemmLevelCap(cap);
             ASSERT_EQ(qgemmLevel(), cap);
-            std::vector<int32_t> c(static_cast<size_t>(m) * n, -1);
-            qgemmI32(prob.a.data(), prob.panels, c.data(), m);
-            EXPECT_EQ(c, reference)
+            EXPECT_EQ(qgemmGuarded(prob), reference)
                 << "level " << cap << " diverges on " << m << "x" << n
                 << "x" << k;
         }
@@ -910,34 +976,66 @@ TEST(Qgemm, EveryDispatchLevelIsBitwiseIdentical)
     }
 }
 
+TEST(Qgemm, PoolWorkersAndFreshThreadsMatchScalar)
+{
+    // Big enough to split over the pool: at width 4 the row blocks run
+    // on pool workers, each configuring its own tiles, and a fresh
+    // std::thread has never touched the tiles before its call.
+    const int m = 403;
+    const int n = 128;
+    const int k = 128;
+    QgemmProblem prob(m, n, k, 29);
+    setQgemmLevelCap(0);
+    const std::vector<int32_t> reference = qgemmGuarded(prob);
+    setQgemmLevelCap(-1);
+    const int ceiling = qgemmLevel();
+    for (int level = 1; level <= ceiling; ++level) {
+        setQgemmLevelCap(level);
+        for (const int threads : {1, 4}) {
+            par::setThreads(threads);
+            EXPECT_EQ(qgemmGuarded(prob), reference)
+                << "level " << level << " threads " << threads;
+            std::vector<int32_t> fresh;
+            std::thread([&] { fresh = qgemmGuarded(prob); }).join();
+            EXPECT_EQ(fresh, reference)
+                << "level " << level << " threads " << threads
+                << " from a fresh thread";
+        }
+    }
+    par::setThreads(1);
+    setQgemmLevelCap(-1);
+}
+
 TEST(Qgemm, SaturationFreeAtTheU7S8Extremes)
 {
     // All-127 activations against all +/-127 weights drive every
     // maddubs pair sum to its maximum magnitude 2 * 127 * 127 = 32258
     // < 32767: the widening path must not saturate at any level.
+    // At k = 512 the int32 sums reach 127 * 127 * 512 = 8258048.
     const int m = 2;
     const int n = 16;
-    const int k = 64;
-    std::vector<int8_t> b(static_cast<size_t>(k) * n);
-    for (int p = 0; p < k; ++p)
-        for (int j = 0; j < n; ++j)
-            b[static_cast<size_t>(p) * n + j] = (j % 2) ? 127 : -127;
-    QuantPanels panels;
-    qgemmPackB(b.data(), k, n, panels);
-    std::vector<uint8_t> a(static_cast<size_t>(m) * panels.k_padded,
-                           0);
-    for (int i = 0; i < m; ++i)
+    for (const int k : {64, 512}) {
+        std::vector<int8_t> b(static_cast<size_t>(k) * n);
         for (int p = 0; p < k; ++p)
-            a[static_cast<size_t>(i) * panels.k_padded + p] = 127;
-    for (int cap = 0; cap <= simdMaxLevel(); ++cap) {
-        setQgemmLevelCap(cap);
-        std::vector<int32_t> c(static_cast<size_t>(m) * n, 0);
-        qgemmI32(a.data(), panels, c.data(), m);
-        for (int i = 0; i < m; ++i)
             for (int j = 0; j < n; ++j)
-                EXPECT_EQ(c[static_cast<size_t>(i) * n + j],
-                          (j % 2 ? 1 : -1) * 127 * 127 * k)
-                    << "level " << cap;
+                b[static_cast<size_t>(p) * n + j] = (j % 2) ? 127 : -127;
+        QuantPanels panels;
+        qgemmPackB(b.data(), k, n, panels);
+        std::vector<uint8_t> a(
+            static_cast<size_t>(m) * panels.k_padded, 0);
+        for (int i = 0; i < m; ++i)
+            for (int p = 0; p < k; ++p)
+                a[static_cast<size_t>(i) * panels.k_padded + p] = 127;
+        for (int cap = 0; cap <= simdMaxLevel(); ++cap) {
+            setQgemmLevelCap(cap);
+            std::vector<int32_t> c(static_cast<size_t>(m) * n, 0);
+            qgemmI32(a.data(), panels, c.data(), m);
+            for (int i = 0; i < m; ++i)
+                for (int j = 0; j < n; ++j)
+                    EXPECT_EQ(c[static_cast<size_t>(i) * n + j],
+                              (j % 2 ? 1 : -1) * 127 * 127 * k)
+                        << "level " << cap << " k " << k;
+        }
     }
     setQgemmLevelCap(-1);
 }
@@ -946,7 +1044,7 @@ TEST(Qgemm, LevelCapClampsAndRestores)
 {
     const int max_level = simdMaxLevel();
     EXPECT_GE(max_level, 0);
-    EXPECT_LE(max_level, 2);
+    EXPECT_LE(max_level, 3);
     // The uncapped level is the CPU max further clamped by a forced
     // SNS_SIMD environment (the lint sweep sets it).
     setQgemmLevelCap(-1);
@@ -958,6 +1056,51 @@ TEST(Qgemm, LevelCapClampsAndRestores)
     EXPECT_EQ(qgemmLevel(), ceiling);
     setQgemmLevelCap(-1); // removes the cap
     EXPECT_EQ(qgemmLevel(), ceiling);
+}
+
+/**
+ * The child side of RefusedTileDataStopsAtAvx512: its exit status.
+ * Linux refuses tile data while any thread's sigaltstack is smaller
+ * than the signal frame with tile state in it (~12 KiB); 8 KiB is
+ * enough without it.
+ */
+int
+refuseTileDataThenMultiply()
+{
+    static std::vector<char> small(8192);
+    stack_t ss{};
+    ss.ss_sp = small.data();
+    ss.ss_size = small.size();
+    if (sigaltstack(&ss, nullptr) != 0)
+        return 2;
+    if (simdLevel() != kSimdAvx512 ||
+        amxTileData() != AmxTileData::Refused)
+        return 1;
+    // The integer GEMM runs on, at level 2.
+    const int m = 33;
+    const int n = 17;
+    const int k = 68;
+    QgemmProblem prob(m, n, k, 5);
+    std::vector<int32_t> c(static_cast<size_t>(m) * n, -1);
+    qgemmI32(prob.a.data(), prob.panels, c.data(), m);
+    return c == naiveQgemm(prob.a, prob.b, m, n, k, prob.panels.k_padded)
+               ? 0
+               : 3;
+}
+
+TEST(SimdLadder, RefusedTileDataStopsAtAvx512)
+{
+    // The tile-data request is made once per process, so the refusal
+    // is staged in a fresh one: threadsafe death tests re-execute the
+    // binary, and nothing here asks before the child does.
+    if (simdMaxLevel() < kSimdAmx ||
+        parseSimdLevel(std::getenv("SNS_SIMD")) < kSimdAmx)
+        GTEST_SKIP() << "no AMX-INT8 rung to refuse on this host";
+    const std::string style = ::testing::GTEST_FLAG(death_test_style);
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(std::_Exit(refuseTileDataThenMultiply()),
+                ::testing::ExitedWithCode(0), "");
+    ::testing::GTEST_FLAG(death_test_style) = style;
 }
 
 // ---------------------------------------------------------------------
@@ -1090,7 +1233,8 @@ TEST(TanhKernel, RungsAgree)
 TEST(TanhKernel, DISABLED_RungsAgreeExhaustive)
 {
     SimdCapGuard guard;
-    const int ceiling = simdCeiling();
+    // Level 3 runs the AVX-512 rung again: tanh has no AMX rung.
+    const int ceiling = std::min(simdCeiling(), kSimdAvx512);
     if (ceiling < kSimdAvx2)
         GTEST_SKIP() << "no SIMD rung on this CPU";
     constexpr uint64_t kBlock = uint64_t{1} << 22;

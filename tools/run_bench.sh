@@ -346,7 +346,8 @@ awk -F, -v quant="$QUANT_OUT" -v gemm="$GEMM_CSV" '
             # Args are slash-separated: m/n/k/level.
             split(name, a, "/")
             shape = a[1] "x" a[2] "x" a[3]
-            level = a[4] == 0 ? "scalar" : a[4] == 1 ? "avx2" : "vnni"
+            level = a[4] == 0 ? "scalar" : a[4] == 1 ? "avx2" \
+                  : a[4] == 2 ? "vnni" : "amx"
             key = shape "_" level
             if (shape == "256x256x256" && gops[name] > best)
                 best = gops[name]

@@ -10,7 +10,8 @@
 #   4. SNS_SIMD ladder (src/tensor/simd.hh): re-run the kernel,
 #      quantized, plan runtime and ragged training tests (autograd
 #      ops, encoder, both training pins) at every rung (0 scalar,
-#      1 AVX2, 2 AVX-512) under the sanitizers, check fp64 and int8 CLI
+#      1 AVX2, 2 AVX-512, 3 AMX-INT8 for the integer GEMM) under the
+#      sanitizers, check fp64 and int8 CLI
 #      predictions are bitwise stable across rungs, lint a freshly
 #      calibrated plan_int8.snsp (must be clean) and the
 #      corrupted-scales fixture (must fail);
@@ -141,7 +142,9 @@ echo "== SNS_SIMD ladder sweep under ASan+UBSan =="
 # (docs/perf.md, docs/quantization.md); run the kernel and quantized
 # suites with the environment capping the ladder at each rung, so the
 # promise is sanitizer-checked on the scalar, AVX2, and (when the CPU
-# allows) AVX-512 paths alike. The plan runtime suite rides along: its
+# allows) AVX-512 and AMX paths alike; a CPU without AMX runs level 3
+# as level 2. ASan does not see tile loads and stores, so the qgemm
+# tests put their operands against guard pages. The plan runtime suite rides along: its
 # ragged executor packs per-row spans into arena offsets, and ASan
 # catches any span or offset overrun at every rung. So does the ragged
 # training walk (docs/training.md#ragged-training): its autograd ops,
@@ -150,7 +153,7 @@ echo "== SNS_SIMD ladder sweep under ASan+UBSan =="
 KERNEL_TESTS='Qgemm.*:GemmSimd.*:TanhKernel.*:GeluKernel.*:SimdLadder.*'
 RAGGED_OP_TESTS='Autograd.Bmm*:Autograd.SplitMerge*:Autograd.KeyPaddingMask*'
 RAGGED_OP_TESTS="$RAGGED_OP_TESTS:Autograd.MaskedSoftmax*:Autograd.MeanPool*"
-for level in 0 1 2; do
+for level in 0 1 2 3; do
     echo "-- SNS_SIMD=$level --"
     SNS_SIMD=$level "$BUILD/tests/test_tensor" \
         --gtest_filter="$KERNEL_TESTS:$RAGGED_OP_TESTS" > /dev/null
@@ -170,13 +173,14 @@ echo "== quantized tier: calibrate, lint, cross-rung bitwise =="
 "$CLI" quantize --model="$PLAN_WORK/model" "$PLAN_WORK/fir.snl"
 "$LINT" "$PLAN_WORK/model/plan_int8.snsp"
 # ...and an int8 CLI predict must be bitwise stable across the ladder.
-for level in 0 1 2; do
+for level in 0 1 2 3; do
     SNS_SIMD=$level "$CLI" predict --model="$PLAN_WORK/model" \
         --precision=int8 "$PLAN_WORK/fir.snl" \
         | grep -v "predicted in" > "$PLAN_WORK/int8_$level.out"
 done
 diff "$PLAN_WORK/int8_0.out" "$PLAN_WORK/int8_1.out"
 diff "$PLAN_WORK/int8_0.out" "$PLAN_WORK/int8_2.out"
+diff "$PLAN_WORK/int8_0.out" "$PLAN_WORK/int8_3.out"
 # The fp64 tier (fp32 GEMM and tanh rungs) must be just as stable, and
 # equal to the uncapped run above.
 for level in 0 1 2; do

@@ -60,6 +60,8 @@
 #include "sampler/path_sampler.hh"
 #include "plan/snsp.hh"
 #include "serve/client.hh"
+#include "tensor/qgemm.hh"
+#include "tensor/simd.hh"
 #include "util/string_utils.hh"
 #include "util/timer.hh"
 #include "verify/plan_check.hh"
@@ -889,6 +891,19 @@ cmdPlan(const CliArgs &args)
               << layout.total_floats << " floats ("
               << layout.total_floats * sizeof(float) / 1024
               << " KiB), batch_max " << traced.config.batch_max << "\n";
+    // The rung each kernel family runs on: the float kernels top out
+    // at AVX-512, the integer GEMM climbs to the AMX tiles.
+    const int float_level =
+        std::min(tensor::simdLevel(), tensor::kSimdAvx512);
+    const tensor::AmxTileData tiles = tensor::amxTileData();
+    const char *tile_state =
+        tiles == tensor::AmxTileData::Granted   ? "granted"
+        : tiles == tensor::AmxTileData::Refused ? "refused"
+                                                : "not requested";
+    std::cout << "simd: fp32 gemm/tanh "
+              << tensor::simdLevelName(float_level) << ", qgemm "
+              << tensor::simdLevelName(tensor::qgemmLevel())
+              << "; AMX tile data " << tile_state << "\n";
     report.print(std::cout, /*include_notes=*/true);
 
     if (args.has("dump")) {
