@@ -18,6 +18,7 @@
 #include "core/evaluation.hh"
 #include "designs/designs.hh"
 #include "par/thread_pool.hh"
+#include "util/string_utils.hh"
 #include "util/table.hh"
 
 namespace sns::bench {
@@ -133,6 +134,24 @@ benchTrainerConfig(const BenchArgs &args)
     config.checkpoint_dir = args.checkpoint_dir;
     config.resume_from = args.resume_from;
     return config;
+}
+
+/**
+ * A harness's performance or accuracy gate: prints one line, `PASS` or
+ * `FAIL`, with the measured value and the bound, and returns whether
+ * the value is on the right side of it. `at_most` gates an upper bound
+ * (value <= bound) instead of a lower one (value >= bound).
+ */
+inline bool
+gate(const std::string &what, double value, double bound,
+     const std::string &unit, bool at_most = false)
+{
+    const bool pass = at_most ? value <= bound : value >= bound;
+    std::cout << (pass ? "PASS " : "FAIL ") << what << ": "
+              << formatDouble(value, 3) << unit
+              << (at_most ? " <= " : " >= ") << formatDouble(bound, 3)
+              << unit << "\n";
+    return pass;
 }
 
 /** The synthesis oracle used for dataset ground truth. */

@@ -21,10 +21,10 @@
  *
  * Every routed reply is verified bitwise against a local predictBatch
  * reference, which (together with the direct cell) demonstrates the
- * cluster-replies-identical-to-single-sns-serve contract. Prints
- * `BENCH <key> <value>` lines that tools/run_bench.sh assembles into
- * BENCH_pr9.json. Headline gate: routed QPS with 2 workers must be
- * >= 1.7x routed QPS with 1 worker.
+ * cluster-replies-identical-to-single-sns-serve contract. Headline
+ * gate: routed QPS with 2 workers must be >= 1.7x routed QPS with
+ * 1 worker. The harness exits 1 on a bitwise mismatch or a failed
+ * gate.
  */
 
 #include <algorithm>
@@ -282,12 +282,9 @@ main(int argc, char **argv)
     // (cyclic sweeps thrash); two workers own about half each, which
     // fits with headroom for ring imbalance.
     const size_t capacity = ((corpus_entries * 3 / 4 + 15) / 16) * 16;
-    std::cout << "BENCH cluster_corpus_designs " << sources.size()
-              << "\n";
-    std::cout << "BENCH cluster_corpus_cache_entries "
-              << corpus_entries << "\n";
-    std::cout << "BENCH cluster_worker_cache_capacity " << capacity
-              << "\n";
+    std::cout << "corpus: " << sources.size() << " designs, "
+              << corpus_entries << " path-cache entries; per-worker cap "
+              << capacity << "\n";
 
     const int kConcurrency = 4;
     const int kRounds = 5;
@@ -297,7 +294,6 @@ main(int argc, char **argv)
                      "cache_hit_rate", "bitwise"});
 
     // Anchor: one server, no router, same capacity and load.
-    double qps_direct = 0.0;
     {
         obs::Registry registry;
         serve::ServerOptions options;
@@ -314,20 +310,16 @@ main(int argc, char **argv)
         const auto stats = server.cache().stats();
         server.stop();
         all_bitwise = all_bitwise && result.bitwise_ok;
-        qps_direct = result.qps;
         table.addRow({"direct", "1", formatDouble(result.qps, 1),
                       formatDouble(result.p50_us, 0),
                       formatDouble(result.p99_us, 0),
                       formatDouble(stats.hitRate(), 3),
                       result.bitwise_ok ? "yes" : "NO"});
-        std::cout << "BENCH cluster_qps_direct "
-                  << formatDouble(result.qps, 2) << "\n";
     }
 
     // Routed cells: 1, 2, 4 workers behind a fresh router each.
     double qps_w1 = 0.0;
     double qps_w2 = 0.0;
-    double qps_w4 = 0.0;
     for (const int n_workers : {1, 2, 4}) {
         std::vector<std::unique_ptr<obs::Registry>> registries;
         std::vector<std::unique_ptr<serve::Server>> workers;
@@ -389,32 +381,21 @@ main(int argc, char **argv)
                       formatDouble(result.p99_us, 0),
                       formatDouble(hit_rate, 3),
                       result.bitwise_ok ? "yes" : "NO"});
-        std::cout << "BENCH cluster_qps_w" << n_workers << " "
-                  << formatDouble(result.qps, 2) << "\n";
         if (n_workers == 1)
             qps_w1 = result.qps;
         else if (n_workers == 2)
             qps_w2 = result.qps;
-        else
-            qps_w4 = result.qps;
     }
 
     table.print(std::cout);
     args.maybeCsv(table, "cluster_throughput");
     std::filesystem::remove_all(checkpoint);
 
+    std::cout << "replies bitwise identical to local predictBatch: "
+              << (all_bitwise ? "yes" : "NO") << "\n";
     // Headline gate: two workers' aggregate cache over one worker's.
-    const double scaling_w2 = qps_w1 > 0.0 ? qps_w2 / qps_w1 : 0.0;
-    const double scaling_w4 = qps_w1 > 0.0 ? qps_w4 / qps_w1 : 0.0;
-    const double router_overhead =
-        qps_direct > 0.0 ? qps_w1 / qps_direct : 0.0;
-    std::cout << "BENCH cluster_scaling_w2 "
-              << formatDouble(scaling_w2, 3) << "\n";
-    std::cout << "BENCH cluster_scaling_w4 "
-              << formatDouble(scaling_w4, 3) << "\n";
-    std::cout << "BENCH cluster_router_relative_qps "
-              << formatDouble(router_overhead, 3) << "\n";
-    std::cout << "BENCH cluster_bitwise " << (all_bitwise ? 1 : 0)
-              << "\n";
-    return all_bitwise ? 0 : 1;
+    const bool cluster_scales = bench::gate(
+        "2-worker vs 1-worker routed QPS",
+        qps_w1 > 0.0 ? qps_w2 / qps_w1 : 0.0, 1.7, "x");
+    return all_bitwise && cluster_scales ? 0 : 1;
 }

@@ -18,10 +18,9 @@
  * Every session prediction is checked bitwise against its cold twin —
  * incrementality must be a pure performance move. The harness also
  * verifies the rename fast path (a no-op revision must report noop
- * with zero recompute) and prints `BENCH <key> <value>` lines that
- * tools/run_bench.sh assembles into BENCH_pr7.json. Headline gate:
- * the session loop must finish the 100-edit script >= 5x faster than
- * the cold loop, bitwise-identical.
+ * with zero recompute). Headline gate: the session loop must finish
+ * the 100-edit script >= 5x faster than the cold loop,
+ * bitwise-identical. The harness exits 1 when any of the three fails.
  */
 
 #include <chrono>
@@ -190,17 +189,11 @@ main(int argc, char **argv)
     table.print(std::cout);
     args.maybeCsv(table, "edit_loop");
 
-    std::cout << "BENCH edit_loop_cold_s " << formatDouble(cold_s, 3)
-              << "\n";
-    std::cout << "BENCH edit_loop_session_s "
-              << formatDouble(session_s, 3) << "\n";
-    std::cout << "BENCH edit_loop_speedup " << formatDouble(speedup, 3)
-              << "\n";
-    std::cout << "BENCH edit_loop_reuse_rate "
-              << formatDouble(reuse_mean, 4) << "\n";
-    std::cout << "BENCH edit_loop_noop_ok " << (noop_ok ? 1 : 0)
-              << "\n";
-    std::cout << "BENCH edit_loop_bitwise " << (bitwise ? 1 : 0)
-              << "\n";
-    return bitwise && noop_ok ? 0 : 1;
+    std::cout << "session updates bitwise identical to cold: "
+              << (bitwise ? "yes" : "NO")
+              << "\nno-op revision took the fingerprint fast path: "
+              << (noop_ok ? "yes" : "NO") << "\n";
+    const bool session_pays =
+        bench::gate("session vs cold speedup", speedup, 5.0, "x");
+    return bitwise && noop_ok && session_pays ? 0 : 1;
 }

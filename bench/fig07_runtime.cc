@@ -20,8 +20,9 @@
  * Two further passes measure the path-prediction cache (docs/perf.md):
  * cold (first visit, misses only) and warm (same designs revisited —
  * the repeated-variant DSE scenario). The determinism check extends to
- * the cached passes: cache-on must equal cache-off bit for bit. Lines
- * prefixed `BENCH` are machine-readable for tools/run_bench.sh.
+ * the cached passes: cache-on must equal cache-off bit for bit. The
+ * harness exits 1 on a determinism violation or when the warm pass is
+ * less than 2x faster than the cold one.
  */
 
 #include <algorithm>
@@ -273,27 +274,6 @@ main(int argc, char **argv)
               << (mismatches == 0 ? "PASS (bitwise identical)"
                                   : "FAIL")
               << "\n";
-    // Machine-readable rows for tools/run_bench.sh (BENCH_pr3.json).
-    std::cout << "BENCH fig07_predict_cold_s " << cold_total_s << "\n"
-              << "BENCH fig07_predict_warm_s " << warm_total_s << "\n"
-              << "BENCH fig07_paths_per_s_cold "
-              << total_paths / cold_total_s << "\n"
-              << "BENCH fig07_paths_per_s_warm "
-              << total_paths / warm_total_s << "\n"
-              << "BENCH fig07_warm_cache_speedup_x "
-              << cold_total_s / warm_total_s << "\n"
-              << "BENCH fig07_warm_hit_rate "
-              << (warm_hits + warm_misses == 0
-                      ? 0.0
-                      : static_cast<double>(warm_hits) /
-                            static_cast<double>(warm_hits + warm_misses))
-              << "\n"
-              << "BENCH fig07_plan_walk_s " << walk_total_s << "\n"
-              << "BENCH fig07_plan_planned_s " << planned_total_s << "\n"
-              << "BENCH fig07_plan_speedup_x "
-              << walk_total_s / planned_total_s << "\n"
-              << "BENCH fig07_determinism "
-              << (mismatches == 0 ? 1 : 0) << "\n";
     std::cout << "size-speedup correlation (log-log pearson): "
               << formatDouble(
                      [&] {
@@ -308,5 +288,7 @@ main(int argc, char **argv)
                      3)
               << " (paper shape: strongly positive — bigger designs "
                  "gain more)\n";
-    return mismatches == 0 ? 0 : 1;
+    const bool cache_pays = bench::gate(
+        "warm-cache speedup", cold_total_s / warm_total_s, 2.0, "x");
+    return mismatches == 0 && cache_pays ? 0 : 1;
 }

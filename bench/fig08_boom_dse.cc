@@ -246,9 +246,6 @@ main(int argc, char **argv)
               << formatDouble(100.0 * cache_stats.hitRate(), 1)
               << "% hit rate), " << cache_stats.entries << " entries, "
               << cache_stats.bytes << " bytes\n";
-    std::cout << "BENCH fig08_dse_s " << dse_seconds << "\n"
-              << "BENCH fig08_cache_hit_rate " << cache_stats.hitRate()
-              << "\n";
     std::cout << "single-memory-port designs on the perf-power "
                  "frontier: "
               << single_port_on_front << "/" << front_size

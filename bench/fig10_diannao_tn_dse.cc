@@ -115,10 +115,7 @@ main(int argc, char **argv)
               << " hits / " << cache_stats.misses << " misses ("
               << formatDouble(100.0 * cache_stats.hitRate(), 1)
               << "% hit rate), " << cache_stats.entries << " entries, "
-              << cache_stats.bytes << " bytes\n";
-    std::cout << "BENCH fig10_sweep_s " << sweep_seconds << "\n"
-              << "BENCH fig10_cache_hit_rate " << cache_stats.hitRate()
-              << "\n\n";
+              << cache_stats.bytes << " bytes\n\n";
 
     Table table("Figure 10: efficiency vs Tn (means over the 144 "
                 "configs at each Tn)");

@@ -79,8 +79,7 @@ forceSimdLevel(benchmark::State &state, int level)
 /**
  * The fp32 GEMM ladder head to head: the same shape forced to each
  * rung (0 scalar fma chains, 1 AVX2 4x16/1x16, 2 AVX-512 12x32 blocks).
- * items/s here is FLOP/s — tools/run_bench.sh divides by 1e9 for the
- * BENCH_pr3.json GFLOP/s columns. Shapes cover the Table-2 model's
+ * items/s here is FLOP/s. Shapes cover the Table-2 model's
  * GEMMs: square, attention-thin (n = d_model), FFN-wide, both
  * transpose layouts used by backprop, and the plan's feed-forward pair
  * at the shape snsbench's tensor.gemm_gflops measures.
@@ -146,10 +145,9 @@ BENCHMARK(BM_GemmSimdDispatch)->Apply(gemmLadderArgs);
  * contraction forced to each SNS_SIMD dispatch level (0 scalar,
  * 1 AVX2 maddubs, 2 AVX-512 VNNI vpdpbusd, 3 AMX-INT8 tdpbusd). All
  * levels return the same int32 bits; only throughput differs. items/s
- * is integer multiply-add op/s (2*m*n*k per iteration) —
- * tools/run_bench.sh divides by 1e9 for the BENCH_pr8.json GOP/s
- * columns and gates the int8-vs-fp32 ratio against
- * BM_GemmSimdDispatch on the same shape.
+ * is integer multiply-add op/s (2*m*n*k per iteration), comparable
+ * with BM_GemmSimdDispatch's FLOP/s on the same shape.
+ * bench/quantized_inference gates the int8-vs-fp32 ratio on 256^3.
  */
 void
 BM_QgemmDispatch(benchmark::State &state)

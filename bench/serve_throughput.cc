@@ -21,11 +21,11 @@
  *             fan out across the sns::par pool.
  *
  * For each (mode, concurrency) cell the harness reports client-side
- * QPS and exact p50/p99 latency, verifies every reply bitwise against
- * a local predictBatch, and prints `BENCH <key> <value>` lines that
- * tools/run_bench.sh assembles into BENCH_pr4.json. The headline gate:
- * batched server QPS at concurrency 8 must be >= 2x the serial
- * one-request-at-a-time dispatch baseline.
+ * QPS and exact p50/p99 latency and verifies every reply bitwise
+ * against a local predictBatch. The headline gate: batched server QPS
+ * at concurrency 8 must be >= 2x the serial one-request-at-a-time
+ * dispatch baseline. The harness exits 1 on a bitwise mismatch or a
+ * failed gate.
  */
 
 #include <algorithm>
@@ -229,8 +229,8 @@ main(int argc, char **argv)
         qps_serial_dispatch =
             static_cast<double>(graphs.size()) / elapsed;
     }
-    std::cout << "BENCH serve_qps_serial_dispatch "
-              << formatDouble(qps_serial_dispatch, 2) << "\n";
+    std::cout << "serial dispatch: "
+              << formatDouble(qps_serial_dispatch, 1) << " qps\n";
 
     const std::string socket_path =
         (std::filesystem::temp_directory_path() /
@@ -242,7 +242,6 @@ main(int argc, char **argv)
                      "bitwise"});
     const std::vector<int> levels = {1, 2, 4, 8};
     double qps_batched_c8 = 0.0;
-    LevelResult batched_c8;
 
     for (const bool batched : {false, true}) {
         serve::ServerOptions options;
@@ -268,13 +267,8 @@ main(int argc, char **argv)
                           formatDouble(result.p99_us, 0),
                           result.bitwise_ok ? "yes" : "NO"});
             all_bitwise = all_bitwise && result.bitwise_ok;
-            std::cout << "BENCH serve_qps_" << mode << "_c"
-                      << concurrency << " "
-                      << formatDouble(result.qps, 2) << "\n";
-            if (batched && concurrency == 8) {
+            if (batched && concurrency == 8)
                 qps_batched_c8 = result.qps;
-                batched_c8 = result;
-            }
         }
     }
 
@@ -287,13 +281,9 @@ main(int argc, char **argv)
     const double speedup = qps_serial_dispatch > 0.0
                                ? qps_batched_c8 / qps_serial_dispatch
                                : 0.0;
-    std::cout << "BENCH serve_p50_us_batched_c8 "
-              << formatDouble(batched_c8.p50_us, 1) << "\n";
-    std::cout << "BENCH serve_p99_us_batched_c8 "
-              << formatDouble(batched_c8.p99_us, 1) << "\n";
-    std::cout << "BENCH serve_batched_speedup_c8 "
-              << formatDouble(speedup, 3) << "\n";
-    std::cout << "BENCH serve_bitwise " << (all_bitwise ? 1 : 0)
-              << "\n";
-    return all_bitwise ? 0 : 1;
+    std::cout << "replies bitwise identical to local predictBatch: "
+              << (all_bitwise ? "yes" : "NO") << "\n";
+    const bool batching_pays =
+        bench::gate("batched c8 vs serial dispatch", speedup, 2.0, "x");
+    return all_bitwise && batching_pays ? 0 : 1;
 }

@@ -1587,8 +1587,8 @@ TEST(PredictBatchTest, QuantizeBindsInt8AndLeavesFp64Bitwise)
     bool differs = false;
     for (size_t i = 0; i < eval.size(); ++i) {
         EXPECT_TRUE(sameBits(quant[i], quant_again[i])) << "design " << i;
-        // Same ballpark (the run_bench gate bounds the error formally),
-        // but a distinct tier: int8 is not fp64 relabeled.
+        // Same ballpark (bench/quantized_inference bounds the error
+        // formally), but a distinct tier: int8 is not fp64 relabeled.
         EXPECT_NEAR(quant[i].timing_ps, fp64_before[i].timing_ps,
                     0.25 * fp64_before[i].timing_ps + 1.0);
         differs = differs || !sameBits(quant[i], fp64_before[i]);

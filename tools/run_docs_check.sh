@@ -10,7 +10,10 @@
 #      the --ranks/--world-size/--rank/--rendezvous/--grad-slices flags
 #      must appear BOTH in sns-cli's usage text and in
 #      docs/distributed.md (check 2 only proves documented => real;
-#      this one also proves the page covers the whole surface).
+#      this one also proves the page covers the whole surface);
+#   4. every backticked `tools/...` or `bench/...` path in the pages
+#      must exist, as written or with `.cc` added (ROADMAP.md and
+#      CHANGES.md are history and may name what is gone).
 #
 # Usage: tools/run_docs_check.sh [BUILD_DIR]   (default: build)
 # Exit status: 0 clean, 1 on any dead link or undocumented flag.
@@ -19,7 +22,8 @@ set -e
 REPO="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${1:-$REPO/build}"
 
-DOCS="$REPO/README.md $REPO/DESIGN.md $REPO/ROADMAP.md $REPO/docs"
+PAGES="$REPO/README.md $REPO/DESIGN.md $REPO/EXPERIMENTS.md $REPO/docs"
+DOCS="$PAGES $REPO/ROADMAP.md"
 fail=0
 
 echo "== docs: relative links =="
@@ -97,6 +101,19 @@ for flag in --ranks --world-size --rank --rendezvous --grad-slices; do
              "in docs/distributed.md" >&2
         fail=1
     fi
+done
+
+echo "== docs: backticked tools/ and bench/ paths exist =="
+# shellcheck disable=SC2086
+for file in $(find $PAGES -name '*.md' | sort); do
+    # The first word of each span, so `bench/x --flag` checks bench/x.
+    for path in $(grep -o '`\(tools\|bench\)/[^` ]*' "$file" \
+                      | sed 's/^`//' | sort -u); do
+        if [ ! -e "$REPO/$path" ] && [ ! -e "$REPO/$path.cc" ]; then
+            echo "missing path in $file: $path" >&2
+            fail=1
+        fi
+    done
 done
 
 if [ "$fail" -ne 0 ]; then
